@@ -173,14 +173,18 @@ def cmd_cluster(args, config):
 
     mu_in = kernels.edge_density(f_in)
     mu_out = kernels.edge_density(f_out)
-    predicted, report = spectral.hosc(graph, mu_in, mu_out)
+    # spectral.hosc's steps, spelled out so that selection.csv reuses the
+    # one spectrum; lambda* first, so a degenerate model exits unsolved
+    lambda_star = spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)
+    spectrum = spectral.eigendecompose(graph)
+    report = spectral.select_eigenpair(spectrum, lambda_star)
+    predicted = spectral.sign_partition(report.eigenvector)
     if algorithm == "hosc_li":
         iterate = run.get("li_iterate", "false").lower() == "true"
         predicted = spectral.local_improvement(graph, predicted, iterate=iterate)
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
-    spectrum = spectral.eigendecompose(graph)
     profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
                if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
     with open(os.path.join(args.out, "selection.csv"), "w") as fh:

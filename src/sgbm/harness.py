@@ -125,6 +125,18 @@ def cell_seed(master_seed, grid_index, seed):
     return int(_mix64(_mix64(np.uint64(master_seed)) ^ packed))
 
 
+def _common_neighbours(adjacency):
+    """(A @ A) as int32: entry (i, j) counts the common neighbours of i and j.
+
+    NumPy does not send integer matmul to BLAS, so the product runs in
+    float32.  Every partial sum is an integer no larger than n < 2**24,
+    which float32 holds exactly, so the counts are exact whatever order
+    BLAS adds them in.
+    """
+    a = adjacency.astype(np.float32)
+    return (a @ a).astype(np.int32)
+
+
 def motif_baseline(graph):
     """Common-neighbor clustering: a transparent, simplified baseline.
 
@@ -143,7 +155,7 @@ def motif_baseline(graph):
     i, j = np.nonzero(np.triu(a, k=1))
     if len(i) == 0:
         raise ValueError("empty graph: no edges to count motifs on")
-    common = (a.astype(np.int32) @ a.astype(np.int32))[i, j]
+    common = _common_neighbours(a)[i, j]
 
     counts = np.sort(common.astype(np.float64))
     if len(counts) == 1 or counts[0] == counts[-1]:

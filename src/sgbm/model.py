@@ -10,6 +10,7 @@ Edge draws come from a counter-based generator keyed on
 no matter how sampling work is scheduled or chunked.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,34 +192,48 @@ def degree_stats(graph, labels):
 # i < j, in row-major order.  Labels: one of {1, 2} per line.  Positions:
 # CSV with d coordinate columns.
 
+_WRITE_CHUNK = 1 << 12  # edge lines joined per write, so few line strings live at once
+
 
 def write_graph(path, graph, d, seed):
     i, j = np.nonzero(np.triu(graph.adjacency, k=1))
+    names = [str(k) for k in range(graph.n)]
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {d} {seed}\n")
-        for a, b in zip(i, j):
-            fh.write(f"{a} {b}\n")
+        for start in range(0, len(i), _WRITE_CHUNK):
+            stop = start + _WRITE_CHUNK
+            fh.write("".join([f"{names[a]} {names[b]}\n"
+                              for a, b in zip(i[start:stop].tolist(), j[start:stop].tolist())]))
 
 
 def read_graph(path):
-    """Returns (Graph, d, seed) from an edge-list file."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: expected header 'n d seed'")
-        n, d, seed = int(header[0]), int(header[1]), int(header[2])
+    """Returns (Graph, d, seed) from an edge-list file.
+
+    Blank lines are skipped; anything else that is not an 'i j' pair of
+    ASCII integers with 0 <= i < j < n raises ValueError naming the path.
+    """
+    try:
+        with open(path) as fh:
+            header = [int(tok) for tok in fh.readline().split()]
+            if len(header) != 3 or header[0] < 0:
+                raise ValueError("expected header 'n d seed' with n >= 0")
+            body = fh.read()
+        n, d, seed = header
+        # comments=None: a '#' line is an error, not a skipped comment
+        edges = (np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+                 if body.strip() else np.empty((0, 2), dtype=np.int64))
+        if edges.shape[1] != 2:
+            raise ValueError("expected 'i j' on every edge line")
+        i, j = edges[:, 0], edges[:, 1]
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(f"edge {k + 1}: need 0 <= i < j < n, got {i[k]} {j[k]}")
         adjacency = np.zeros((n, n), dtype=np.uint8)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'i j'")
-            a, b = int(parts[0]), int(parts[1])
-            if not (0 <= a < b < n):
-                raise ValueError(f"{path}:{line_no}: need 0 <= i < j < n, got {a} {b}")
-            adjacency[a, b] = adjacency[b, a] = 1
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    adjacency[i, j] = 1
+    adjacency[j, i] = 1
     return Graph(n=n, adjacency=adjacency), d, seed
 
 

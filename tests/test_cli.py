@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgbm import cli, kernels, model
+from sgbm import cli, kernels, model, spectral
 from sgbm.model import Graph
 
 
@@ -19,6 +19,18 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def count_eigendecompose(monkeypatch):
+    calls = []
+    solve = spectral.eigendecompose
+
+    def counted(graph):
+        calls.append(graph.n)
+        return solve(graph)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    return calls
 
 
 # --- parse_config ------------------------------------------------------------
@@ -106,12 +118,14 @@ def test_generate_rejects_bad_seed(tmp_path):
     assert code == 2
 
 
-def test_degenerate_model_exit_code(tmp_path):
+def test_degenerate_model_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, GBM_CONFIG.replace("kernel_out.r = 0.05",
                                                     "kernel_out.r = 0.2"))
     out = tmp_path / "o"
+    calls = count_eigendecompose(monkeypatch)
     code = cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 3
+    assert calls == []  # lambda* is undefined, so nothing is solved
 
 
 def test_unwritable_out_is_config_error(tmp_path):
@@ -255,6 +269,51 @@ def test_cluster_local_improvement_option(tmp_path, capsys):
     assert code == 0
     printed = float(capsys.readouterr().out.split("accuracy")[-1].strip())
     assert printed >= 0.9
+
+
+def hosc_then_eigendecompose(graph, mu_in, mu_out, truth, algorithm, out):
+    """cluster's outputs as composed before it reused one spectrum: spectral.hosc,
+    then a second eigendecompose for selection.csv."""
+    predicted, report = spectral.hosc(graph, mu_in, mu_out)
+    if algorithm == "hosc_li":
+        predicted = spectral.local_improvement(graph, predicted)
+    out.mkdir()
+    model.write_labels(out / "predicted.labels", predicted)
+    spectrum = spectral.eigendecompose(graph)
+    profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
+               if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
+    with open(out / "selection.csv", "w") as fh:
+        fh.write("rank,eigenvalue,accuracy,selected\n")
+        for rank, acc in profile:
+            acc_cell = f"{acc:.6f}" if acc is not None else ""
+            sel = 1 if rank == report.selected_index else 0
+            fh.write(f"{rank},{spectrum.eigenvalues[rank - 1]:.9g},{acc_cell},{sel}\n")
+
+
+@pytest.mark.parametrize("algorithm,with_truth", [("hosc", True), ("hosc_li", False)])
+def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch,
+                                                    algorithm, with_truth):
+    params = model.SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=5)
+    graph, truth, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 5)
+    model.write_labels(tmp_path / "truth.txt", truth)
+    text = GBM_CONFIG + f"run.algorithm = {algorithm}\nrun.graph = {tmp_path / 'edges.txt'}\n"
+    if with_truth:
+        text += f"run.labels = {tmp_path / 'truth.txt'}\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+
+    calls = count_eigendecompose(monkeypatch)
+    assert cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert calls == [200]
+
+    reference = tmp_path / "reference"
+    hosc_then_eigendecompose(graph, kernels.edge_density(params.f_in),
+                             kernels.edge_density(params.f_out),
+                             truth if with_truth else None, algorithm, reference)
+    for name in ("predicted.labels", "selection.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
 
 
 # --- spectrum ----------------------------------------------------------------

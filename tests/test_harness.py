@@ -149,6 +149,18 @@ def test_motif_falls_back_on_complete_graph():
     assert set(np.unique(labels)) <= {1, 2}
 
 
+def test_common_neighbours_match_int32_product():
+    complete = np.ones((300, 300), dtype=np.uint8) - np.eye(300, dtype=np.uint8)
+    params = model.SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=0)
+    for graph in (two_cliques(10)[0], Graph(n=300, adjacency=complete),
+                  model.sample_graph(params)[0]):
+        a = graph.adjacency.astype(np.int32)
+        counts = harness._common_neighbours(graph.adjacency)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, a @ a)
+
+
 def test_motif_on_separated_gbm():
     accs = []
     for seed in range(10):

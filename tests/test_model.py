@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +286,128 @@ def test_read_graph_rejects_malformed(tmp_path):
     self_loop.write_text("4 1 0\n2 2\n")
     with pytest.raises(ValueError):
         model.read_graph(self_loop)
+
+
+# The per-edge loops that write_graph and read_graph replaced, kept as the
+# reference the array versions are checked against.
+
+def loop_write_graph(path, graph, d, seed):
+    i, j = np.nonzero(np.triu(graph.adjacency, k=1))
+    with open(path, "w") as fh:
+        fh.write(f"{graph.n} {d} {seed}\n")
+        for a, b in zip(i, j):
+            fh.write(f"{a} {b}\n")
+
+
+def loop_read_graph(path):
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 3:
+            raise ValueError(f"{path}: expected header 'n d seed'")
+        n, d, seed = int(header[0]), int(header[1]), int(header[2])
+        adjacency = np.zeros((n, n), dtype=np.uint8)
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{line_no}: expected 'i j'")
+            a, b = int(parts[0]), int(parts[1])
+            if not (0 <= a < b < n):
+                raise ValueError(f"{path}:{line_no}: need 0 <= i < j < n, got {a} {b}")
+            adjacency[a, b] = adjacency[b, a] = 1
+    return Graph(n=n, adjacency=adjacency), d, seed
+
+
+def _io_graphs():
+    """Sampled graphs in d = 1 (over 2**16 edges, so several write chunks)
+    and d = 2, a graph without edges, and n = 2 with and without its edge."""
+    graphs = []
+    for n, d, r_in, r_out, seed in ((1000, 1, 0.2, 0.05, 3), (300, 2, 0.2, 0.1, 4)):
+        params = SgbmParams(n=n, d=d, f_in=kernels.Indicator(r_in, d=d),
+                            f_out=kernels.Indicator(r_out, d=d), seed=seed)
+        graphs.append((model.sample_graph(params)[0], d, seed))
+    graphs.append((Graph(n=50, adjacency=np.zeros((50, 50), dtype=np.uint8)), 1, 0))
+    pair = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    graphs.append((Graph(n=2, adjacency=pair), 3, 2**64 - 1))
+    graphs.append((Graph(n=2, adjacency=np.zeros_like(pair)), 1, 9))
+    return graphs
+
+
+def test_write_graph_matches_loop_writer(tmp_path):
+    graphs = _io_graphs()
+    assert graphs[0][0].edge_count() > 2**16
+    for k, (graph, d, seed) in enumerate(graphs):
+        new, old = tmp_path / f"new{k}.txt", tmp_path / f"old{k}.txt"
+        model.write_graph(new, graph, d, seed)
+        loop_write_graph(old, graph, d, seed)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_read_graph_matches_loop_reader(tmp_path):
+    texts = [
+        "4 1 0\n",                                # no edges
+        "4 1 0\n\n0 1\n   \n2 3\n\n",             # blank lines are skipped
+        "4 1 0\n  0\t1  \n1 3",                   # tabs, padding, no final newline
+        "4 1 0\r\n0 1\r\n2 3\r\n",                 # CRLF
+        "4 2 7\n0 1\n0 1\n+1 2\n",                 # duplicate edge, explicit sign
+        "0 1 0\n",                                # empty graph
+    ]
+    for k, (graph, d, seed) in enumerate(_io_graphs()):
+        path = tmp_path / f"g{k}.txt"
+        loop_write_graph(path, graph, d, seed)
+        texts.append(path.read_text())
+    for k, text in enumerate(texts):
+        path = tmp_path / f"t{k}.txt"
+        path.write_text(text)
+        new, old = model.read_graph(path), loop_read_graph(path)
+        assert new[1:] == old[1:]
+        assert new[0].n == old[0].n
+        assert np.array_equal(new[0].adjacency, old[0].adjacency)
+
+
+@pytest.mark.parametrize("text", [
+    "",                              # no header
+    "10 1\n0 1\n",                   # short header
+    "4 1 0 9\n",                     # long header
+    "4 x 0\n",                       # non-integer header
+    "-1 1 0\n",                      # negative n
+    "99999999999999999999 1 0\n",    # n too large to allocate
+    "4 1 0\n0 1 2\n",                # three tokens
+    "4 1 0\n0\n",                    # one token
+    "4 1 0\n0 1\n\n1 2 3\n",          # three tokens after a blank line
+    "4 1 0\n1 9\n",                  # j beyond n
+    "4 1 0\n0 4\n",                  # j == n
+    "4 1 0\n2 2\n",                  # self-loop
+    "4 1 0\n2 1\n",                  # reversed pair
+    "4 1 0\n-1 2\n",                 # negative index
+    "4 1 0\n# comment\n0 1\n",        # comment line
+    "4 1 0\n0 1 # comment\n",         # trailing comment
+    "4 1 0\n0 1.5\n",                # non-integer token
+    "4 1 0\n0 one\n",                # word
+    "4 1 0\n0x1 2\n",                # hex
+])
+def test_read_graph_rejects_what_loop_reader_rejects(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        loop_read_graph(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        model.read_graph(path)
+
+
+@pytest.mark.parametrize("text", [
+    "20 1 0\n1_0 12\n",              # digit separator
+    "20 1 0\n\u0661 2\n",             # non-ASCII digit (Arabic-Indic one)
+])
+def test_read_graph_stricter_than_loop_reader(tmp_path, text):
+    """Integer spellings Python's int() takes but the edge format does not."""
+    path = tmp_path / "odd.txt"
+    path.write_text(text, encoding="utf-8")
+    loop_read_graph(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        model.read_graph(path)
 
 
 def test_read_labels_rejects_bad_values(tmp_path):
