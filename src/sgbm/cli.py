@@ -291,7 +291,7 @@ def cmd_sweep(args, config):
             for section, block in config.items() for key, value in block.items()}
     echo["cli.preset"] = preset
     echo["cli.master_seed"] = master
-    harness.write_meta(os.path.join(args.out, "meta.txt"), echo)
+    harness.write_meta(os.path.join(args.out, "meta.txt"), echo, workers=workers)
     errors = sum(1 for row in rows if row.note.startswith("error:"))
     _say(args, f"wrote {len(rows)} rows to {args.out}/results.csv"
                + (f" ({errors} error rows)" if errors else ""))

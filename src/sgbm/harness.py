@@ -12,9 +12,11 @@ to a separate timings.csv: a timing column inside the results table
 would break rerun-identity for no analytical gain.
 """
 
+import ctypes
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -266,12 +268,64 @@ def _run_cell(config, grid_index, point, seed):
     return rows
 
 
+# (get, set) symbol names: numpy >= 2 wheels' scipy-openblas, then system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _blas_thread_controls():
+    """(get, set) for the thread count of the OpenBLAS that eigh uses, or None.
+
+    dlsym on numpy's linalg extension also searches the libraries it
+    links, so the library is found without knowing its path.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread; restore the count after.
+
+    The count is process-global: other threads see it too while the body
+    runs.  Does nothing when no OpenBLAS control is found.
+    """
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def run_sweep(config, workers=1):
     """Run every (grid point, seed, algorithm) cell; canonical row order.
 
-    Cells are independent; workers > 1 runs them in a thread pool.  Rows
-    come back sorted grid-major, then by seed position, then by
-    algorithm position, whatever the execution order was.
+    Cells are independent; workers > 1 runs them in a thread pool with
+    OpenBLAS set to one thread for the pool's lifetime (see
+    _one_blas_thread; the setting is process-global).  LAPACK and numpy's
+    elementwise kernels release the GIL, so the workers really run at
+    once instead of queueing on one shared BLAS thread pool.  Rows come
+    back sorted grid-major, then by seed position, then by algorithm
+    position, whatever the execution order was.
     """
     seeds = list(config.seeds)
     cells = [(gi, si, point, seed)
@@ -281,7 +335,7 @@ def run_sweep(config, workers=1):
         os.makedirs(config.out, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(
                 lambda cell: _run_cell(config, cell[0], cell[2], cell[3]), cells))
     else:
@@ -474,13 +528,29 @@ def write_timings(path, rows):
                                f"{row.runtime_ms:.3f}")) + "\n")
 
 
-def write_meta(path, config_echo):
+def _blas_name():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+
+
+def write_meta(path, config_echo, workers=1):
+    """meta.txt: library versions, BLAS and its thread count, config echo."""
     import scipy
 
+    controls = _blas_thread_controls()
+    if controls is None:
+        threads = "not controllable"
+    else:
+        threads = 1 if workers > 1 else controls[0]()  # as run_sweep runs cells
     lines = [
         f"timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
         f"numpy: {np.__version__}",
         f"scipy: {scipy.__version__}",
+        f"blas: {_blas_name()}",
+        f"blas_threads: {threads}",
         "config:",
     ]
     lines += [f"  {key} = {value}" for key, value in sorted(config_echo.items())]

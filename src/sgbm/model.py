@@ -11,6 +11,7 @@ no matter how sampling work is scheduled or chunked.
 """
 
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,10 @@ def sample_graph(params):
 
     adjacency = np.zeros((n, n), dtype=np.uint8)
     rows = np.arange(n, dtype=np.uint64)
-    block = max(1, min(n, 2**22 // max(n, 1)))  # keep scratch arrays ~tens of MB
+    # about 2**16 pairs per block: each of the ~10 live (block, n) float64 or
+    # uint64 temporaries stays near 0.5 MB, which beats one n x n pass on
+    # both time and memory
+    block = max(1, min(n, 2**16 // n))
     for start in range(0, n, block):
         stop = min(start + block, n)
         disp = positions[start:stop, None, :] - positions[None, :, :]
@@ -192,6 +196,7 @@ def degree_stats(graph, labels):
 # i < j, in row-major order.  Labels: one of {1, 2} per line.  Positions:
 # CSV with d coordinate columns.
 
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")  # the integers np.loadtxt takes on edge lines
 _WRITE_CHUNK = 1 << 12  # edge lines joined per write, so few line strings live at once
 
 
@@ -209,13 +214,17 @@ def write_graph(path, graph, d, seed):
 def read_graph(path):
     """Returns (Graph, d, seed) from an edge-list file.
 
-    Blank lines are skipped; anything else that is not an 'i j' pair of
-    ASCII integers with 0 <= i < j < n raises ValueError naming the path.
+    The header must be three ASCII integers.  Blank lines are skipped;
+    anything else that is not an 'i j' pair of ASCII integers with
+    0 <= i < j < n raises ValueError naming the path.
     """
     try:
         with open(path) as fh:
-            header = [int(tok) for tok in fh.readline().split()]
-            if len(header) != 3 or header[0] < 0:
+            header = fh.readline().split()
+            if len(header) != 3 or not all(_ASCII_INT.fullmatch(tok) for tok in header):
+                raise ValueError("expected header 'n d seed' of three ASCII integers")
+            header = [int(tok) for tok in header]
+            if header[0] < 0:
                 raise ValueError("expected header 'n d seed' with n >= 0")
             body = fh.read()
         n, d, seed = header

@@ -120,21 +120,25 @@ def hosc(graph, mu_in, mu_out):
 def local_improvement(graph, labels, iterate=False, max_rounds=100):
     """Reassign every node to its neighbors' majority label, one synchronous pass.
 
-    All counts are taken against the input labelling, so the result does
-    not depend on node order.  Ties (equal counts, including isolated
-    nodes) keep the input label.  iterate=True repeats the pass until a
-    fixed point, capped at max_rounds; the default single pass is the
-    canonical algorithm.
+    Labels must be 1 or 2.  All counts are taken against the input
+    labelling, so the result does not depend on node order.  Ties (equal
+    counts, including isolated nodes) keep the input label.  iterate=True
+    repeats the pass until a fixed point, capped at max_rounds; the
+    default single pass is the canonical algorithm.
     """
     labels = np.asarray(labels, dtype=np.int8)
     if labels.shape != (graph.n,):
         raise ValueError(f"labels have shape {labels.shape}, graph has n = {graph.n}")
-    a = graph.dense()
+    if not np.all((labels == 1) | (labels == 2)):
+        raise ValueError("labels must be 1 or 2")
+    a = graph.adjacency
+    # integer vote counts on the uint8 matrix: exact, and no float64 n x n copy
+    degree = a.sum(axis=1, dtype=np.int64)
     current = labels
     rounds = max_rounds if iterate else 1
     for _ in range(rounds):
-        votes_1 = a @ (current == 1).astype(np.float64)
-        votes_2 = a @ (current == 2).astype(np.float64)
+        votes_1 = a[:, current == 1].sum(axis=1, dtype=np.int64)
+        votes_2 = degree - votes_1
         updated = np.where(votes_1 > votes_2, 1, np.where(votes_2 > votes_1, 2, current))
         updated = updated.astype(np.int8)
         if np.array_equal(updated, current):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sgbm
 from sgbm import harness, kernels, model, spectral
 from sgbm.harness import GridPoint, ResultRow, SweepConfig
 from sgbm.model import Graph
@@ -75,6 +80,67 @@ def test_sweep_workers_and_reruns_identical(tmp_path):
         harness.write_results(path, rows)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+def test_pool_pins_blas_to_one_thread_and_restores(monkeypatch):
+    controls = harness._blas_thread_controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread control found")
+    get, put = controls
+    original = get()
+    put(2)
+    try:
+        before = get()
+        seen = []
+        run_cell = harness._run_cell
+
+        def spy(config, grid_index, point, seed):
+            seen.append(get())
+            if config.experiment == "boom":
+                raise RuntimeError("cell failed")
+            return run_cell(config, grid_index, point, seed)
+
+        monkeypatch.setattr(harness, "_run_cell", spy)
+        point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
+                          f_out=kernels.Indicator(0.05))
+        config = SweepConfig(experiment="pin", grid=[point], seeds=[0, 1, 2])
+        assert len(harness.run_sweep(config, workers=2)) == 3
+        assert seen == [1, 1, 1]
+        assert get() == before
+
+        seen.clear()
+        harness.run_sweep(config, workers=1)  # the serial loop keeps the setting
+        assert seen == [before] * 3
+
+        config = SweepConfig(experiment="boom", grid=[point], seeds=[0, 1])
+        with pytest.raises(RuntimeError, match="cell failed"):
+            harness.run_sweep(config, workers=2)
+        assert get() == before
+    finally:
+        put(original)
+
+
+def test_cli_sweep_same_rows_pooled_and_serial(tmp_path):
+    """Pooled cells run on one BLAS thread; serial ones here on two."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(sgbm.__file__)))
+    pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=pythonpath,
+               OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2")
+    pinned = harness._blas_thread_controls() is not None
+    outputs = []
+    for workers, threads in ((1, "2"), (2, "1")):
+        cfg = tmp_path / f"sweep{workers}.cfg"
+        cfg.write_text("run.preset = waxman\nrun.n_list = 600\n"
+                       f"run.seeds = 0:2\nrun.workers = {workers}\n")
+        out = tmp_path / f"w{workers}"
+        proc = subprocess.run([sys.executable, "-m", "sgbm", "sweep", "--config", str(cfg),
+                               "--out", str(out), "--quiet"], env=env)
+        assert proc.returncode == 0
+        outputs.append((out / "results.csv").read_bytes())
+        if pinned:
+            assert f"blas_threads: {threads}\n" in (out / "meta.txt").read_text()
+    assert outputs[0].count(b"\n") == 1 + 8 * 2
+    assert outputs[0] == outputs[1]
 
 
 def test_degenerate_point_becomes_error_row():
@@ -326,8 +392,17 @@ def test_results_csv_format(tmp_path):
 
 def test_meta_sidecar(tmp_path):
     path = tmp_path / "meta.txt"
-    harness.write_meta(path, {"model.n": 100, "run.seed": 1})
+    harness.write_meta(path, {"model.n": 100, "run.seed": 1}, workers=2)
     text = path.read_text()
     assert "numpy:" in text
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert f"blas: {blas['name']} {blas['version']}\n" in text
+    controls = harness._blas_thread_controls()
+    if controls is None:
+        assert "blas_threads: not controllable\n" in text
+    else:
+        assert "blas_threads: 1\n" in text
+        harness.write_meta(path, {}, workers=1)
+        assert f"blas_threads: {controls[0]()}\n" in path.read_text()

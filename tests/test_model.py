@@ -192,6 +192,46 @@ def test_constant_kernel_edge_count_binomial():
     assert abs(np.mean(counts) - mean) <= 4.0 * se_of_mean
 
 
+def single_block_adjacency(params):
+    """The sampler's adjacency computed over all n x n pairs in one block.
+
+    Reference for the row-blocked sample_graph: labels and positions come
+    from the same seeded generator, each coin from pair_uniform.
+    """
+    n = params.n
+    rng = np.random.default_rng(params.seed)
+    labels = model.sample_labelling(n, rng)
+    positions = model.sample_positions(n, params.d, rng)
+    disp = np.mod(positions[:, None, :] - positions[None, :, :] + 0.5, 1.0) - 0.5
+    dist = np.max(np.abs(disp), axis=-1)
+    prob = np.where(labels[:, None] == labels[None, :],
+                    kernels._radial_values(params.f_in, dist),
+                    kernels._radial_values(params.f_out, dist))
+    ids = np.arange(n)
+    u = model.pair_uniform(params.seed, ids[:, None], ids[None, :])
+    adjacency = ((u < prob) & (ids[None, :] > ids[:, None])).astype(np.uint8)
+    return adjacency | adjacency.T, labels, positions
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("make_kernels", [
+    lambda d: (kernels.Constant(0.3, d=d), kernels.Constant(0.1, d=d)),
+    lambda d: (kernels.Indicator(0.3, d=d), kernels.Indicator(0.15, d=d)),
+    lambda d: (kernels.Waxman(0.7, 1.0, d=d), kernels.Waxman(0.4, 2.0, d=d)),
+], ids=["constant", "indicator", "waxman"])
+def test_sample_graph_matches_single_block_reference(make_kernels, d):
+    f_in, f_out = make_kernels(d)
+    for n in (300, 1000):  # both leave a ragged last row block
+        for seed in (0, 1, 2):
+            params = SgbmParams(n=n, d=d, f_in=f_in, f_out=f_out, seed=seed)
+            graph, labels, positions = model.sample_graph(params)
+            adjacency, ref_labels, ref_positions = single_block_adjacency(params)
+            assert 0 < graph.edge_count() < n * (n - 1) // 2
+            assert np.array_equal(graph.adjacency, adjacency)
+            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(positions, ref_positions)
+
+
 # --- degree_stats ------------------------------------------------------------
 
 def test_degree_stats_disjoint_edges():
@@ -400,6 +440,8 @@ def test_read_graph_rejects_what_loop_reader_rejects(tmp_path, text):
 @pytest.mark.parametrize("text", [
     "20 1 0\n1_0 12\n",              # digit separator
     "20 1 0\n\u0661 2\n",             # non-ASCII digit (Arabic-Indic one)
+    "2_0 1 0\n1 12\n",               # digit separator in the header
+    "20 1 \u0661\n1 12\n",            # non-ASCII digit in the header
 ])
 def test_read_graph_stricter_than_loop_reader(tmp_path, text):
     """Integer spellings Python's int() takes but the edge format does not."""

@@ -226,6 +226,59 @@ def test_local_improvement_iterate_reaches_fixed_point():
     assert np.array_equal(spectral.local_improvement(graph, settled), settled)
 
 
+def float_local_improvement(graph, labels, iterate=False, max_rounds=100):
+    """The float64 matvec version local_improvement replaced: the reference."""
+    a = graph.adjacency.astype(np.float64)
+    current = np.asarray(labels, dtype=np.int8)
+    for _ in range(max_rounds if iterate else 1):
+        votes_1 = a @ (current == 1).astype(np.float64)
+        votes_2 = a @ (current == 2).astype(np.float64)
+        updated = np.where(votes_1 > votes_2, 1,
+                           np.where(votes_2 > votes_1, 2, current)).astype(np.int8)
+        if np.array_equal(updated, current):
+            break
+        current = updated
+    return current
+
+
+def test_local_improvement_matches_float_reference():
+    cases = []
+    for seed in range(4):
+        params = SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.06),
+                            f_out=kernels.Indicator(0.04), seed=seed)
+        graph, truth, _ = model.sample_graph(params)
+        noisy = truth.copy()
+        flip = np.random.default_rng(seed).choice(400, size=120, replace=False)
+        noisy[flip] = 3 - noisy[flip]
+        cases.append((graph, noisy))
+    # a 4-cycle splits every vote 1:1 (ties), and nodes 4 and 5 are isolated
+    a = np.zeros((6, 6), dtype=np.uint8)
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        a[i, j] = a[j, i] = 1
+    cases.append((Graph(n=6, adjacency=a), np.array([1, 1, 2, 2, 1, 2], dtype=np.int8)))
+    cases.append((Graph(n=4, adjacency=np.zeros((4, 4), dtype=np.uint8)),
+                  np.array([1, 2, 2, 1], dtype=np.int8)))
+    ties = isolated = 0
+    for graph, labels in cases:
+        deg = graph.adjacency.sum(axis=1)
+        votes_1 = graph.adjacency.astype(int) @ (labels == 1)
+        ties += int(np.sum((deg > 0) & (2 * votes_1 == deg)))
+        isolated += int(np.sum(deg == 0))
+        for iterate in (False, True):
+            out = spectral.local_improvement(graph, labels, iterate=iterate)
+            assert out.dtype == np.int8
+            assert np.array_equal(out, float_local_improvement(graph, labels, iterate))
+    assert ties > 0 and isolated > 0
+
+
+def test_local_improvement_rejects_other_labels():
+    graph, truth = two_cliques(4)
+    bad = truth.copy()
+    bad[0] = 0
+    with pytest.raises(ValueError):
+        spectral.local_improvement(graph, bad)
+
+
 def test_local_improvement_length_mismatch():
     graph, _ = two_cliques(4)
     with pytest.raises(ValueError):
