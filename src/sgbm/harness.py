@@ -19,13 +19,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .kernels import Indicator, Waxman, edge_density, kernel_to_config
 from .model import SgbmParams, _mix64, sample_graph, write_labels
 from .spectral import (
     DegenerateModelError,
+    EigendecompositionError,
     accuracy,
     eigendecompose,
     ideal_eigenvalue,
@@ -41,6 +40,7 @@ __all__ = [
     "ALGORITHMS",
     "run_sweep",
     "motif_baseline",
+    "MotifInputError",
     "fig3_sweep",
     "fig4_sweep",
     "waxman_sweep",
@@ -104,6 +104,7 @@ class ResultRow:
     gap_to_next: float = None
     runtime_ms: float = 0.0
     note: str = ""
+    grid_index: int = None  # position in SweepConfig.grid; not written to results.csv
 
 
 def _kernel_label(kernel):
@@ -139,6 +140,34 @@ def _common_neighbours(adjacency):
     return (a @ a).astype(np.int32)
 
 
+class MotifInputError(ValueError):
+    """motif_baseline cannot run on this graph: n < 4, or no edges."""
+
+
+def _grow_by_majority(adjacency, labels):
+    """Label every 0 node by synchronous neighbour majority; ties to label 2.
+
+    Each round, every unlabelled node with a labelled neighbour takes the
+    majority label among those neighbours.  Votes are integer sums on the
+    uint8 adjacency.  Nodes that no round can reach (no labelled neighbour
+    anywhere) all take label 2.  Modifies and returns labels.
+    """
+    while True:
+        unassigned = labels == 0
+        if not unassigned.any():
+            return labels
+        rows = adjacency[unassigned]
+        votes_1 = rows[:, labels == 1].sum(axis=1, dtype=np.int64)
+        votes_2 = rows[:, labels == 2].sum(axis=1, dtype=np.int64)
+        decided = (votes_1 + votes_2) > 0
+        if not decided.any():
+            labels[unassigned] = 2  # no labelled neighbors anywhere: tie rule
+            return labels
+        new = np.where(votes_1 > votes_2, 1, 2).astype(np.int8)  # tie to 2
+        idx = np.flatnonzero(unassigned)
+        labels[idx[decided]] = new[decided]
+
+
 def motif_baseline(graph):
     """Common-neighbor clustering: a transparent, simplified baseline.
 
@@ -149,14 +178,19 @@ def motif_baseline(graph):
 
     Returns (labels, note); note is empty normally and names the
     fallback (sign partition of the second-ranked eigenvector) when the
-    filtered graph does not leave two usable components.
+    filtered graph does not leave two usable components.  Raises
+    MotifInputError for n < 4 or a graph with no edges.  scipy.sparse
+    is imported here, its only user in sgbm, so no other path loads it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if graph.n < 4:
-        raise ValueError("baseline needs n >= 4")
+        raise MotifInputError("baseline needs n >= 4")
     a = graph.adjacency
     i, j = np.nonzero(np.triu(a, k=1))
     if len(i) == 0:
-        raise ValueError("empty graph: no edges to count motifs on")
+        raise MotifInputError("empty graph: no edges to count motifs on")
     common = _common_neighbours(a)[i, j]
 
     counts = np.sort(common.astype(np.float64))
@@ -188,21 +222,7 @@ def motif_baseline(graph):
     labels = np.zeros(graph.n, dtype=np.int8)
     labels[assignment == big[0]] = 1
     labels[assignment == big[1]] = 2
-    dense = graph.dense()
-    while True:
-        unassigned = labels == 0
-        if not unassigned.any():
-            break
-        votes_1 = dense[unassigned] @ (labels == 1).astype(np.float64)
-        votes_2 = dense[unassigned] @ (labels == 2).astype(np.float64)
-        decided = (votes_1 + votes_2) > 0
-        if not decided.any():
-            labels[unassigned] = 2  # no labelled neighbors anywhere: tie rule
-            break
-        new = np.where(votes_1 > votes_2, 1, 2).astype(np.int8)  # tie to 2
-        idx = np.flatnonzero(unassigned)
-        labels[idx[decided]] = new[decided]
-    return labels, ""
+    return _grow_by_majority(a, labels), ""
 
 
 def _run_cell(config, grid_index, point, seed):
@@ -211,7 +231,7 @@ def _run_cell(config, grid_index, point, seed):
     base = dict(
         experiment=config.experiment, n=point.n, d=point.d,
         kernel_in=_kernel_label(point.f_in), kernel_out=_kernel_label(point.f_out),
-        seed=seed,
+        seed=seed, grid_index=grid_index,
     )
     params = SgbmParams(n=point.n, d=point.d, f_in=point.f_in, f_out=point.f_out,
                         seed=cell_seed(config.master_seed, grid_index, seed))
@@ -256,7 +276,7 @@ def _run_cell(config, grid_index, point, seed):
                 predicted, note = motif_baseline(graph)
                 row.note = note
             row.accuracy = accuracy(truth, predicted)
-        except (DegenerateModelError, ValueError, RuntimeError) as exc:
+        except (DegenerateModelError, EigendecompositionError, MotifInputError) as exc:
             row.note = f"error: {exc}"
             predicted = None
         row.runtime_ms = sample_ms + spectrum_ms + (time.perf_counter() - t0) * 1000.0
@@ -333,6 +353,10 @@ def run_sweep(config, workers=1):
              for si, seed in enumerate(seeds)]
     if config.persist_labels and config.out:
         os.makedirs(config.out, exist_ok=True)
+    if "motif_baseline" in config.algorithms:
+        # load scipy.sparse here, on this thread, before any cell: imported
+        # inside the first cell, it left the peak RSS of later ones ~6 MB higher
+        import scipy.sparse.csgraph  # noqa: F401
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -364,6 +388,11 @@ def aggregate(rows, group_fields, value_field="accuracy"):
         out.append(dict(zip(group_fields, key)) | {
             "mean": float(vals.mean()), "se": se, "count": len(vals)})
     return out
+
+
+def _grid_means(rows):
+    """Mean accuracy per grid index, over the rows that have one."""
+    return {entry["grid_index"]: entry["mean"] for entry in aggregate(rows, ("grid_index",))}
 
 
 def _modal_rank(rows):
@@ -405,15 +434,10 @@ def fig4_sweep(r_in_grid=FIG4_R_IN_GRID, r_out=0.06, n=1500, seeds=range(5),
     config = SweepConfig(experiment="fig4", grid=grid, seeds=list(seeds),
                          algorithms=("hosc",), master_seed=master_seed, out=out)
     rows = run_sweep(config, workers=workers)
-    table = []
-    for gi, r in enumerate(r_in_grid):
-        cell_rows = [row for row in rows if row.kernel_in == _kernel_label(grid[gi].f_in)]
-        accs = [row.accuracy for row in cell_rows if row.accuracy is not None]
-        table.append({
-            "r_in": r,
-            "mean_accuracy": float(np.mean(accs)) if accs else None,
-            "modal_rank": _modal_rank(cell_rows),
-        })
+    means = _grid_means(rows)
+    table = [{"r_in": r, "mean_accuracy": means.get(gi),
+              "modal_rank": _modal_rank([row for row in rows if row.grid_index == gi])}
+             for gi, r in enumerate(r_in_grid)]
     return rows, table
 
 
@@ -443,17 +467,11 @@ def waxman_sweep(mode="q", grid=WAXMAN_Q_GRID, fixed_out=0.5, s=1.0, q=0.7,
     grid = tuple(grid)
     step = float(np.median(np.diff(sorted(grid)))) if len(grid) > 1 else 0.0
     table, dip_width = [], {}
+    grid_means = _grid_means(rows)
     for ni, n in enumerate(n_list):
-        means = []
-        for vi, value in enumerate(grid):
-            point = points[ni * len(grid) + vi]
-            accs = [row.accuracy for row in rows
-                    if row.n == n and row.kernel_in == _kernel_label(point.f_in)
-                    and row.kernel_out == _kernel_label(point.f_out)
-                    and row.accuracy is not None]
-            mean = float(np.mean(accs)) if accs else None
-            means.append(mean)
-            table.append({"n": n, mode + "_in": value, "mean_accuracy": mean})
+        means = [grid_means.get(ni * len(grid) + vi) for vi in range(len(grid))]
+        table += [{"n": n, mode + "_in": value, "mean_accuracy": mean}
+                  for value, mean in zip(grid, means)]
         # contiguous run of sub-0.9 points nearest the symmetric value
         low = [vi for vi, mean in enumerate(means) if mean is not None and mean < 0.9]
         runs = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Constant, Indicator, Waxman, _radial_values
+from .kernels import _radial_values
 
 __all__ = [
     "SgbmParams",

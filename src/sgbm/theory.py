@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Constant, Indicator, Waxman, _sinc, edge_density, fourier_coeff_grid
+from .kernels import Constant, Indicator, _sinc, edge_density, fourier_coeff_grid
 from .spectral import DegenerateModelError
 
 __all__ = [

@@ -143,6 +143,29 @@ def test_cli_sweep_same_rows_pooled_and_serial(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_programming_error_in_a_cell_propagates(monkeypatch):
+    def broken(spectrum, lambda_star):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(harness, "select_eigenpair", broken)
+    point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
+                      f_out=kernels.Indicator(0.05))
+    config = SweepConfig(experiment="bug", grid=[point], seeds=[0, 1])
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="^bug$"):
+            harness.run_sweep(config, workers=workers)
+
+
+def test_edgeless_model_gives_error_rows():
+    point = GridPoint(n=100, d=1, f_in=kernels.Constant(0.0), f_out=kernels.Constant(0.0))
+    config = SweepConfig(experiment="empty", grid=[point], seeds=[0],
+                         algorithms=("hosc", "motif_baseline"))
+    rows = harness.run_sweep(config)
+    assert [row.accuracy for row in rows] == [None, None]
+    assert rows[0].note.startswith("error: mu_in equals mu_out")
+    assert rows[1].note == "error: empty graph: no edges to count motifs on"
+
+
 def test_degenerate_point_becomes_error_row():
     point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.1),
                       f_out=kernels.Indicator(0.1))
@@ -202,10 +225,69 @@ def test_motif_recovers_cliques():
 
 
 def test_motif_small_and_empty_graphs():
-    with pytest.raises(ValueError):
+    with pytest.raises(harness.MotifInputError, match="n >= 4"):
         harness.motif_baseline(Graph(n=3, adjacency=np.zeros((3, 3), dtype=np.uint8)))
-    with pytest.raises(ValueError):
+    with pytest.raises(harness.MotifInputError, match="no edges"):
         harness.motif_baseline(Graph(n=6, adjacency=np.zeros((6, 6), dtype=np.uint8)))
+    assert issubclass(harness.MotifInputError, ValueError)
+
+
+def grow_float_reference(adjacency, labels, seen):
+    """The float64 matrix-vector vote loop that _grow_by_majority replaced.
+
+    Records in seen the unassigned count on entry and which tie rules ran.
+    """
+    seen["unassigned"] = int(np.sum(labels == 0))
+    dense = adjacency.astype(np.float64)
+    while True:
+        unassigned = labels == 0
+        if not unassigned.any():
+            break
+        votes_1 = dense[unassigned] @ (labels == 1).astype(np.float64)
+        votes_2 = dense[unassigned] @ (labels == 2).astype(np.float64)
+        decided = (votes_1 + votes_2) > 0
+        if not decided.any():
+            seen["unreached"] = True
+            labels[unassigned] = 2
+            break
+        if np.any(decided & (votes_1 == votes_2)):
+            seen["tie"] = True
+        new = np.where(votes_1 > votes_2, 1, 2).astype(np.int8)
+        idx = np.flatnonzero(unassigned)
+        labels[idx[decided]] = new[decided]
+    return labels
+
+
+def test_motif_votes_match_float_reference(monkeypatch):
+    # two 10-cliques; node 20 touches one node of each (a 1-1 tie), node 21
+    # is isolated (no labelled neighbour ever), and each clique has a
+    # two-node tail (22-23, 24-25) whose far end waits a round for a vote
+    cliques, _ = two_cliques(10)
+    a = np.zeros((26, 26), dtype=np.uint8)
+    a[:20, :20] = cliques.adjacency
+    for i, j in ((20, 0), (20, 10), (22, 1), (23, 22), (24, 11), (25, 24)):
+        a[i, j] = a[j, i] = 1
+    params = model.SgbmParams(n=600, d=1, f_in=kernels.Indicator(0.08),
+                              f_out=kernels.Indicator(0.05), seed=0)
+    graphs = [cliques, Graph(n=26, adjacency=a), model.sample_graph(params)[0]]
+    got = [harness.motif_baseline(g) for g in graphs]
+
+    seen = []
+
+    def reference(adjacency, labels):
+        seen.append({})
+        return grow_float_reference(adjacency, labels, seen[-1])
+
+    monkeypatch.setattr(harness, "_grow_by_majority", reference)
+    for graph, (labels, note) in zip(graphs, got):
+        want_labels, want_note = harness.motif_baseline(graph)
+        assert note == want_note == ""
+        assert labels.dtype == want_labels.dtype
+        assert np.array_equal(labels, want_labels)
+    assert len(seen) == 3
+    assert [entry["unassigned"] for entry in seen[:2]] == [0, 6]
+    assert seen[1].get("tie") and seen[1].get("unreached")
+    assert seen[2]["unassigned"] > 0
 
 
 def test_motif_falls_back_on_complete_graph():
@@ -283,6 +365,19 @@ def test_radius_sweep_rejects_inverted_radii():
         harness.fig4_sweep(r_in_grid=(0.06, 0.1), r_out=0.06)
 
 
+def test_radius_sweep_entries_follow_grid_position():
+    # both values format as "indicator(r=0.12)"; each entry keeps its own rows
+    rows, table = harness.fig4_sweep(r_in_grid=(0.1200001, 0.1200002), r_out=0.06,
+                                     n=300, seeds=range(3))
+    assert len({row.kernel_in for row in rows}) == 1
+    own = [rows[:3], rows[3:]]  # run_sweep returns rows grid-major
+    for gi, (entry, cell_rows) in enumerate(zip(table, own)):
+        assert [row.grid_index for row in cell_rows] == [gi] * 3
+        assert entry["mean_accuracy"] == float(np.mean([row.accuracy for row in cell_rows]))
+        assert entry["modal_rank"] == harness._modal_rank(cell_rows)
+    assert table[0]["mean_accuracy"] != table[1]["mean_accuracy"]
+
+
 def test_radius_sweep_rank_is_locally_constant(fig4_run):
     _, table = fig4_run
     ranks = [entry["modal_rank"] for entry in table]
@@ -331,6 +426,18 @@ def test_waxman_decay_mode_runs():
     assert len(rows) == 4
     assert {entry["s_in"] for entry in table} == {1.0, 3.0}
     assert set(dip) == {300}
+
+
+def test_waxman_entries_follow_grid_position():
+    rows, table, _ = harness.waxman_sweep(
+        mode="q", grid=(0.3, 0.3000001), fixed_out=0.5, n_list=(200, 300), seeds=range(2))
+    assert rows[0].kernel_in == rows[2].kernel_in  # the labels collide
+    for gi, entry in enumerate(table):
+        cell_rows = rows[2 * gi:2 * gi + 2]  # grid-major, n outermost
+        assert [row.grid_index for row in cell_rows] == [gi] * 2
+        assert entry["n"] == cell_rows[0].n
+        assert entry["mean_accuracy"] == float(np.mean([row.accuracy for row in cell_rows]))
+    assert table[0]["mean_accuracy"] != table[1]["mean_accuracy"]
 
 
 def test_waxman_preset_recovers_far_from_diagonal(waxman_run):

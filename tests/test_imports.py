@@ -1,0 +1,79 @@
+"""A fresh `import sgbm`, and every CLI command, leave scipy.sparse unloaded.
+
+scipy.sparse and scipy.sparse.csgraph are most of a fresh process's
+start-up cost, and only harness.motif_baseline uses them, so they load
+there.  Each check runs in its own interpreter, since this test session
+may have loaded them already.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sgbm
+from sgbm import cli
+
+PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(sgbm.__file__)))
+
+GBM_CONFIG = """\
+model.n = 200
+model.d = 1
+kernel_in.kind = indicator
+kernel_in.r = 0.2
+kernel_out.kind = indicator
+kernel_out.r = 0.05
+"""
+
+SPARSE_LOADED = 'any(m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in sys.modules)'
+
+
+def run_fresh(code, cwd):
+    """Run code in a new interpreter that imports the sgbm this session tests."""
+    pythonpath = os.pathsep.join(p for p in (PKG_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    (tmp_path / "gbm.cfg").write_text(GBM_CONFIG)
+    assert cli.main(["generate", "--config", str(tmp_path / "gbm.cfg"),
+                     "--out", str(tmp_path / "gen"), "--quiet"]) == 0
+    (tmp_path / "cluster.cfg").write_text(
+        GBM_CONFIG + "run.graph = gen/edges.txt\nrun.labels = gen/labels.txt\n"
+                     "run.algorithm = hosc_li\n")
+    (tmp_path / "sweep.cfg").write_text(
+        "run.preset = waxman\nrun.n_list = 200\nrun.seeds = 0:1\n")
+    return tmp_path
+
+
+def cli_run(command, config):
+    return f"from sgbm import cli\nassert cli.main({[command, '--config', config, '--quiet']!r}) == 0\n"
+
+
+@pytest.mark.parametrize("code", [
+    "import sgbm\n",
+    "import sgbm.cli\n",
+    cli_run("generate", "gbm.cfg"),
+    cli_run("cluster", "cluster.cfg"),
+    cli_run("spectrum", "gbm.cfg"),
+    cli_run("sweep", "sweep.cfg"),
+], ids=["import", "import_cli", "generate", "cluster", "spectrum", "sweep"])
+def test_no_scipy_sparse_after(code, workdir):
+    run_fresh(code + f"assert not {SPARSE_LOADED}\n", workdir)
+
+
+def test_motif_baseline_loads_scipy_sparse_itself(tmp_path):
+    run_fresh(f"""\
+from sgbm import harness
+assert not {SPARSE_LOADED}
+rows, _ = harness.fig3_sweep(n_list=(200,), seeds=range(1), algorithms=harness.ALGORITHMS)
+motif = [row for row in rows if row.algorithm == "motif_baseline"]
+assert len(motif) == 1 and motif[0].accuracy is not None, motif
+assert not motif[0].note.startswith("error:"), motif[0].note
+assert {SPARSE_LOADED}
+""", tmp_path)
