@@ -33,6 +33,7 @@ from .model import (
 from .spectral import (
     DegenerateModelError,
     EigendecompositionError,
+    PartialSpectrum,
     SelectionReport,
     Spectrum,
     accuracy,

@@ -174,9 +174,12 @@ def cmd_cluster(args, config):
     mu_in = kernels.edge_density(f_in)
     mu_out = kernels.edge_density(f_out)
     # spectral.hosc's steps, spelled out so that selection.csv reuses the
-    # one spectrum; lambda* first, so a degenerate model exits unsolved
+    # one spectrum; lambda* first, so a degenerate model exits unsolved.
+    # The accuracy profile needs every eigenvector; without truth labels,
+    # selection.csv needs only the eigenvalues.
     lambda_star = spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)
-    spectrum = spectral.eigendecompose(graph)
+    spectrum = (spectral.eigendecompose(graph) if truth is not None
+                else spectral.PartialSpectrum(graph))
     report = spectral.select_eigenpair(spectrum, lambda_star)
     predicted = spectral.sign_partition(report.eigenvector)
     if algorithm == "hosc_li":

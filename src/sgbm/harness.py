@@ -25,8 +25,8 @@ from .model import SgbmParams, _mix64, sample_graph, write_labels
 from .spectral import (
     DegenerateModelError,
     EigendecompositionError,
+    PartialSpectrum,
     accuracy,
-    eigendecompose,
     ideal_eigenvalue,
     local_improvement,
     select_eigenpair,
@@ -216,8 +216,7 @@ def motif_baseline(graph):
     comp_sizes = np.bincount(assignment, minlength=n_comp)
     big = np.argsort(comp_sizes)[::-1]
     if n_comp < 2 or comp_sizes[big[1]] < 2:
-        spectrum = eigendecompose(graph)
-        return sign_partition(spectrum.eigenvectors[:, 1]), "fallback: fiedler_sign"
+        return sign_partition(PartialSpectrum(graph).eigenvector(2)), "fallback: fiedler_sign"
 
     labels = np.zeros(graph.n, dtype=np.int8)
     labels[assignment == big[0]] = 1
@@ -242,6 +241,7 @@ def _run_cell(config, grid_index, point, seed):
     mu_in = edge_density(point.f_in)
     mu_out = edge_density(point.f_out)
 
+    # hosc, hosc_li and fiedler share one spectrum and its cached eigenvectors
     spectrum = None
     spectrum_ms = 0.0
 
@@ -249,7 +249,7 @@ def _run_cell(config, grid_index, point, seed):
         nonlocal spectrum, spectrum_ms
         if spectrum is None:
             t = time.perf_counter()
-            spectrum = eigendecompose(graph)
+            spectrum = PartialSpectrum(graph)
             spectrum_ms = (time.perf_counter() - t) * 1000.0
         return spectrum
 
@@ -269,7 +269,7 @@ def _run_cell(config, grid_index, point, seed):
                 row.gap_to_next = report.gap_to_next
             elif algorithm == "fiedler":
                 spec = get_spectrum()
-                predicted = sign_partition(spec.eigenvectors[:, 1])
+                predicted = sign_partition(spec.eigenvector(2))
                 row.selected_rank = 2
                 row.lambda_selected = float(spec.eigenvalues[1])
             else:
@@ -490,13 +490,13 @@ def waxman_sweep(mode="q", grid=WAXMAN_Q_GRID, fixed_out=0.5, s=1.0, q=0.7,
 
 
 def spectrum_experiment(params, K=64, threshold=0.02, window=0.02, out=None):
-    """Sample, diagonalize, and match the spectrum against the predicted atoms.
+    """Sample, solve for the eigenvalues, and match them against the predicted atoms.
 
     Optionally writes three CSVs under out: the scaled eigenvalues, the
     predicted atoms, and the per-eigenvalue match report.
     """
     graph, _, _ = sample_graph(params)
-    spectrum = eigendecompose(graph)
+    spectrum = PartialSpectrum(graph)  # eigenvalues only: no eigenvector is asked for
     measure = limiting_atoms(params.f_in, params.f_out, K=K)
     report = spectrum_match(spectrum, measure, threshold=threshold, window=window)
     if out:
@@ -555,7 +555,7 @@ def _blas_name():
 
 
 def write_meta(path, config_echo, workers=1):
-    """meta.txt: library versions, BLAS and its thread count, config echo."""
+    """meta.txt: library versions, BLAS and its thread count, eigensolver, config echo."""
     import scipy
 
     controls = _blas_thread_controls()
@@ -569,6 +569,9 @@ def write_meta(path, config_echo, workers=1):
         f"scipy: {scipy.__version__}",
         f"blas: {_blas_name()}",
         f"blas_threads: {threads}",
+        # how _run_cell solves: spectral.PartialSpectrum
+        "eigensolver: eigvalsh + one inverse-iteration solve per eigenvector used "
+        "(eigh where that eigenvalue is repeated)",
         "config:",
     ]
     lines += [f"  {key} = {value}" for key, value in sorted(config_echo.items())]

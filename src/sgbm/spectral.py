@@ -1,11 +1,18 @@
 """Eigendecomposition, informative-eigenpair selection, and partitioning.
 
-The clustering pipeline: diagonalize the adjacency matrix, pick the
-eigenvalue closest to the ideal value lambda* = n (mu_in - mu_out) / 2,
-and split nodes by the sign of the matching eigenvector.  The informative
-eigenvalue is generally NOT the second largest: geometric graphs park
-several spatial harmonics above it, which is the whole reason selection
-is by value rather than by rank.
+The clustering pipeline: compute the spectrum of the adjacency matrix,
+pick the eigenvalue closest to the ideal value
+lambda* = n (mu_in - mu_out) / 2, and split nodes by the sign of the
+matching eigenvector.  The informative eigenvalue is generally NOT the
+second largest: geometric graphs park several spatial harmonics above
+it, which is the whole reason selection is by value rather than by rank.
+
+Two solvers give the spectrum.  eigendecompose returns every eigenpair
+(Spectrum); PartialSpectrum returns every eigenvalue but solves for an
+eigenvector only when one is asked for, which is all that clustering
+needs.  Both hand out eigenvectors through eigenvector(rank), which
+checks the residual and applies one sign rule, so labels do not depend
+on which solver ran.
 
 A one-pass neighbor-majority relabelling serves as local improvement.
 """
@@ -16,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "Spectrum",
+    "PartialSpectrum",
     "SelectionReport",
     "EigendecompositionError",
     "DegenerateModelError",
@@ -32,21 +40,141 @@ __all__ = [
 
 
 class EigendecompositionError(RuntimeError):
-    """The symmetric eigensolver failed to converge."""
+    """The symmetric eigensolver failed to converge, or an eigenvector failed
+    its residual check."""
 
 
 class DegenerateModelError(ValueError):
     """mu_in = mu_out: the target eigenvalue is undefined."""
 
 
+# Both tolerances are relative to the spectral radius max(|lambda_1|, |lambda_n|, 1).
+# A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * radius;
+# LAPACK's eigenvectors and one inverse-iteration step both reach about
+# 1e-15 * radius * sqrt(n).
+_RESIDUAL_RTOL = 1e-9
+# Below this distance to the nearest other eigenvalue, one inverse-iteration
+# solve cannot single out one eigenvector (a repeated eigenvalue).
+_GAP_RTOL = 1e-8
+
+
+def _radius(eigenvalues):
+    return max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
+
+
+def _gap(eigenvalues, index):
+    """Distance from eigenvalues[index] to the nearest other one; inf if none."""
+    others = np.abs(np.delete(eigenvalues, index) - eigenvalues[index])
+    return float(others.min()) if len(others) else np.inf
+
+
+def _oriented(vector):
+    """The sign rule: the first entry with |v_i| >= max|v| / 2 is positive.
+
+    Half the maximum leaves a wide margin, so two solvers that agree to
+    roundoff pick the same entry.
+    """
+    magnitude = np.abs(vector)
+    first = int(np.argmax(magnitude >= 0.5 * magnitude.max()))
+    return vector if vector[first] > 0 else -vector
+
+
+def _checked(matrix, value, vector, radius):
+    """vector under the sign rule, once ||A v - value v|| passes; else raise."""
+    residual = float(np.linalg.norm(matrix @ vector - value * vector))
+    if not residual <= _RESIDUAL_RTOL * radius:
+        raise EigendecompositionError(
+            f"eigenvector at eigenvalue {value:.6g} has residual {residual:.3g}, "
+            f"above {_RESIDUAL_RTOL * radius:.3g}")
+    return _oriented(vector)
+
+
 @dataclass
 class Spectrum:
     eigenvalues: np.ndarray  # length n, sorted descending
     eigenvectors: np.ndarray  # (n, n), column i pairs with eigenvalues[i]
+    graph: object = None  # the Graph solved, when known; eigenvector() checks against it
 
     @property
     def n(self):
         return len(self.eigenvalues)
+
+    def eigenvector(self, rank):
+        """Eigenvector of rank (1 = largest eigenvalue) under the sign rule.
+
+        Residual-checked against the graph when the spectrum came from
+        eigendecompose; a Spectrum built by hand has no matrix to check.
+        """
+        vector = self.eigenvectors[:, rank - 1]
+        if self.graph is None:
+            return _oriented(vector)
+        return _checked(self.graph.adjacency, float(self.eigenvalues[rank - 1]), vector,
+                        _radius(self.eigenvalues))
+
+
+class PartialSpectrum:
+    """Every eigenvalue; an eigenvector only when one is asked for.
+
+    The eigenvalues come from eigvalsh, sorted descending as in Spectrum.
+    eigenvector(rank) makes one inverse-iteration solve,
+    (A - lambda I) x = b from a fixed-seed b: lambda is exact to roundoff,
+    so the solve magnifies the wanted eigenvector over every other one by
+    about gap / roundoff (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4).  Vectors are cached by rank, and every solve shifts the
+    diagonal of one float64 copy of A in place.
+
+    When the gap to the nearest other eigenvalue is too small for that (a
+    repeated eigenvalue), or the shifted matrix is singular, the spectrum
+    falls back to eigendecompose: from then on its eigenvalues and
+    eigenvectors are the full solve's, so results are the full path's.
+    """
+
+    def __init__(self, graph):
+        if graph.n < 2:
+            raise ValueError("need at least two nodes")
+        self.graph = graph
+        self._matrix = graph.dense()
+        try:
+            self.eigenvalues = np.linalg.eigvalsh(self._matrix)[::-1]
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionError(str(exc)) from exc
+        self._vectors = {}
+        self._full = None
+
+    @property
+    def n(self):
+        return len(self.eigenvalues)
+
+    def eigenvector(self, rank):
+        """Eigenvector of rank (1 = largest eigenvalue) under the sign rule."""
+        if self._full is not None:
+            return self._full.eigenvector(rank)
+        if rank not in self._vectors:
+            value = float(self.eigenvalues[rank - 1])
+            radius = _radius(self.eigenvalues)
+            pinned = _gap(self.eigenvalues, rank - 1) > _GAP_RTOL * radius
+            x = self._shifted_solve(value) if pinned else None
+            if x is None:
+                self._full = eigendecompose(self.graph)
+                self.eigenvalues = self._full.eigenvalues
+                self._matrix = None
+                return self._full.eigenvector(rank)
+            self._vectors[rank] = _checked(self._matrix, value, x / np.linalg.norm(x), radius)
+        return self._vectors[rank]
+
+    def _shifted_solve(self, value):
+        """x with (A - value I) x = b, or None when the matrix is singular."""
+        a = self._matrix
+        diagonal = a.diagonal().copy()
+        start = np.random.default_rng(0).standard_normal(len(diagonal))
+        np.fill_diagonal(a, diagonal - value)
+        try:
+            x = np.linalg.solve(a, start)
+        except np.linalg.LinAlgError:
+            return None
+        finally:
+            np.fill_diagonal(a, diagonal)
+        return x if np.all(np.isfinite(x)) else None
 
 
 @dataclass
@@ -59,16 +187,19 @@ class SelectionReport:
 
 
 def eigendecompose(graph):
-    """Full symmetric eigendecomposition, eigenvalues sorted descending."""
+    """Full symmetric eigendecomposition, eigenvalues sorted descending.
+
+    The arrays are reversed views of eigh's output, not copies.
+    """
     if graph.n < 2:
         raise ValueError("need at least two nodes")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(graph.dense())
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(str(exc)) from exc
-    order = slice(None, None, -1)  # eigh returns ascending
-    return Spectrum(eigenvalues=eigenvalues[order].copy(),
-                    eigenvectors=eigenvectors[:, order].copy())
+    # eigh returns ascending order
+    return Spectrum(eigenvalues=eigenvalues[::-1], eigenvectors=eigenvectors[:, ::-1],
+                    graph=graph)
 
 
 def ideal_eigenvalue(mu_in, mu_out, n):
@@ -82,9 +213,12 @@ def ideal_eigenvalue(mu_in, mu_out, n):
 def select_eigenpair(spectrum, lambda_star):
     """Eigenpair whose eigenvalue is closest to lambda*.
 
-    Exact distance ties go to the larger eigenvalue.  gap_to_next is the
-    distance from the chosen eigenvalue to the nearest other one, the
-    quantity that controls how trustworthy the selection is.
+    spectrum is a Spectrum or a PartialSpectrum; the eigenvector comes
+    from its eigenvector(), so it is residual-checked and follows the
+    sign rule on either.  Exact distance ties go to the larger
+    eigenvalue.  gap_to_next is the distance from the chosen eigenvalue
+    to the nearest other one, the quantity that controls how trustworthy
+    the selection is.
     """
     lam = spectrum.eigenvalues
     if len(lam) == 0:
@@ -92,14 +226,16 @@ def select_eigenpair(spectrum, lambda_star):
     # argmin returns the first minimizer; descending order makes that the
     # larger eigenvalue on a tie
     idx = int(np.argmin(np.abs(lam - lambda_star)))
-    others = np.abs(np.delete(lam, idx) - lam[idx])
-    gap = float(others.min()) if len(others) else np.inf
+    vector = spectrum.eigenvector(idx + 1)
+    if spectrum.eigenvalues is not lam:
+        # a PartialSpectrum fell back to eigendecompose: select on its eigenvalues
+        return select_eigenpair(spectrum, lambda_star)
     return SelectionReport(
         lambda_star=float(lambda_star),
         selected_index=idx + 1,
         lambda_selected=float(lam[idx]),
-        gap_to_next=gap,
-        eigenvector=spectrum.eigenvectors[:, idx],
+        gap_to_next=_gap(lam, idx),
+        eigenvector=vector,
     )
 
 
@@ -112,8 +248,7 @@ def sign_partition(eigenvector):
 def hosc(graph, mu_in, mu_out):
     """Spectral clustering through the eigenvalue nearest lambda*."""
     lambda_star = ideal_eigenvalue(mu_in, mu_out, graph.n)
-    spectrum = eigendecompose(graph)
-    report = select_eigenpair(spectrum, lambda_star)
+    report = select_eigenpair(PartialSpectrum(graph), lambda_star)
     return sign_partition(report.eigenvector), report
 
 

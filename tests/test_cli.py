@@ -21,15 +21,17 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-def count_eigendecompose(monkeypatch):
+def count_solves(monkeypatch):
+    """Record graph.n for every call of either solver entry point."""
     calls = []
-    solve = spectral.eigendecompose
+    for name in ("eigendecompose", "PartialSpectrum"):
+        solve = getattr(spectral, name)
 
-    def counted(graph):
-        calls.append(graph.n)
-        return solve(graph)
+        def counted(graph, solve=solve):
+            calls.append(graph.n)
+            return solve(graph)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+        monkeypatch.setattr(spectral, name, counted)
     return calls
 
 
@@ -122,7 +124,7 @@ def test_degenerate_model_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, GBM_CONFIG.replace("kernel_out.r = 0.05",
                                                     "kernel_out.r = 0.2"))
     out = tmp_path / "o"
-    calls = count_eigendecompose(monkeypatch)
+    calls = count_solves(monkeypatch)
     code = cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 3
     assert calls == []  # lambda* is undefined, so nothing is solved
@@ -273,7 +275,7 @@ def test_cluster_local_improvement_option(tmp_path, capsys):
 
 def hosc_then_eigendecompose(graph, mu_in, mu_out, truth, algorithm, out):
     """cluster's outputs as composed before it reused one spectrum: spectral.hosc,
-    then a second eigendecompose for selection.csv."""
+    then a second, full eigendecompose for selection.csv."""
     predicted, report = spectral.hosc(graph, mu_in, mu_out)
     if algorithm == "hosc_li":
         predicted = spectral.local_improvement(graph, predicted)
@@ -304,7 +306,7 @@ def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
 
-    calls = count_eigendecompose(monkeypatch)
+    calls = count_solves(monkeypatch)
     assert cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert calls == [200]
 

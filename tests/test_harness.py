@@ -476,6 +476,21 @@ def test_spectrum_experiment_writes_csvs(tmp_path):
     assert len(match_lines) == 3
 
 
+@pytest.mark.parametrize("f_in,f_out", [
+    (kernels.Constant(0.9), kernels.Constant(0.1)),
+    (kernels.Indicator(0.2), kernels.Indicator(0.05)),
+    (kernels.Waxman(0.45, 1.0), kernels.Waxman(0.5, 1.0)),
+], ids=["sbm", "gbm", "waxman"])
+def test_spectrum_files_match_full_eigh(tmp_path, monkeypatch, f_in, f_out):
+    """eigenvalues.csv and match.csv from eigvalsh equal those from eigh."""
+    params = model.SgbmParams(n=1000, d=1, f_in=f_in, f_out=f_out, seed=4)
+    harness.spectrum_experiment(params, out=str(tmp_path / "partial"))
+    monkeypatch.setattr(harness, "PartialSpectrum", spectral.eigendecompose)
+    harness.spectrum_experiment(params, out=str(tmp_path / "full"))
+    for name in ("eigenvalues.csv", "atoms.csv", "match.csv"):
+        assert (tmp_path / "partial" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
 # --- output files ------------------------------------------------------------------------
 
 def test_results_csv_format(tmp_path):
@@ -502,6 +517,8 @@ def test_meta_sidecar(tmp_path):
     harness.write_meta(path, {"model.n": 100, "run.seed": 1}, workers=2)
     text = path.read_text()
     assert "numpy:" in text
+    assert ("eigensolver: eigvalsh + one inverse-iteration solve per eigenvector used "
+            "(eigh where that eigenvalue is repeated)\n") in text
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

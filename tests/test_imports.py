@@ -1,9 +1,11 @@
-"""A fresh `import sgbm`, and every CLI command, leave scipy.sparse unloaded.
+"""A fresh `import sgbm`, and every CLI command, leave scipy.sparse and
+scipy.linalg unloaded.
 
 scipy.sparse and scipy.sparse.csgraph are most of a fresh process's
 start-up cost, and only harness.motif_baseline uses them, so they load
-there.  Each check runs in its own interpreter, since this test session
-may have loaded them already.
+there.  The eigensolvers are numpy's, so no path loads scipy.linalg.
+Each check runs in its own interpreter, since this test session may
+have loaded them already.
 """
 
 import os
@@ -27,6 +29,8 @@ kernel_out.r = 0.05
 """
 
 SPARSE_LOADED = 'any(m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in sys.modules)'
+SOLVERS_LOADED = ('any(m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "linalg"]) '
+                  'for m in sys.modules)')
 
 
 def run_fresh(code, cwd):
@@ -46,6 +50,7 @@ def workdir(tmp_path):
     (tmp_path / "cluster.cfg").write_text(
         GBM_CONFIG + "run.graph = gen/edges.txt\nrun.labels = gen/labels.txt\n"
                      "run.algorithm = hosc_li\n")
+    (tmp_path / "cluster_unlabelled.cfg").write_text(GBM_CONFIG + "run.graph = gen/edges.txt\n")
     (tmp_path / "sweep.cfg").write_text(
         "run.preset = waxman\nrun.n_list = 200\nrun.seeds = 0:1\n")
     return tmp_path
@@ -60,11 +65,15 @@ def cli_run(command, config):
     "import sgbm.cli\n",
     cli_run("generate", "gbm.cfg"),
     cli_run("cluster", "cluster.cfg"),
+    cli_run("cluster", "cluster_unlabelled.cfg"),
     cli_run("spectrum", "gbm.cfg"),
     cli_run("sweep", "sweep.cfg"),
-], ids=["import", "import_cli", "generate", "cluster", "spectrum", "sweep"])
+    "from sgbm import harness\n"
+    "harness.fig3_sweep(n_list=(200,), seeds=range(1), algorithms=('hosc', 'hosc_li', 'fiedler'))\n",
+], ids=["import", "import_cli", "generate", "cluster", "cluster_unlabelled", "spectrum",
+        "sweep", "fig3_sweep"])
 def test_no_scipy_sparse_after(code, workdir):
-    run_fresh(code + f"assert not {SPARSE_LOADED}\n", workdir)
+    run_fresh(code + f"assert not {SOLVERS_LOADED}\n", workdir)
 
 
 def test_motif_baseline_loads_scipy_sparse_itself(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgbm import kernels, model, spectral
+from sgbm import cli, harness, kernels, model, spectral
 from sgbm.model import Graph, SgbmParams
-from sgbm.spectral import DegenerateModelError, Spectrum
+from sgbm.spectral import DegenerateModelError, EigendecompositionError, Spectrum
 
 
 def two_cliques(half):
@@ -55,6 +55,9 @@ def test_spectrum_residual_and_orthonormality():
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(gram - np.eye(graph.n)).max() <= 1e-8
     assert spec.n == 300
+    # reversed views of eigh's output, not copies
+    assert spec.eigenvalues.strides[0] < 0 and not spec.eigenvalues.flags.owndata
+    assert spec.eigenvectors.strides[1] < 0 and not spec.eigenvectors.flags.owndata
 
 
 # --- ideal_eigenvalue ---------------------------------------------------------
@@ -183,6 +186,220 @@ def test_hosc_invariant_under_node_relabelling():
         labels, _ = spectral.hosc(graph, 0.4, 0.1)
         labels_p, _ = spectral.hosc(permuted, 0.4, 0.1)
         assert spectral.loss(truth, labels) == spectral.loss(truth[perm], labels_p)
+
+
+# --- PartialSpectrum against the full eigh --------------------------------------
+
+def preset_rows(workers):
+    """The fig3, fig4 and waxman preset cells the differential test compares."""
+    rows, _ = harness.fig3_sweep(n_list=(500, 1000, 2000), seeds=range(4),
+                                 algorithms=("hosc", "hosc_li", "fiedler"), workers=workers)
+    rows += harness.fig4_sweep(seeds=range(2), workers=workers)[0]
+    rows += harness.waxman_sweep(n_list=(500, 2000), seeds=range(2), workers=workers)[0]
+    return rows
+
+
+def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
+    """Rank, lambda_selected, gap_to_next, accuracy, results.csv and labels.
+
+    The reference runs the same sweeps with eigendecompose in place of
+    PartialSpectrum.  Persisted labels are compared byte for byte: the sign
+    rule makes them independent of the solver, not just equal up to a swap.
+    """
+    labels_dir = {}
+    run_sweep = harness.run_sweep
+
+    def persisting(config, workers=1):
+        config.persist_labels, config.out = True, str(labels_dir["out"])
+        return run_sweep(config, workers=workers)
+
+    monkeypatch.setattr(harness, "run_sweep", persisting)
+    labels_dir["out"] = tmp_path / "partial_labels"
+    runs = {workers: preset_rows(workers) for workers in (1, 2)}
+    labels_dir["out"] = tmp_path / "full_labels"
+    monkeypatch.setattr(harness, "PartialSpectrum", spectral.eigendecompose)
+    full = preset_rows(2)
+
+    assert len(full) == 12 * 3 + 12 * 2 + 16 * 2
+    for rows in runs.values():
+        for row, ref in zip(rows, full, strict=True):
+            assert (row.n, row.kernel_in, row.seed, row.algorithm) == \
+                (ref.n, ref.kernel_in, ref.seed, ref.algorithm)
+            assert row.note == ref.note == ""
+            assert row.selected_rank == ref.selected_rank
+            assert row.accuracy == ref.accuracy
+            assert row.lambda_selected == pytest.approx(ref.lambda_selected, rel=1e-10)
+            if ref.gap_to_next is not None:
+                assert row.gap_to_next == pytest.approx(ref.gap_to_next, rel=1e-6)
+    csv_bytes = []
+    for name, rows in (("w1", runs[1]), ("w2", runs[2]), ("full", full)):
+        harness.write_results(tmp_path / f"{name}.csv", rows)
+        csv_bytes.append((tmp_path / f"{name}.csv").read_bytes())
+    assert csv_bytes[0] == csv_bytes[1] == csv_bytes[2]
+
+    names = sorted(path.name for path in (tmp_path / "full_labels").glob("*.predicted"))
+    assert len(names) == len(full)
+    for name in names:
+        assert ((tmp_path / "partial_labels" / name).read_bytes()
+                == (tmp_path / "full_labels" / name).read_bytes()), name
+
+
+def test_sign_rule():
+    v = np.array([0.1, -0.3, 0.6, -0.7])  # max |v| = 0.7; first entry >= 0.35 is 0.6
+    assert np.array_equal(spectral._oriented(v), v)
+    assert np.array_equal(spectral._oriented(-v), v)
+    w = np.array([-0.5, 0.2, 0.9])  # -0.5 reaches half of 0.9
+    assert np.array_equal(spectral._oriented(w), -w)
+
+
+def test_sign_rule_gives_the_same_labels_on_both_paths():
+    for seed in range(6):
+        params = SgbmParams(n=300, d=1, f_in=kernels.Indicator(0.15),
+                            f_out=kernels.Indicator(0.05), seed=seed)
+        graph, _, _ = model.sample_graph(params)
+        lambda_star = spectral.ideal_eigenvalue(0.3, 0.1, 300)
+        full = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
+        partial = spectral.select_eigenpair(spectral.PartialSpectrum(graph), lambda_star)
+        assert np.abs(full.eigenvector - partial.eigenvector).max() <= 1e-9
+        assert np.array_equal(spectral.sign_partition(full.eigenvector),
+                              spectral.sign_partition(partial.eigenvector))
+        labels, _ = spectral.hosc(graph, 0.3, 0.1)
+        assert np.array_equal(labels, spectral.sign_partition(full.eigenvector))
+
+
+def count_full_solves(monkeypatch):
+    calls = []
+    solve = spectral.eigendecompose
+
+    def counted(graph):
+        calls.append(graph.n)
+        return solve(graph)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    return calls
+
+
+def complete_graph(m):
+    return Graph(n=m, adjacency=np.ones((m, m), dtype=np.uint8) - np.eye(m, dtype=np.uint8))
+
+
+def twin_graph():
+    """Two disjoint copies of one sampled graph, and its largest eigenvalue.
+
+    Every eigenvalue is doubled, and unlike the integer ones of a clique
+    the shifted matrix is not singular in floating point, so only the gap
+    test sends it to the full solve.
+    """
+    params = SgbmParams(n=40, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=0)
+    a = model.sample_graph(params)[0].adjacency
+    twin = np.zeros((80, 80), dtype=np.uint8)
+    twin[:40, :40] = twin[40:, 40:] = a
+    return Graph(n=80, adjacency=twin), float(np.linalg.eigvalsh(a.astype(float))[-1])
+
+
+@pytest.mark.parametrize("graph,lambda_star", [
+    (two_cliques(10)[0], 10.0),  # the Perron value 9 of each clique, twice
+    (complete_graph(10), -1.0),  # K_10: -1 nine times
+    twin_graph(),
+], ids=["two_cliques", "K10", "twin"])
+def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda_star):
+    full = spectral.eigendecompose(graph)
+    reference = spectral.select_eigenpair(full, lambda_star)
+    calls = count_full_solves(monkeypatch)
+    partial = spectral.PartialSpectrum(graph)
+    report = spectral.select_eigenpair(partial, lambda_star)
+    assert calls == [graph.n]
+    assert report.selected_index == reference.selected_index
+    assert report.lambda_selected == reference.lambda_selected
+    assert report.gap_to_next == reference.gap_to_next
+    assert np.array_equal(report.eigenvector, reference.eigenvector)
+    assert np.array_equal(partial.eigenvalues, full.eigenvalues)
+    partial.eigenvector(1)
+    assert calls == [graph.n]  # the full solve is kept, not repeated
+
+
+def test_singular_shifted_solve_falls_back_to_full_solve(monkeypatch):
+    params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=1)
+    graph, _, _ = model.sample_graph(params)
+    lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 200)
+    reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    calls = count_full_solves(monkeypatch)
+    report = spectral.select_eigenpair(spectral.PartialSpectrum(graph), lambda_star)
+    assert calls == [200]
+    assert report.selected_index == reference.selected_index
+    assert np.array_equal(report.eigenvector, reference.eigenvector)
+
+
+def test_partial_spectrum_solves_each_rank_once(monkeypatch):
+    params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=2)
+    graph, _, _ = model.sample_graph(params)
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    partial = spectral.PartialSpectrum(graph)
+    before = graph.dense()
+    first = partial.eigenvector(4)
+    assert partial.eigenvector(4) is first
+    partial.eigenvector(2)
+    assert solves == [(200, 200), (200, 200)]
+    assert np.array_equal(partial._matrix, before)  # the shifted diagonal is restored
+    with pytest.raises(ValueError):
+        spectral.PartialSpectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
+
+
+def garbage_solve(a, b):
+    """Stands in for np.linalg.solve with an answer that is no eigenvector."""
+    return np.random.default_rng(1).standard_normal(len(b))
+
+
+def test_residual_check_on_both_paths(monkeypatch):
+    graph, _ = two_cliques(6)
+    spec = spectral.eigendecompose(graph)
+    mismatched = Spectrum(eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors[:, ::-1],
+                          graph=graph)
+    with pytest.raises(EigendecompositionError, match="residual"):
+        mismatched.eigenvector(1)
+    params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=3)
+    graph, _, _ = model.sample_graph(params)
+    monkeypatch.setattr(np.linalg, "solve", garbage_solve)
+    with pytest.raises(EigendecompositionError, match="residual"):
+        spectral.hosc(graph, 0.4, 0.1)
+
+
+def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "solve", garbage_solve)
+    point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05))
+    config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
+                                 algorithms=("hosc", "fiedler"))
+    rows = harness.run_sweep(config)
+    assert [row.accuracy for row in rows] == [None, None]
+    assert all(row.note.startswith("error: eigenvector at eigenvalue") for row in rows)
+
+    params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=0)
+    graph, _, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
+                   "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
+                   f"run.graph = {tmp_path / 'edges.txt'}\n")
+    assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "eigensolver failure: eigenvector at eigenvalue" in capsys.readouterr().err
 
 
 # --- local_improvement -----------------------------------------------------------
