@@ -14,22 +14,12 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import harness, kernels, model, spectral, theory
+from . import harness, kernels, model, oracles, spectral
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
-
-_RUN_KEYS = {
-    "seed", "seeds", "algorithm", "preset", "graph", "labels", "out",
-    "n", "n_list", "r_in", "r_out", "r_in_grid", "mode", "grid",
-    "fixed_out", "s", "q", "K", "threshold", "window", "workers",
-    "li_iterate",
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -94,6 +84,17 @@ def _float_list(section, name, value):
     return [_float(section, name, part) for part in value.split(",") if part.strip()]
 
 
+def _kernel_pair(config, d, missing):
+    """(f_in, f_out) from the kernel blocks; missing is the error when one is absent."""
+    if not config["kernel_in"] or not config["kernel_out"]:
+        raise ConfigError(missing)
+    try:
+        return (kernels.kernel_from_config(config["kernel_in"], d),
+                kernels.kernel_from_config(config["kernel_out"], d))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def build_params(config, seed_override=None):
     """SgbmParams from the model/kernel sections."""
     mdl = config["model"]
@@ -103,13 +104,7 @@ def build_params(config, seed_override=None):
     d = _int("model", "d", mdl.get("d", "1"))
     if n < 2 or n % 2:
         raise ConfigError(f"model.n = {n}: balanced blocks need an even n >= 2")
-    if not config["kernel_in"] or not config["kernel_out"]:
-        raise ConfigError("kernel_in.* and kernel_out.* blocks are required")
-    try:
-        f_in = kernels.kernel_from_config(config["kernel_in"], d)
-        f_out = kernels.kernel_from_config(config["kernel_out"], d)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    f_in, f_out = _kernel_pair(config, d, "kernel_in.* and kernel_out.* blocks are required")
     seed = seed_override
     if seed is None:
         seed = _int("run", "seed", config["run"].get("seed", "0"))
@@ -141,6 +136,9 @@ def cmd_cluster(args, config):
     algorithm = run.get("algorithm", "hosc")
     if algorithm not in ("hosc", "hosc_li"):
         raise ConfigError(f"run.algorithm must be hosc or hosc_li, got {algorithm!r}")
+    li_iterate = run.get("li_iterate", "false").lower()
+    if li_iterate not in ("true", "false"):
+        raise ConfigError(f"run.li_iterate must be true or false, got {run['li_iterate']!r}")
     truth = None
     if "graph" in run:
         if not os.path.exists(run["graph"]):
@@ -149,14 +147,8 @@ def cmd_cluster(args, config):
             graph, d, _ = model.read_graph(run["graph"])
         except (ValueError, OSError) as exc:
             raise ConfigError(f"bad graph file: {exc}")
-        if not config["kernel_in"] or not config["kernel_out"]:
-            raise ConfigError("clustering a graph file still needs kernel blocks "
-                              "(they define mu_in and mu_out)")
-        try:
-            f_in = kernels.kernel_from_config(config["kernel_in"], d)
-            f_out = kernels.kernel_from_config(config["kernel_out"], d)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        f_in, f_out = _kernel_pair(config, d, "clustering a graph file still needs kernel "
+                                              "blocks (they define mu_in and mu_out)")
         if "labels" in run:
             if not os.path.exists(run["labels"]):
                 raise ConfigError(f"labels file not found: {run['labels']}")
@@ -183,8 +175,8 @@ def cmd_cluster(args, config):
     report = spectral.select_eigenpair(spectrum, lambda_star)
     predicted = spectral.sign_partition(report.eigenvector)
     if algorithm == "hosc_li":
-        iterate = run.get("li_iterate", "false").lower() == "true"
-        predicted = spectral.local_improvement(graph, predicted, iterate=iterate)
+        predicted = spectral.local_improvement(graph, predicted,
+                                               iterate=li_iterate == "true")
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
@@ -220,19 +212,33 @@ def cmd_spectrum(args, config):
     return EXIT_OK
 
 
+# preset -> (harness function, {run key: parser} for the keys it reads)
+_PRESETS = {
+    "fig3": (harness.fig3_sweep,
+             {"n_list": _int_list, "r_in": _float, "r_out": _float}),
+    "fig4": (harness.fig4_sweep,
+             {"n": _int, "r_in_grid": _float_list, "r_out": _float}),
+    "waxman": (harness.waxman_sweep,
+               {"mode": lambda section, name, value: value, "grid": _float_list,
+                "fixed_out": _float, "s": _float, "q": _float, "n_list": _int_list}),
+}
+_PRESET_KEYS = {key for _, parsers in _PRESETS.values() for key in parsers}
+_RUN_KEYS = _PRESET_KEYS | {"seed", "seeds", "algorithm", "preset", "graph", "labels", "out",
+                            "K", "threshold", "window", "workers", "li_iterate"}
+
+
 def cmd_sweep(args, config):
     run = config["run"]
     preset = run.get("preset")
-    if preset not in ("fig3", "fig4", "waxman"):
+    if preset not in _PRESETS:
         raise ConfigError("run.preset must be one of fig3, fig4, waxman")
+    kw = {}
     if "seeds" in run:
-        seeds = _int_list("run", "seeds", run["seeds"])
+        kw["seeds"] = seeds = _int_list("run", "seeds", run["seeds"])
         if not seeds:
             raise ConfigError("run.seeds is empty")
         if any(not 0 <= s < 2**32 for s in seeds):
             raise ConfigError("run.seeds entries must fit in 32 unsigned bits")
-    else:
-        seeds = None
     master = args.seed if args.seed is not None else _int("run", "seed", run.get("seed", "0"))
     if not 0 <= master < 2**64:
         raise ConfigError("run.seed must fit in 64 unsigned bits")
@@ -240,52 +246,15 @@ def cmd_sweep(args, config):
     if workers < 1:
         raise ConfigError("run.workers must be >= 1")
 
-    common = dict(master_seed=master, out=args.out, workers=workers)
-    if preset == "fig3":
-        kw = dict(common)
-        if seeds is not None:
-            kw["seeds"] = seeds
-        if "n_list" in run:
-            kw["n_list"] = _int_list("run", "n_list", run["n_list"])
-        if "r_in" in run:
-            kw["r_in"] = _float("run", "r_in", run["r_in"])
-        if "r_out" in run:
-            kw["r_out"] = _float("run", "r_out", run["r_out"])
-        rows, table = harness.fig3_sweep(**kw)
-    elif preset == "fig4":
-        kw = dict(common)
-        if seeds is not None:
-            kw["seeds"] = seeds
-        if "n" in run:
-            kw["n"] = _int("run", "n", run["n"])
-        if "r_in_grid" in run:
-            kw["r_in_grid"] = _float_list("run", "r_in_grid", run["r_in_grid"])
-        if "r_out" in run:
-            kw["r_out"] = _float("run", "r_out", run["r_out"])
-        try:
-            rows, table = harness.fig4_sweep(**kw)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    else:
-        kw = dict(common)
-        if seeds is not None:
-            kw["seeds"] = seeds
-        if "mode" in run:
-            kw["mode"] = run["mode"]
-        if "grid" in run:
-            kw["grid"] = _float_list("run", "grid", run["grid"])
-        if "fixed_out" in run:
-            kw["fixed_out"] = _float("run", "fixed_out", run["fixed_out"])
-        if "s" in run:
-            kw["s"] = _float("run", "s", run["s"])
-        if "q" in run:
-            kw["q"] = _float("run", "q", run["q"])
-        if "n_list" in run:
-            kw["n_list"] = _int_list("run", "n_list", run["n_list"])
-        try:
-            rows, table, dips = harness.waxman_sweep(**kw)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    sweep, parsers = _PRESETS[preset]
+    foreign = sorted(set(run) & (_PRESET_KEYS - set(parsers)))
+    if foreign:
+        raise ConfigError(f"run.{foreign[0]} does not apply to preset {preset}")
+    kw.update((key, parse("run", key, run[key])) for key, parse in parsers.items() if key in run)
+    try:
+        rows = sweep(master_seed=master, out=args.out, workers=workers, **kw)[0]
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     os.makedirs(args.out, exist_ok=True)
     harness.write_results(os.path.join(args.out, "results.csv"), rows)
@@ -301,103 +270,16 @@ def cmd_sweep(args, config):
     return EXIT_OK
 
 
-def _validate_checks(run):
-    """The property-oracle suite behind the validate subcommand."""
-    checks = []
-
-    def fourier_agreement():
-        worst = 0.0
-        for d in (1, 2):
-            kern = kernels.Indicator(0.17, d=d)
-            axis = np.arange(-50, 51)
-            ks = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-            analytic = theory.coefficient_table(kern, ks)
-            quad = kernels.fourier_coeff_grid(kern, ks, 256)
-            worst = max(worst, float(np.max(np.abs(analytic - quad))))
-        return worst <= 1e-10, f"max |analytic - quadrature| = {worst:.2e} (allowed 1e-10)"
-
-    def convolution_identity():
-        grid_n = 4096
-        worst = 0.0
-        for kern, m, cutoff in (
-            (kernels.Indicator(1024.5 / grid_n), 2, 1_000_000),
-            (kernels.Indicator(1024.5 / grid_n), 3, 500),
-            (kernels.Indicator(409.5 / grid_n), 4, 500),
-            (kernels.Waxman(0.9, 4.0), 2, 500),
-        ):
-            ks = np.arange(-cutoff, cutoff + 1).reshape(-1, 1)
-            coeff = theory.coefficient_table(kern, ks)
-            lattice = float(np.sum(coeff**m))
-            oracle = kernels.convolution_at_zero([kern] * m, grid_n)
-            worst = max(worst, abs(oracle - lattice))
-        return worst <= 1e-6, f"max |oracle - lattice sum| = {worst:.2e} (allowed 1e-6)"
-
-    def trace_lipschitz():
-        rng = np.random.default_rng(7)
-        failures = 0
-        for _ in range(200):
-            n = 30
-            m = int(rng.integers(1, 6))
-            a = (rng.random((n, n)) < 0.3).astype(np.uint8)
-            b = (rng.random((n, n)) < 0.3).astype(np.uint8)
-            for mat in (a, b):
-                mat &= ~np.eye(n, dtype=bool)
-                mat |= mat.T
-            lhs, rhs = theory.trace_lipschitz_check(
-                model.Graph(n=n, adjacency=a), model.Graph(n=n, adjacency=b), m)
-            if lhs > rhs + 1e-9:
-                failures += 1
-        return failures == 0, f"{200 - failures}/200 trials satisfied the bound"
-
-    def degree_concentration():
-        f_in = kernels.Indicator(0.2)
-        f_out = kernels.Indicator(0.05)
-        mu = kernels.edge_density(f_in) + kernels.edge_density(f_out)
-        n, bad_runs = 2000, 0
-        for seed in range(20):
-            params = model.SgbmParams(n=n, d=1, f_in=f_in, f_out=f_out, seed=seed)
-            graph, labels, _ = model.sample_graph(params)
-            stats = model.degree_stats(graph, labels)
-            floor = np.sqrt(2.0 * mu * n * np.log(n))
-            if np.any(stats.z_in - stats.z_out < floor):
-                bad_runs += 1
-        return bad_runs <= 5, f"{bad_runs}/20 runs had a node below the floor (allowed 5)"
-
-    def angle_bound():
-        violations = 0
-        for seed in range(10):
-            params = model.SgbmParams(n=500, d=1, f_in=kernels.Constant(0.9),
-                                      f_out=kernels.Constant(0.1), seed=seed)
-            graph, labels, _ = model.sample_graph(params)
-            spectrum = spectral.eigendecompose(graph)
-            planted = np.where(np.asarray(labels) == 1, 1.0, -1.0) / np.sqrt(graph.n)
-            report = theory.rayleigh_bound(graph, planted, spectrum)
-            if report.actual_sine > report.sine_bound + 1e-12:
-                violations += 1
-        return violations == 0, f"{10 - violations}/10 instances satisfied the bound"
-
-    checks = [
-        ("fourier quadrature agreement", fourier_agreement),
-        ("convolution identity", convolution_identity),
-        ("trace lipschitz", trace_lipschitz),
-        ("degree concentration", degree_concentration),
-        ("rayleigh angle bound", angle_bound),
-    ]
-    return checks
-
-
 def cmd_validate(args, config):
-    results = []
-    for name, check in _validate_checks(config["run"]):
+    width = max(len(name) for name, _ in oracles.CHECKS)
+    passed = True
+    for name, check in oracles.CHECKS:
         start = time.perf_counter()
         ok, detail = check()
-        elapsed = time.perf_counter() - start
-        results.append((name, ok, detail, elapsed))
-    width = max(len(name) for name, *_ in results)
-    for name, ok, detail, elapsed in results:
-        status = "PASS" if ok else "FAIL"
-        _say(args, f"{name.ljust(width)}  {status}  {detail}  [{elapsed:.1f}s]")
-    if all(ok for _, ok, _, _ in results):
+        passed &= ok
+        _say(args, f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}  "
+                   f"[{time.perf_counter() - start:.1f}s]")
+    if passed:
         _say(args, "all checks passed")
         return EXIT_OK
     return EXIT_NUMERIC

@@ -12,15 +12,22 @@ are real.  Three families are supported:
 * Indicator(r): F(x) = 1 if ||x||_inf <= r else 0 (hard radius).
 * Waxman(q, s): F(x) = min(1, q * exp(-s ||x||_inf)).
 
-Indicator coefficients have the closed form (2r)^d prod_j sinc(2 pi k_j r);
-the other soft kernels fall back to Gauss-Legendre quadrature.  The
-quadrature is composite: the integration axis is split at the kernel's
-non-smooth points (the jump at r, the clip radius of a Waxman kernel)
-so that each panel sees an analytic integrand.  Plain Gauss-Legendre
-across a jump stalls near 1e-3 accuracy no matter the node count.
+Each family is a frozen dataclass with a config name, kind, and the
+three methods through which the rest of the package tells families
+apart: profile(dist), F as a vectorized function of the l-infinity norm;
+coeffs(ks), F_hat for every row of an (m, d) integer array; and
+breakpoints(), the radii in (0, 1/2) where the profile is not analytic.
+
+Constant and Indicator coefficients have closed forms, Indicator's being
+(2r)^d prod_j sinc(2 pi k_j r); Waxman falls back to Gauss-Legendre
+quadrature.  The quadrature is composite: the integration axis is split
+at the breakpoints so that each panel sees an analytic integrand.  Plain
+Gauss-Legendre across a jump stalls near 1e-3 accuracy no matter the
+node count.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,61 +49,91 @@ MAX_QUADRATURE_DIM = 3  # tensor grids beyond d=3 are a cost cliff
 DEFAULT_NODES_PER_DIM = 256
 
 
+def _validate(kernel, in_range, message):
+    """Constructor check shared by the kernels: finite fields, d >= 1, then the kind's range."""
+    if not np.all(np.isfinite(astuple(kernel))):
+        raise ValueError(f"kernel parameters must be finite, got {kernel}")
+    if kernel.d < 1:
+        raise ValueError("dimension must be a positive integer")
+    if not in_range:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class Constant:
     """F(x) = p for every displacement."""
 
+    kind = "constant"
     p: float
     d: int = 1
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"constant kernel needs 0 <= p <= 1, got {self.p}")
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
+        _validate(self, 0.0 <= self.p <= 1.0, f"constant kernel needs 0 <= p <= 1, got {self.p}")
+
+    def profile(self, dist):
+        return np.full_like(np.asarray(dist, dtype=float), self.p)
+
+    def coeffs(self, ks):
+        return np.where(np.all(ks == 0, axis=1), float(self.p), 0.0)
+
+    def breakpoints(self):
+        return ()
 
 
 @dataclass(frozen=True)
 class Indicator:
     """F(x) = 1 when ||x||_inf <= r, else 0.  Requires 0 < r < 1/2."""
 
+    kind = "indicator"
     r: float
     d: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.r < 0.5):
-            raise ValueError(f"indicator radius must satisfy 0 < r < 1/2, got {self.r}")
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
+        _validate(self, 0.0 < self.r < 0.5,
+                  f"indicator radius must satisfy 0 < r < 1/2, got {self.r}")
+
+    def profile(self, dist):
+        return (np.asarray(dist) <= self.r).astype(float)
+
+    def coeffs(self, ks):
+        return (2.0 * self.r) ** self.d * np.prod(_sinc(2.0 * np.pi * ks * self.r), axis=1)
+
+    def breakpoints(self):
+        return (self.r,)
 
 
 @dataclass(frozen=True)
 class Waxman:
     """F(x) = min(1, q * exp(-s ||x||_inf)) with q > 0 and s >= 0."""
 
+    kind = "waxman"
     q: float
     s: float
     d: int = 1
 
     def __post_init__(self):
-        if self.q <= 0.0:
-            raise ValueError(f"waxman amplitude must be positive, got {self.q}")
-        if self.s < 0.0:
-            raise ValueError(f"waxman decay rate must be non-negative, got {self.s}")
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
+        _validate(self, self.q > 0.0 and self.s >= 0.0,
+                  f"waxman kernel needs q > 0 and s >= 0, got q = {self.q}, s = {self.s}")
+
+    def profile(self, dist):
+        return np.minimum(1.0, self.q * np.exp(-self.s * np.asarray(dist)))
+
+    def coeffs(self, ks):
+        # sign flips and coordinate permutations of k leave the coefficient
+        # unchanged, so only the canonical rows are integrated
+        canon = np.sort(np.abs(ks), axis=1)
+        unique, inverse = np.unique(canon, axis=0, return_inverse=True)
+        return fourier_coeff_grid(self, unique)[inverse.ravel()]
+
+    def breakpoints(self):
+        if self.q > 1.0 and self.s > 0.0:
+            clip = np.log(self.q) / self.s  # radius where q e^{-s r} crosses 1
+            if clip < 0.5:
+                return (clip,)
+        return ()
 
 
-def _radial_values(kernel, dist):
-    """Kernel value as a function of the l-infinity torus norm (vectorized)."""
-    dist = np.asarray(dist, dtype=float)
-    if isinstance(kernel, Constant):
-        return np.full_like(dist, kernel.p)
-    if isinstance(kernel, Indicator):
-        return (dist <= kernel.r).astype(float)
-    if isinstance(kernel, Waxman):
-        return np.minimum(1.0, kernel.q * np.exp(-kernel.s * dist))
-    raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+_KINDS = {cls.kind: cls for cls in (Constant, Indicator, Waxman)}
 
 
 def eval_kernel(kernel, displacement):
@@ -104,7 +141,7 @@ def eval_kernel(kernel, displacement):
     x = np.atleast_1d(np.asarray(displacement, dtype=float))
     if x.shape != (kernel.d,):
         raise ValueError(f"displacement has shape {x.shape}, kernel dimension is {kernel.d}")
-    return float(_radial_values(kernel, np.max(np.abs(x))))
+    return float(kernel.profile(np.max(np.abs(x))))
 
 
 def _sinc(x):
@@ -118,41 +155,19 @@ def _check_lattice_index(kernel, k):
         raise ValueError(f"lattice index has shape {k.shape}, kernel dimension is {kernel.d}")
     if not np.all(k == np.round(k)):
         raise ValueError("lattice index must have integer coordinates")
-    return k.astype(int)
+    return k.astype(int).reshape(1, -1)  # a one-row batch
 
 
 def fourier_coeff(kernel, k):
-    """Fourier coefficient F_hat(k), analytic where a closed form exists.
-
-    Constant(p): p at k = 0, zero elsewhere.  Indicator(r):
-    (2r)^d prod_j sinc(2 pi k_j r).  Waxman: composite Gauss-Legendre
-    quadrature with the default node budget.
-    """
-    k = _check_lattice_index(kernel, k)
-    if isinstance(kernel, Constant):
-        return kernel.p if not np.any(k) else 0.0
-    if isinstance(kernel, Indicator):
-        return float((2.0 * kernel.r) ** kernel.d * np.prod(_sinc(2.0 * np.pi * k * kernel.r)))
-    return float(fourier_coeff_grid(kernel, k.reshape(1, -1))[0])
-
-
-def _panel_edges(kernel):
-    """Split points of [-1/2, 1/2] where the kernel profile is not analytic."""
-    breaks = {0.0}
-    if isinstance(kernel, Indicator):
-        breaks.add(kernel.r)
-    if isinstance(kernel, Waxman) and kernel.q > 1.0 and kernel.s > 0.0:
-        clip = np.log(kernel.q) / kernel.s  # radius where q e^{-s r} crosses 1
-        if clip < 0.5:
-            breaks.add(clip)
-    edges = sorted({-0.5, 0.5} | breaks | {-b for b in breaks})
-    return np.array(edges)
+    """Fourier coefficient F_hat(k): one row of the kernel's coeffs."""
+    return float(kernel.coeffs(_check_lattice_index(kernel, k))[0])
 
 
 def _axis_rule(kernel, nodes_per_panel):
-    """Composite Gauss-Legendre nodes and weights along one torus axis."""
+    """Composite Gauss-Legendre nodes and weights on [-1/2, 1/2], split at 0 and +-breakpoints."""
     base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = _panel_edges(kernel)
+    breaks = {0.0, *kernel.breakpoints()}
+    edges = sorted({-0.5, 0.5} | breaks | {-b for b in breaks})
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
@@ -189,7 +204,7 @@ def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
     axes = np.meshgrid(*([x] * d), indexing="ij")
     dist = np.max(np.abs(np.stack(axes)), axis=0)
     # fold the outer product of axis weights into the sampled values
-    weighted = _radial_values(kernel, dist)
+    weighted = kernel.profile(dist)
     for axis in range(d):
         shape = [1] * d
         shape[axis] = len(w)
@@ -217,12 +232,12 @@ def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
 
 def fourier_coeff_quadrature(kernel, k, nodes_per_dim):
     """Single-coefficient quadrature oracle (independent of the closed forms)."""
-    k = _check_lattice_index(kernel, k)
-    return float(fourier_coeff_grid(kernel, k.reshape(1, -1), nodes_per_dim)[0])
+    return float(fourier_coeff_grid(kernel, _check_lattice_index(kernel, k), nodes_per_dim)[0])
 
 
+@lru_cache
 def edge_density(kernel):
-    """Mean edge probability, F_hat(0).  Always within [0, 1]."""
+    """Mean edge probability, F_hat(0), within [0, 1].  Memoised: kernels are frozen and finite."""
     return fourier_coeff(kernel, np.zeros(kernel.d, dtype=int))
 
 
@@ -250,7 +265,7 @@ def convolution_at_zero(kernels, grid_points_per_dim):
     x = np.arange(n) / n
     dist = np.minimum(x, 1.0 - x)  # torus distance to 0
     h = 1.0 / n
-    transforms = [np.fft.rfft(_radial_values(kern, dist)) for kern in kernels]
+    transforms = [np.fft.rfft(kern.profile(dist)) for kern in kernels]
     acc = transforms[0]
     for ft in transforms[1:]:
         acc = acc * ft * h
@@ -259,7 +274,9 @@ def convolution_at_zero(kernels, grid_points_per_dim):
 
 # --- config block (de)serialization ------------------------------------
 
-_KIND_FIELDS = {"constant": ("p",), "indicator": ("r",), "waxman": ("q", "s")}
+
+def _param_names(cls):
+    return tuple(f.name for f in fields(cls) if f.name != "d")
 
 
 def kernel_from_config(block, d):
@@ -271,33 +288,17 @@ def kernel_from_config(block, d):
     if "kind" not in block:
         raise ValueError("kernel block is missing 'kind'")
     kind = block["kind"].strip().lower()
-    if kind not in _KIND_FIELDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}, expected constant, indicator or waxman")
-    wanted = set(_KIND_FIELDS[kind])
+    cls = _KINDS[kind]
+    wanted = set(_param_names(cls))
     given = set(block) - {"kind"}
     if given != wanted:
-        extra = sorted(given - wanted)
-        missing = sorted(wanted - given)
-        parts = []
-        if extra:
-            parts.append(f"unexpected keys {extra}")
-        if missing:
-            parts.append(f"missing keys {missing}")
-        raise ValueError(f"kernel kind {kind!r}: " + ", ".join(parts))
-    vals = {name: float(block[name]) for name in wanted}
-    if kind == "constant":
-        return Constant(p=vals["p"], d=d)
-    if kind == "indicator":
-        return Indicator(r=vals["r"], d=d)
-    return Waxman(q=vals["q"], s=vals["s"], d=d)
+        raise ValueError(f"kernel kind {kind!r} takes keys {sorted(wanted)}, got {sorted(given)}")
+    return cls(d=d, **{name: float(block[name]) for name in wanted})
 
 
 def kernel_to_config(kernel):
     """Inverse of kernel_from_config (dimension travels separately)."""
-    if isinstance(kernel, Constant):
-        return {"kind": "constant", "p": repr(kernel.p)}
-    if isinstance(kernel, Indicator):
-        return {"kind": "indicator", "r": repr(kernel.r)}
-    if isinstance(kernel, Waxman):
-        return {"kind": "waxman", "q": repr(kernel.q), "s": repr(kernel.s)}
-    raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+    return {"kind": kernel.kind,
+            **{name: repr(getattr(kernel, name)) for name in _param_names(type(kernel))}}

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _radial_values
-
 __all__ = [
     "SgbmParams",
     "Graph",
@@ -167,8 +165,8 @@ def sample_graph(params):
         disp = positions[start:stop, None, :] - positions[None, :, :]
         disp = np.mod(disp + 0.5, 1.0) - 0.5
         dist = np.max(np.abs(disp), axis=-1)
-        p_in = _radial_values(params.f_in, dist)
-        p_out = _radial_values(params.f_out, dist)
+        p_in = params.f_in.profile(dist)
+        p_out = params.f_out.profile(dist)
         same = labels[start:stop, None] == labels[None, :]
         prob = np.where(same, p_in, p_out)
         u = pair_uniform(params.seed, rows[start:stop, None], rows[None, :])

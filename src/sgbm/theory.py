@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Constant, Indicator, _sinc, edge_density, fourier_coeff_grid
+from .kernels import edge_density
 from .spectral import DegenerateModelError
 
 __all__ = [
@@ -93,25 +93,8 @@ def _lattice_box(d, K):
 
 
 def coefficient_table(kernel, ks):
-    """F_hat(k) for every row of ks, vectorized per kernel family.
-
-    Soft kernels without a closed form go through quadrature; sign flips
-    and coordinate permutations of k leave the coefficient of an
-    l-infinity radial kernel unchanged, so only canonical rows are
-    actually integrated.
-    """
-    ks = np.atleast_2d(np.asarray(ks, dtype=int))
-    if isinstance(kernel, Constant):
-        out = np.zeros(len(ks))
-        out[np.all(ks == 0, axis=1)] = kernel.p
-        return out
-    if isinstance(kernel, Indicator):
-        factors = 2.0 * kernel.r * _sinc(2.0 * np.pi * ks * kernel.r)
-        return np.prod(factors, axis=1)
-    canon = np.sort(np.abs(ks), axis=1)
-    unique, inverse = np.unique(canon, axis=0, return_inverse=True)
-    vals = fourier_coeff_grid(kernel, unique)
-    return vals[inverse.ravel()]
+    """F_hat(k) for every row of ks, from the kernel's vectorized coeffs."""
+    return kernel.coeffs(np.atleast_2d(np.asarray(ks, dtype=int)))
 
 
 def _families(f_in, f_out, K):

@@ -273,6 +273,25 @@ def test_cluster_local_improvement_option(tmp_path, capsys):
     assert printed >= 0.9
 
 
+def test_cluster_rejects_bad_li_iterate(tmp_path):
+    cfg = write_config(tmp_path, GBM_CONFIG + "run.algorithm = hosc_li\nrun.li_iterate = yes\n")
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+KERNEL_BLOCKS = {"constant": {"p": "0.3"}, "indicator": {"r": "0.2"},
+                 "waxman": {"q": "0.7", "s": "1.5"}}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, block in KERNEL_BLOCKS.items()
+                                       for name in block])
+def test_cluster_rejects_non_finite_kernel_parameter(tmp_path, kind, name, bad):
+    block = KERNEL_BLOCKS[kind] | {"kind": kind, name: bad}
+    cfg = write_config(tmp_path, "model.n = 200\nkernel_out.kind = constant\nkernel_out.p = 0.1\n"
+                       + "".join(f"kernel_in.{key} = {value}\n" for key, value in block.items()))
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def hosc_then_eigendecompose(graph, mu_in, mu_out, truth, algorithm, out):
     """cluster's outputs as composed before it reused one spectrum: spectral.hosc,
     then a second, full eigendecompose for selection.csv."""
@@ -395,6 +414,19 @@ run.r_in_grid = 0.05,0.1
 run.r_out = 0.06
 """)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "run.preset = fig3\nrun.r_in = 0.7\n",             # radius outside (0, 1/2)
+    "run.preset = fig3\nrun.n_list =\n",                # empty grid
+    "run.preset = fig3\nrun.grid = 0.1,0.2\n",          # a waxman-only key
+    "run.preset = waxman\nrun.fixed_out = nan\n",       # non-finite kernel parameter
+    "run.preset = fig4\nrun.n_list = 200\n",            # a fig3 / waxman key
+], ids=["fig3-radius", "fig3-empty-n-list", "fig3-foreign-key", "waxman-nan", "fig4-foreign-key"])
+def test_sweep_rejects_bad_preset_argument(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # --- validate ----------------------------------------------------------------

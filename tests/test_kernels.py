@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgbm import kernels
+from sgbm import kernels, theory
 from sgbm.kernels import Constant, Indicator, Waxman
 
 
@@ -23,6 +23,17 @@ def test_constructor_validation():
         Waxman(0.5, -1.0)
     with pytest.raises(ValueError):
         Indicator(0.2, d=0)
+
+
+VALID_PARAMS = {Constant: dict(p=0.3), Indicator: dict(r=0.2), Waxman: dict(q=0.7, s=1.5)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls,name", [(cls, name) for cls, params in VALID_PARAMS.items()
+                                      for name in (*params, "d")])
+def test_constructor_rejects_non_finite(cls, name, bad):
+    with pytest.raises(ValueError):
+        cls(**VALID_PARAMS[cls] | {name: bad})
 
 
 # --- eval_kernel ----------------------------------------------------------
@@ -89,6 +100,20 @@ def test_coeff_rejects_bad_index():
         kernels.fourier_coeff(Indicator(0.2), [0, 1])
     with pytest.raises(ValueError):
         kernels.fourier_coeff(Indicator(0.2), [0.5])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fourier_coeff_is_coefficient_table_row(d):
+    """The single-index and batch paths agree bit for bit.  Waxman runs at
+    d <= 2 only: its d = 3 quadrature grid is 512^3 nodes, several GB."""
+    kerns = [Constant(0.35, d=d), Indicator(0.08, d=d), Indicator(0.17, d=d),
+             Indicator(0.3, d=d)]
+    if d <= 2:
+        kerns += [Waxman(0.7, 2.0, d=d), Waxman(1.6, 3.0, d=d)]
+    for kern in kerns:
+        for k in ([0, 0, 0], [1, 0, 0], [-2, 3, 1], [5, 5, -7]):
+            k = k[:d]
+            assert kernels.fourier_coeff(kern, k) == theory.coefficient_table(kern, [k])[0]
 
 
 # --- fourier_coeff_quadrature ---------------------------------------------

@@ -205,8 +205,8 @@ def single_block_adjacency(params):
     disp = np.mod(positions[:, None, :] - positions[None, :, :] + 0.5, 1.0) - 0.5
     dist = np.max(np.abs(disp), axis=-1)
     prob = np.where(labels[:, None] == labels[None, :],
-                    kernels._radial_values(params.f_in, dist),
-                    kernels._radial_values(params.f_out, dist))
+                    params.f_in.profile(dist),
+                    params.f_out.profile(dist))
     ids = np.arange(n)
     u = model.pair_uniform(params.seed, ids[:, None], ids[None, :])
     adjacency = ((u < prob) & (ids[None, :] > ids[:, None])).astype(np.uint8)
