@@ -37,6 +37,7 @@ from .spectral import (
     SelectionReport,
     Spectrum,
     accuracy,
+    cluster,
     eigendecompose,
     hosc,
     ideal_eigenvalue,

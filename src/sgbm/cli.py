@@ -141,8 +141,6 @@ def cmd_cluster(args, config):
         raise ConfigError(f"run.li_iterate must be true or false, got {run['li_iterate']!r}")
     truth = None
     if "graph" in run:
-        if not os.path.exists(run["graph"]):
-            raise ConfigError(f"graph file not found: {run['graph']}")
         try:
             graph, d, _ = model.read_graph(run["graph"])
         except (ValueError, OSError) as exc:
@@ -150,8 +148,6 @@ def cmd_cluster(args, config):
         f_in, f_out = _kernel_pair(config, d, "clustering a graph file still needs kernel "
                                               "blocks (they define mu_in and mu_out)")
         if "labels" in run:
-            if not os.path.exists(run["labels"]):
-                raise ConfigError(f"labels file not found: {run['labels']}")
             try:
                 truth = model.read_labels(run["labels"])
             except (ValueError, OSError) as exc:
@@ -163,20 +159,12 @@ def cmd_cluster(args, config):
         graph, truth, _ = model.sample_graph(params)
         f_in, f_out = params.f_in, params.f_out
 
-    mu_in = kernels.edge_density(f_in)
-    mu_out = kernels.edge_density(f_out)
-    # spectral.hosc's steps, spelled out so that selection.csv reuses the
-    # one spectrum; lambda* first, so a degenerate model exits unsolved.
-    # The accuracy profile needs every eigenvector; without truth labels,
-    # selection.csv needs only the eigenvalues.
-    lambda_star = spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)
-    spectrum = (spectral.eigendecompose(graph) if truth is not None
-                else spectral.PartialSpectrum(graph))
-    report = spectral.select_eigenpair(spectrum, lambda_star)
-    predicted = spectral.sign_partition(report.eigenvector)
-    if algorithm == "hosc_li":
-        predicted = spectral.local_improvement(graph, predicted,
-                                               iterate=li_iterate == "true")
+    # the accuracy profile needs every eigenvector; without truth, only eigenvalues
+    solve = spectral.eigendecompose if truth is not None else spectral.PartialSpectrum
+    predicted, report = spectral.cluster(graph, algorithm, kernels.edge_density(f_in),
+                                         kernels.edge_density(f_out), solve=solve,
+                                         iterate=li_iterate == "true")
+    spectrum = report.spectrum
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
@@ -312,10 +300,7 @@ def main(argv=None):
         if args.command != "validate" and args.config is None:
             raise ConfigError(f"{args.command} needs --config")
         return handlers[args.command](args, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except spectral.DegenerateModelError as exc:

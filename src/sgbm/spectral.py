@@ -1,7 +1,7 @@
 """Eigendecomposition, informative-eigenpair selection, and partitioning.
 
-The clustering pipeline: compute the spectrum of the adjacency matrix,
-pick the eigenvalue closest to the ideal value
+The clustering pipeline, cluster(): compute the spectrum of the
+adjacency matrix, pick the eigenvalue closest to the ideal value
 lambda* = n (mu_in - mu_out) / 2, and split nodes by the sign of the
 matching eigenvector.  The informative eigenvalue is generally NOT the
 second largest: geometric graphs park several spatial harmonics above
@@ -31,6 +31,7 @@ __all__ = [
     "ideal_eigenvalue",
     "select_eigenpair",
     "sign_partition",
+    "cluster",
     "hosc",
     "local_improvement",
     "loss",
@@ -184,6 +185,7 @@ class SelectionReport:
     lambda_selected: float
     gap_to_next: float  # distance to the nearest other eigenvalue
     eigenvector: np.ndarray
+    spectrum: object  # the Spectrum or PartialSpectrum selected from
 
 
 def eigendecompose(graph):
@@ -236,6 +238,7 @@ def select_eigenpair(spectrum, lambda_star):
         lambda_selected=float(lam[idx]),
         gap_to_next=_gap(lam, idx),
         eigenvector=vector,
+        spectrum=spectrum,
     )
 
 
@@ -245,11 +248,33 @@ def sign_partition(eigenvector):
     return np.where(v > 0, 1, 2).astype(np.int8)
 
 
+def cluster(graph, algorithm, mu_in, mu_out, solve=None, iterate=False):
+    """(labels, SelectionReport) for algorithm hosc, hosc_li or fiedler.
+
+    hosc splits by the sign of the eigenvector nearest lambda*, and
+    hosc_li then runs local_improvement(iterate=iterate); fiedler splits
+    by rank 2 and leaves lambda_star and gap_to_next None.  solve(graph)
+    (default PartialSpectrum) runs after lambda* is computed, so a
+    degenerate model raises before any solve.
+    """
+    if algorithm == "fiedler":
+        spectrum = (solve or PartialSpectrum)(graph)
+        vector = spectrum.eigenvector(2)  # first: a fallback replaces the eigenvalues
+        report = SelectionReport(None, 2, float(spectrum.eigenvalues[1]), None, vector, spectrum)
+    elif algorithm in ("hosc", "hosc_li"):
+        lambda_star = ideal_eigenvalue(mu_in, mu_out, graph.n)
+        report = select_eigenpair((solve or PartialSpectrum)(graph), lambda_star)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    labels = sign_partition(report.eigenvector)
+    if algorithm == "hosc_li":
+        labels = local_improvement(graph, labels, iterate=iterate)
+    return labels, report
+
+
 def hosc(graph, mu_in, mu_out):
     """Spectral clustering through the eigenvalue nearest lambda*."""
-    lambda_star = ideal_eigenvalue(mu_in, mu_out, graph.n)
-    report = select_eigenpair(PartialSpectrum(graph), lambda_star)
-    return sign_partition(report.eigenvector), report
+    return cluster(graph, "hosc", mu_in, mu_out)
 
 
 def local_improvement(graph, labels, iterate=False, max_rounds=100):

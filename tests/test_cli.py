@@ -227,9 +227,18 @@ kernel_out.r = 0.02
     assert printed >= 0.95
 
 
-def test_cluster_missing_graph_file(tmp_path):
-    cfg = write_config(tmp_path, GBM_CONFIG + f"run.graph = {tmp_path / 'none.txt'}\n")
+@pytest.mark.parametrize("missing", ["graph", "labels"])
+def test_cluster_missing_graph_file(tmp_path, capsys, missing):
+    params = model.SgbmParams(n=20, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=0)
+    graph, labels, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "graph.txt", graph, 1, 0)
+    model.write_labels(tmp_path / "labels.txt", labels)
+    (tmp_path / f"{missing}.txt").unlink()
+    cfg = write_config(tmp_path, GBM_CONFIG + f"run.graph = {tmp_path / 'graph.txt'}\n"
+                                            f"run.labels = {tmp_path / 'labels.txt'}\n")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: bad {missing} file:" in capsys.readouterr().err
 
 
 def test_cluster_rejects_unknown_algorithm(tmp_path):

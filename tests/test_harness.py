@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -147,13 +148,59 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
     def broken(spectrum, lambda_star):
         raise ValueError("bug")
 
-    monkeypatch.setattr(harness, "select_eigenpair", broken)
+    monkeypatch.setattr(spectral, "select_eigenpair", broken)
     point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="bug", grid=[point], seeds=[0, 1])
     for workers in (1, 2):
         with pytest.raises(ValueError, match="^bug$"):
             harness.run_sweep(config, workers=workers)
+
+
+def count_partial_solves(monkeypatch, delay=0.0):
+    """Record graph.n for every PartialSpectrum a sweep cell builds, after a sleep."""
+    calls = []
+    solve = spectral.PartialSpectrum
+
+    def counted(graph):
+        calls.append(graph.n)
+        time.sleep(delay)
+        return solve(graph)
+
+    monkeypatch.setattr(harness, "PartialSpectrum", counted)
+    return calls
+
+
+def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch):
+    calls = count_partial_solves(monkeypatch)
+    point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
+                      f_out=kernels.Indicator(0.05))
+    config = SweepConfig(experiment="one", grid=[point], seeds=[0],
+                         algorithms=("hosc", "hosc_li", "fiedler"))
+    assert all(row.note == "" for row in harness.run_sweep(config))
+    assert calls == [100]
+
+    calls.clear()
+    degenerate = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.1),
+                           f_out=kernels.Indicator(0.1))
+    config = SweepConfig(experiment="none", grid=[degenerate], seeds=[0])
+    assert harness.run_sweep(config)[0].note.startswith("error: mu_in equals mu_out")
+    assert calls == []
+
+
+def test_shared_solve_counts_once_per_row(monkeypatch):
+    """Every spectral row of a cell includes the shared solve once, not twice
+    in the row that ran it: hosc (which solves) and fiedler (which reuses
+    the spectrum) differ by far less than the solve takes."""
+    delay = 0.3
+    count_partial_solves(monkeypatch, delay)
+    point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
+                      f_out=kernels.Indicator(0.05))
+    config = SweepConfig(experiment="timing", grid=[point], seeds=[0],
+                         algorithms=("hosc", "fiedler"))
+    hosc, fiedler = harness.run_sweep(config)
+    assert fiedler.runtime_ms >= delay * 1000.0
+    assert abs(hosc.runtime_ms - fiedler.runtime_ms) < delay * 1000.0 / 3
 
 
 def test_edgeless_model_gives_error_rows():
@@ -508,8 +555,12 @@ def test_results_csv_format(tmp_path):
     tpath = tmp_path / "timings.csv"
     harness.write_timings(tpath, rows)
     tlines = tpath.read_text().splitlines()
-    assert tlines[0].endswith("runtime_ms")
+    assert tlines[0] == "experiment,n,d,kernel_in,kernel_out,seed,algorithm,runtime_ms"
     assert len(tlines) == 3
+    for tline, line in zip(tlines[1:], lines[1:]):
+        tcells = tline.split(",")
+        assert tcells[:7] == line.split(",")[:7]
+        assert float(tcells[7]) > 0.0
 
 
 def test_meta_sidecar(tmp_path):

@@ -157,6 +157,55 @@ def test_hosc_sbm_is_classical_spectral_clustering(sbm_instances):
         assert spectral.accuracy(inst["labels"], pred) >= 0.99
 
 
+def composed(graph, algorithm, mu_in, mu_out, solve, iterate):
+    """cluster's steps written out one by one: (labels, rank, lambda, lambda*)."""
+    spectrum = solve(graph)
+    if algorithm == "fiedler":
+        labels = spectral.sign_partition(spectrum.eigenvector(2))
+        return labels, 2, float(spectrum.eigenvalues[1]), None
+    lambda_star = spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)
+    report = spectral.select_eigenpair(spectrum, lambda_star)
+    labels = spectral.sign_partition(report.eigenvector)
+    if algorithm == "hosc_li":
+        labels = spectral.local_improvement(graph, labels, iterate=iterate)
+    return labels, report.selected_index, report.lambda_selected, lambda_star
+
+
+@pytest.mark.parametrize("solve", [spectral.PartialSpectrum, spectral.eigendecompose],
+                         ids=["partial", "full"])
+@pytest.mark.parametrize("algorithm,iterate", [
+    ("hosc", False), ("hosc_li", False), ("hosc_li", True), ("fiedler", False)])
+def test_cluster_matches_step_by_step_composition(solve, algorithm, iterate):
+    # seed 1: one majority pass and the iterated vote give different labels
+    for seed in range(3):
+        params = SgbmParams(n=300, d=1, f_in=kernels.Indicator(0.2),
+                            f_out=kernels.Indicator(0.05), seed=seed)
+        graph, _, _ = model.sample_graph(params)
+        mu_in = kernels.edge_density(params.f_in)
+        mu_out = kernels.edge_density(params.f_out)
+        labels, report = spectral.cluster(graph, algorithm, mu_in, mu_out,
+                                          solve=solve, iterate=iterate)
+        reference = composed(graph, algorithm, mu_in, mu_out, solve, iterate)
+        assert np.array_equal(labels, reference[0])
+        assert (report.selected_index, report.lambda_selected, report.lambda_star) \
+            == reference[1:]
+        assert type(report.spectrum) is (spectral.Spectrum if solve is spectral.eigendecompose
+                                         else spectral.PartialSpectrum)
+        if algorithm == "fiedler":
+            assert report.gap_to_next is None
+
+
+def test_cluster_defaults_to_partial_spectrum_and_hosc_is_cluster():
+    graph, _ = two_cliques(10)
+    labels, report = spectral.cluster(graph, "hosc", 0.9, 0.1)
+    assert isinstance(report.spectrum, spectral.PartialSpectrum)
+    hosc_labels, hosc_report = spectral.hosc(graph, 0.9, 0.1)
+    assert np.array_equal(labels, hosc_labels)
+    assert hosc_report.selected_index == report.selected_index
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        spectral.cluster(graph, "motif_baseline", 0.9, 0.1)
+
+
 def test_hosc_degenerate_model_rejected():
     graph, _ = two_cliques(5)
     with pytest.raises(DegenerateModelError):
