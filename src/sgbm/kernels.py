@@ -47,6 +47,7 @@ __all__ = [
 
 MAX_QUADRATURE_DIM = 3  # tensor grids beyond d=3 are a cost cliff
 DEFAULT_NODES_PER_DIM = 256
+_QUADRATURE_CHUNK = 2**22  # grid points sampled at once; about 32 MB of float64
 
 
 def _validate(kernel, in_range, message):
@@ -179,10 +180,12 @@ def _axis_rule(kernel, nodes_per_panel):
 def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
     """Quadrature estimates of F_hat for a whole batch of lattice indices.
 
-    ks is an (m, d) integer array.  The kernel is sampled once on the
-    tensor grid, then contracted axis by axis with exp(-2i pi k_j x);
-    rows sharing a leading index prefix share the partial contraction.
-    Cost grows like nodes^d, hence the d <= 3 cap.
+    ks is an (m, d) integer array.  The kernel is sampled on the tensor
+    grid, then contracted axis by axis with exp(-2i pi k_j x); rows
+    sharing a leading index prefix share the partial contraction.  Time
+    grows like nodes^d, hence the d <= 3 cap; memory stays near
+    _QUADRATURE_CHUNK points plus one nodes^(d-1) partial sum per
+    distinct leading index.
 
     nodes_per_dim=None picks the per-panel node count from the largest
     requested frequency: Gauss-Legendre needs node counts proportional
@@ -200,19 +203,33 @@ def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
     if nodes_per_dim < 16:
         raise ValueError("need at least 16 quadrature nodes per dimension")
     x, w = _axis_rule(kernel, nodes_per_dim)
-    d = kernel.d
-    axes = np.meshgrid(*([x] * d), indexing="ij")
-    dist = np.max(np.abs(np.stack(axes)), axis=0)
-    # fold the outer product of axis weights into the sampled values
-    weighted = kernel.profile(dist)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = len(w)
-        weighted = weighted * w.reshape(shape)
-
+    d, m = kernel.d, len(x)
     phases = {}  # per unique k entry: complex exponential over the axis nodes
     for kj in np.unique(ks):
         phases[kj] = np.exp(-2j * np.pi * kj * x)
+
+    # the first axis is contracted over chunks of its nodes, so at most about
+    # _QUADRATURE_CHUNK grid points are sampled at once; each distinct leading
+    # k keeps one running partial sum.  One chunk covers d <= 2 and small
+    # d = 3 grids.
+    leading = ks[:, 0]
+    partial = {}
+    rows_per_chunk = max(1, _QUADRATURE_CHUNK // m ** (d - 1))
+    for lo in range(0, m, rows_per_chunk):
+        chunk = slice(lo, lo + rows_per_chunk)
+        # l-infinity distance and the outer product of axis weights, by broadcasting
+        dist = np.abs(x[chunk]).reshape((-1,) + (1,) * (d - 1))
+        for axis in range(1, d):
+            dist = np.maximum(dist, np.abs(x).reshape(_axis_shape(d, axis)))
+        weighted = kernel.profile(dist)
+        for axis in range(d):
+            weighted = weighted * (w[chunk] if axis == 0 else w).reshape(_axis_shape(d, axis))
+        for val in np.unique(leading):
+            part = np.tensordot(phases[val][chunk], weighted, axes=([0], [0]))
+            if val in partial:
+                partial[val] += part
+            else:
+                partial[val] = part
 
     out = np.empty(len(ks))
 
@@ -226,8 +243,16 @@ def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
             sub = rows[leading == val]
             contract(np.tensordot(phases[val], tensor, axes=([0], [0])), sub, axis + 1)
 
-    contract(weighted, np.arange(len(ks)), 0)
+    for val, tensor in partial.items():
+        contract(tensor, np.flatnonzero(leading == val), 1)
     return out
+
+
+def _axis_shape(d, axis):
+    """Broadcast shape that lays a 1-D array of axis nodes along `axis` of d."""
+    shape = [1] * d
+    shape[axis] = -1
+    return shape
 
 
 def fourier_coeff_quadrature(kernel, k, nodes_per_dim):

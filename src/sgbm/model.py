@@ -104,12 +104,16 @@ _SM_MULT2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z):
-    z = np.asarray(z, dtype=np.uint64)
+    """splitmix64 finalizer, in place on a uint64 array, which it returns."""
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):  # modular arithmetic is the point
-        z = z + _SM_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _SM_MULT1
-        z = (z ^ (z >> np.uint64(27))) * _SM_MULT2
-    return z ^ (z >> np.uint64(31))
+        z += _SM_GAMMA
+        z ^= np.right_shift(z, 30, out=t)
+        z *= _SM_MULT1
+        z ^= np.right_shift(z, 27, out=t)
+        z *= _SM_MULT2
+        z ^= np.right_shift(z, 31, out=t)
+    return z
 
 
 def pair_uniform(seed, i, j):
@@ -121,11 +125,13 @@ def pair_uniform(seed, i, j):
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    counter = (lo << np.uint64(32)) | hi
-    bits = _mix64(_mix64(np.uint64(seed)) ^ counter)
-    return bits.astype(np.float64) * 2.0**-64
+    z = np.minimum(i, j)
+    z <<= np.uint64(32)
+    z |= np.maximum(i, j)
+    z ^= _mix64(np.array(seed, dtype=np.uint64))
+    u = _mix64(z).astype(np.float64)
+    u *= 2.0**-64
+    return u
 
 
 def sample_labelling(n, rng):
@@ -147,7 +153,7 @@ def sample_graph(params):
 
     Labels and positions come from a seeded numpy generator; each edge
     coin comes from pair_uniform, so the matrix does not depend on the
-    row-block size used below.
+    row-block size used below.  Only pairs j > i are evaluated.
     """
     n, d = params.n, params.d
     rng = np.random.default_rng(params.seed)
@@ -155,23 +161,30 @@ def sample_graph(params):
     positions = sample_positions(n, d, rng)
 
     adjacency = np.zeros((n, n), dtype=np.uint8)
-    rows = np.arange(n, dtype=np.uint64)
-    # about 2**16 pairs per block: each of the ~10 live (block, n) float64 or
-    # uint64 temporaries stays near 0.5 MB, which beats one n x n pass on
-    # both time and memory
-    block = max(1, min(n, 2**16 // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        disp = positions[start:stop, None, :] - positions[None, :, :]
-        disp = np.mod(disp + 0.5, 1.0) - 0.5
-        dist = np.max(np.abs(disp), axis=-1)
-        p_in = params.f_in.profile(dist)
-        p_out = params.f_out.profile(dist)
-        same = labels[start:stop, None] == labels[None, :]
-        prob = np.where(same, p_in, p_out)
-        u = pair_uniform(params.seed, rows[start:stop, None], rows[None, :])
-        upper = rows[None, :] > rows[start:stop, None]  # strict upper triangle only
-        adjacency[start:stop, :] = ((u < prob) & upper).astype(np.uint8)
+    ids = np.arange(n, dtype=np.uint64)
+    # a block is rows [start, stop) against columns start+1 .. n-1, about
+    # 2**16 pairs, so each of the ~10 live (rows, columns) float64 or uint64
+    # temporaries stays near 0.5 MB
+    start = 0
+    while start < n - 1:
+        stop = min(n - 1, start + max(1, 2**16 // (n - start - 1)))
+        rows, cols = slice(start, stop), slice(start + 1, n)
+        dist = None
+        for axis in range(d):
+            # torus wrap of the difference; x - floor(x) equals np.mod(x, 1.0)
+            # bit for bit here, since x lies in (-1/2, 3/2)
+            x = positions[rows, axis, None] - positions[None, cols, axis]
+            x += 0.5
+            x -= np.floor(x)
+            x -= 0.5
+            np.abs(x, out=x)
+            dist = x if dist is None else np.maximum(dist, x, out=dist)
+        same = labels[rows, None] == labels[None, cols]
+        prob = np.where(same, params.f_in.profile(dist), params.f_out.profile(dist))
+        edge = pair_uniform(params.seed, ids[rows, None], ids[None, cols]) < prob
+        edge &= ids[None, cols] > ids[rows, None]  # strict upper triangle only
+        adjacency[rows, cols] = edge
+        start = stop
     adjacency |= adjacency.T
     return Graph(n=n, adjacency=adjacency), labels, positions
 

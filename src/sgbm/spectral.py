@@ -326,12 +326,15 @@ def per_eigenvector_accuracy(spectrum, truth):
 
     Returns a list of (rank, accuracy) with rank 1 = largest eigenvalue.
     This is the profile that shows which harmonic carries the communities.
+    Truth labels must be 1 or 2.
     """
     truth = np.asarray(truth)
     n = spectrum.n
     if truth.shape != (n,):
         raise ValueError(f"truth has shape {truth.shape}, spectrum has n = {n}")
-    preds = np.where(spectrum.eigenvectors > 0, 1, 2)  # column per rank
-    mism = (preds != truth[:, None]).sum(axis=0)
+    if not np.all((truth == 1) | (truth == 2)):
+        raise ValueError("truth labels must be 1 or 2")
+    # positive entries predict label 1: a mismatch per node and rank, on booleans
+    mism = ((spectrum.eigenvectors > 0) != (truth == 1)[:, None]).sum(axis=0)
     losses = np.minimum(mism, n - mism) / n
     return [(rank + 1, float(1.0 - losses[rank])) for rank in range(n)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,7 +107,7 @@ def test_coeff_rejects_bad_index():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fourier_coeff_is_coefficient_table_row(d):
     """The single-index and batch paths agree bit for bit.  Waxman runs at
-    d <= 2 only: its d = 3 quadrature grid is 512^3 nodes, several GB."""
+    d <= 2 only: its default d = 3 grid is 512^3 nodes, about 5 s a call."""
     kerns = [Constant(0.35, d=d), Indicator(0.08, d=d), Indicator(0.17, d=d),
              Indicator(0.3, d=d)]
     if d <= 2:
@@ -185,6 +187,37 @@ def test_batch_grid_agrees_with_single_calls():
     batch = kernels.fourier_coeff_grid(kern, ks, 256)
     singles = [kernels.fourier_coeff_quadrature(kern, k, 256) for k in ks]
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+def test_chunked_quadrature_matches_one_chunk(monkeypatch):
+    """d = 3, 96 nodes per axis: one chunk by default, 7-row chunks with a
+    ragged last one when patched; several distinct leading indices."""
+    kern = Waxman(0.7, 2.0, d=3)
+    ks = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 2], [1, 1, 1], [-2, 3, 1], [5, 5, -7],
+                   [-2, 0, 4]])
+    whole = kernels.fourier_coeff_grid(kern, ks, 48)
+    monkeypatch.setattr(kernels, "_QUADRATURE_CHUNK", 7 * 96**2)
+    chunked = kernels.fourier_coeff_grid(kern, ks, 48)
+    assert not np.array_equal(chunked, whole)  # the sums really were split
+    assert np.allclose(chunked, whole, rtol=0, atol=1e-14)
+
+
+def test_waxman_edge_density_default_grid_at_d3():
+    """512^3 quadrature nodes in bounded memory, against the radial integral
+    of q exp(-s r) times the l-infinity radius density 24 r^2."""
+    kern = Waxman(0.7, 2.0, d=3)
+    x, w = np.polynomial.legendre.leggauss(64)
+    r = 0.25 * (x + 1.0)
+    radial = 0.25 * float(np.sum(w * 0.7 * np.exp(-2.0 * r) * 24.0 * r**2))
+    tracemalloc.start()
+    try:
+        density = kernels.fourier_coeff(kern, [0, 0, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density == pytest.approx(radial, rel=1e-5)
+    assert peak < 400e6
+    assert kernels.edge_density(kern) == density
 
 
 # --- convolution oracle ----------------------------------------------------

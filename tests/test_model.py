@@ -123,6 +123,27 @@ def test_pair_uniform_seed_sensitivity():
     assert abs(a[off].mean() - 0.5) < 0.02
 
 
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(z):
+    """splitmix64 finalizer on Python ints, reduced mod 2**64 by hand."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("i, j", [(0, 1), (5, 3), (2**32 - 2, 2**32 - 1)])
+def test_pair_uniform_matches_pure_python_splitmix64(seed, i, j):
+    lo, hi = min(i, j), max(i, j)
+    expected = _splitmix64(_splitmix64(seed) ^ ((lo << 32) | hi)) * 2.0**-64
+    assert model.pair_uniform(seed, i, j) == expected
+    assert model.pair_uniform(seed, j, i) == expected
+    assert model.pair_uniform(seed, np.array([i, j]), np.array([j, i])).tolist() == [expected] * 2
+
+
 # --- sample_graph -----------------------------------------------------------
 
 def test_deterministic_kernels_give_block_matching():
@@ -135,6 +156,25 @@ def test_deterministic_kernels_give_block_matching():
     assert np.all(deg == 1)
     i, j = np.nonzero(np.triu(graph.adjacency))
     assert np.all(labels[i] == labels[j])
+
+
+def test_probability_one_pair_still_draws_a_coin(monkeypatch):
+    """An edge needs u < p, so a coin of exactly 1.0 drops even a p = 1 pair."""
+    real = model.pair_uniform
+
+    def coin_one_for_first_pair(seed, i, j):
+        u = np.array(real(seed, i, j))
+        i, j = np.broadcast_arrays(i, j)
+        u[((i == 0) & (j == 1)) | ((i == 1) & (j == 0))] = 1.0
+        return u
+
+    monkeypatch.setattr(model, "pair_uniform", coin_one_for_first_pair)
+    params = SgbmParams(n=4, d=1, f_in=kernels.Constant(1.0),
+                        f_out=kernels.Constant(1.0), seed=0)
+    graph, _, _ = model.sample_graph(params)
+    expected = np.ones((4, 4), dtype=np.uint8) - np.eye(4, dtype=np.uint8)
+    expected[0, 1] = expected[1, 0] = 0
+    assert np.array_equal(graph.adjacency, expected)
 
 
 def test_all_zero_kernel_gives_empty_graph():
@@ -221,12 +261,14 @@ def single_block_adjacency(params):
 ], ids=["constant", "indicator", "waxman"])
 def test_sample_graph_matches_single_block_reference(make_kernels, d):
     f_in, f_out = make_kernels(d)
-    for n in (300, 1000):  # both leave a ragged last row block
+    # n = 2 is a single pair; 130 is one block; 300 and 1000 end in a ragged block
+    for n in (2, 4, 130, 300, 1000):
         for seed in (0, 1, 2):
             params = SgbmParams(n=n, d=d, f_in=f_in, f_out=f_out, seed=seed)
             graph, labels, positions = model.sample_graph(params)
             adjacency, ref_labels, ref_positions = single_block_adjacency(params)
-            assert 0 < graph.edge_count() < n * (n - 1) // 2
+            if n > 4:  # a few pairs may all land on one side by chance
+                assert 0 < graph.edge_count() < n * (n - 1) // 2
             assert np.array_equal(graph.adjacency, adjacency)
             assert np.array_equal(labels, ref_labels)
             assert np.array_equal(positions, ref_positions)

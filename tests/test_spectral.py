@@ -612,6 +612,27 @@ def test_profile_length_mismatch():
         spectral.per_eigenvector_accuracy(spec, [1, 2])
 
 
+def test_profile_matches_label_mismatch_formula():
+    params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=4)
+    graph, truth, _ = model.sample_graph(params)
+    spec = spectral.eigendecompose(graph)
+    mism = (np.where(spec.eigenvectors > 0, 1, 2) != truth[:, None]).sum(axis=0)
+    expected = [(rank + 1, float(1.0 - min(m, 200 - m) / 200)) for rank, m in enumerate(mism)]
+    assert spectral.per_eigenvector_accuracy(spec, truth) == expected
+    assert spectral.per_eigenvector_accuracy(spec, truth.astype(np.int64)) == expected
+
+
+@pytest.mark.parametrize("bad", [0, 3, -1])
+def test_profile_rejects_labels_other_than_1_and_2(bad):
+    graph, truth = two_cliques(4)
+    spec = spectral.eigendecompose(graph)
+    truth = truth.copy()
+    truth[5] = bad
+    with pytest.raises(ValueError, match="1 or 2"):
+        spectral.per_eigenvector_accuracy(spec, truth)
+
+
 def test_profile_peak_is_informative_not_fiedler(sparse_gbm_ensemble):
     """The best rank is never 2 at n=2000, r_in=0.08, r_out=0.02.
 
