@@ -12,7 +12,6 @@ to a separate timings.csv: a timing column inside the results table
 would break rerun-identity for no analytical gain.
 """
 
-import ctypes
 import os
 import time
 from contextlib import contextmanager
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
 from .kernels import Indicator, Waxman, edge_density, kernel_to_config
 from .model import SgbmParams, _mix64, sample_graph, write_labels
 from .spectral import (
@@ -276,32 +276,11 @@ def _run_cell(config, grid_index, point, seed):
     return rows
 
 
-# (get, set) symbol names: numpy >= 2 wheels' scipy-openblas, then system OpenBLAS
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
 def _blas_thread_controls():
-    """(get, set) for the thread count of the OpenBLAS that eigh uses, or None.
-
-    dlsym on numpy's linalg extension also searches the libraries it
-    links, so the library is found without knowing its path.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return None
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        try:
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+    """(get, set) for the thread count of the OpenBLAS that eigh uses, or None."""
+    get = _openblas.function("openblas_get_num_threads")
+    put = _openblas.function("openblas_set_num_threads")
+    return None if get is None or put is None else (get, put)
 
 
 @contextmanager
@@ -557,8 +536,8 @@ def write_meta(path, config_echo, workers=1):
         f"blas: {_blas_name()}",
         f"blas_threads: {threads}",
         # how _run_cell solves: spectral.PartialSpectrum
-        "eigensolver: eigvalsh + one inverse-iteration solve per eigenvector used "
-        "(eigh where that eigenvalue is repeated)",
+        "eigensolver: dsytrd + dsterf; dstein + dormtr per eigenvector used "
+        "(eigh where repeated or LAPACK unavailable)",
         "config:",
     ]
     lines += [f"  {key} = {value}" for key, value in sorted(config_echo.items())]

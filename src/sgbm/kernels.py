@@ -23,7 +23,10 @@ Constant and Indicator coefficients have closed forms, Indicator's being
 quadrature.  The quadrature is composite: the integration axis is split
 at the breakpoints so that each panel sees an analytic integrand.  Plain
 Gauss-Legendre across a jump stalls near 1e-3 accuracy no matter the
-node count.
+node count.  At d >= 2 the tensor grid's integrand still has kinks on
+the diagonals |x_a| = |x_b|, where it converges only like nodes^-2
+(about 1e-6 at the default grid), so Waxman's F_hat(0) there comes from
+a 1-D rule over the radius instead.
 """
 
 from dataclasses import astuple, dataclass, fields
@@ -124,7 +127,17 @@ class Waxman:
         # unchanged, so only the canonical rows are integrated
         canon = np.sort(np.abs(ks), axis=1)
         unique, inverse = np.unique(canon, axis=0, return_inverse=True)
-        return fourier_coeff_grid(self, unique)[inverse.ravel()]
+        values = np.empty(len(unique))
+        rest = slice(0, None)
+        if self.d >= 2 and len(unique) and not unique[0].any():
+            # F_hat(0), the first canonical row, by the radial rule: the tensor
+            # grid is not split at the kinks of the l-infinity norm on the
+            # diagonals.  d = 1 keeps the grid's value, which the radial rule
+            # matches only to roundoff.
+            values[0] = _radial_mean(self)
+            rest = slice(1, None)
+        values[rest] = fourier_coeff_grid(self, unique[rest])
+        return values[inverse.ravel()]
 
     def breakpoints(self):
         if self.q > 1.0 and self.s > 0.0:
@@ -177,6 +190,23 @@ def _axis_rule(kernel, nodes_per_panel):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _radial_mean(kernel):
+    """F_hat(0) = integral over [0, 1/2] of F(r) d 2^d r^(d-1) dr.
+
+    d 2^d r^(d-1) is the density of the l-infinity norm of a uniform
+    point of the torus.  The Gauss-Legendre panels split at the
+    breakpoints, so each sees an analytic integrand.
+    """
+    base_x, base_w = np.polynomial.legendre.leggauss(DEFAULT_NODES_PER_DIM)
+    edges = [0.0, *kernel.breakpoints(), 0.5]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        r = 0.5 * (lo + hi) + half * base_x
+        total += half * float(np.sum(base_w * kernel.profile(r) * r ** (kernel.d - 1)))
+    return kernel.d * 2.0**kernel.d * total
+
+
 def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
     """Quadrature estimates of F_hat for a whole batch of lattice indices.
 
@@ -202,6 +232,8 @@ def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
         nodes_per_dim = max(DEFAULT_NODES_PER_DIM, 3 * kmax)
     if nodes_per_dim < 16:
         raise ValueError("need at least 16 quadrature nodes per dimension")
+    if not len(ks):
+        return np.empty(0)
     x, w = _axis_rule(kernel, nodes_per_dim)
     d, m = kernel.d, len(x)
     phases = {}  # per unique k entry: complex exponential over the axis nodes

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
+
 __all__ = [
     "Spectrum",
     "PartialSpectrum",
@@ -51,11 +53,11 @@ class DegenerateModelError(ValueError):
 
 # Both tolerances are relative to the spectral radius max(|lambda_1|, |lambda_n|, 1).
 # A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * radius;
-# LAPACK's eigenvectors and one inverse-iteration step both reach about
-# 1e-15 * radius * sqrt(n).
+# eigh's eigenvectors and those from inverse iteration on the tridiagonal form
+# both reach about 1e-15 * radius * sqrt(n).
 _RESIDUAL_RTOL = 1e-9
-# Below this distance to the nearest other eigenvalue, one inverse-iteration
-# solve cannot single out one eigenvector (a repeated eigenvalue).
+# Below this distance to the nearest other eigenvalue, inverse iteration
+# cannot single out one eigenvector (a repeated eigenvalue).
 _GAP_RTOL = 1e-8
 
 
@@ -116,31 +118,49 @@ class Spectrum:
 class PartialSpectrum:
     """Every eigenvalue; an eigenvector only when one is asked for.
 
-    The eigenvalues come from eigvalsh, sorted descending as in Spectrum.
-    eigenvector(rank) makes one inverse-iteration solve,
-    (A - lambda I) x = b from a fixed-seed b: lambda is exact to roundoff,
-    so the solve magnifies the wanted eigenvector over every other one by
-    about gap / roundoff (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4).  Vectors are cached by rank, and every solve shifts the
-    diagonal of one float64 copy of A in place.
+    The constructor reduces one float64 copy of A to tridiagonal form,
+    T = Q^T A Q (LAPACK dsytrd, in place: the copy then holds the
+    Householder reflectors of Q), and takes every eigenvalue of T with
+    dsterf.  For eigenvalues alone, eigvalsh's dsyevd makes the same two
+    calls, so the eigenvalues equal eigvalsh's bit for bit; they are
+    sorted descending as in Spectrum.  eigenvector(rank) isolates the one
+    eigenvalue of T by bisection (dstebz), takes its eigenvector by
+    inverse iteration on T (dstein, O(n)) and maps it back through the
+    reflectors (dormtr, O(n^2)): the dsyevx pipeline (LAPACK Users'
+    Guide, section 2.4.4; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4).  Vectors are cached by rank.
 
-    When the gap to the nearest other eigenvalue is too small for that (a
-    repeated eigenvalue), or the shifted matrix is singular, the spectrum
-    falls back to eigendecompose: from then on its eigenvalues and
-    eigenvectors are the full solve's, so results are the full path's.
+    When the gap to the nearest other eigenvalue is too small for inverse
+    iteration to single out one vector (a repeated eigenvalue), when a
+    LAPACK call reports failure or returns a non-finite vector, or when
+    numpy's OpenBLAS does not export these routines, the spectrum falls
+    back to eigendecompose: from then on its eigenvalues and eigenvectors
+    are the full solve's, so results are the full path's.
     """
 
     def __init__(self, graph):
         if graph.n < 2:
             raise ValueError("need at least two nodes")
         self.graph = graph
-        self._matrix = graph.dense()
-        try:
-            self.eigenvalues = np.linalg.eigvalsh(self._matrix)[::-1]
-        except np.linalg.LinAlgError as exc:
-            raise EigendecompositionError(str(exc)) from exc
         self._vectors = {}
         self._full = None
+        self._lapack = _openblas.lapack()
+        if self._lapack is None:
+            self._fall_back()
+            return
+        n = graph.n
+        # A is symmetric, so its C-order copy read in Fortran order is A itself
+        self._reflectors = graph.dense()
+        self._d, self._e, self._tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        info = self._lapack["dsytrd"](_openblas.COL_MAJOR, b"L", n, self._reflectors, n,
+                                      self._d, self._e, self._tau)
+        eigenvalues = self._d.copy()
+        if info == 0:
+            info = self._lapack["dsterf"](n, eigenvalues, self._e.copy())
+        if info != 0:
+            self._fall_back()
+            return
+        self.eigenvalues = eigenvalues[::-1]
 
     @property
     def n(self):
@@ -154,28 +174,38 @@ class PartialSpectrum:
             value = float(self.eigenvalues[rank - 1])
             radius = _radius(self.eigenvalues)
             pinned = _gap(self.eigenvalues, rank - 1) > _GAP_RTOL * radius
-            x = self._shifted_solve(value) if pinned else None
+            x = self._tridiagonal_vector(rank) if pinned else None
             if x is None:
-                self._full = eigendecompose(self.graph)
-                self.eigenvalues = self._full.eigenvalues
-                self._matrix = None
+                self._fall_back()
                 return self._full.eigenvector(rank)
-            self._vectors[rank] = _checked(self._matrix, value, x / np.linalg.norm(x), radius)
+            self._vectors[rank] = _checked(self.graph.adjacency, value, x, radius)
         return self._vectors[rank]
 
-    def _shifted_solve(self, value):
-        """x with (A - value I) x = b, or None when the matrix is singular."""
-        a = self._matrix
-        diagonal = a.diagonal().copy()
-        start = np.random.default_rng(0).standard_normal(len(diagonal))
-        np.fill_diagonal(a, diagonal - value)
-        try:
-            x = np.linalg.solve(a, start)
-        except np.linalg.LinAlgError:
+    def _tridiagonal_vector(self, rank):
+        """Unit eigenvector of A at the rank-th largest eigenvalue, or None
+        when a LAPACK call reports failure or the vector is not finite."""
+        lapack, n = self._lapack, self.n
+        index = n - rank + 1  # dstebz counts from the smallest eigenvalue, from 1
+        found, blocks = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        value = np.zeros(n)  # LAPACKE checks all n entries for NaN in dstein
+        block, split = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        info = lapack["dstebz"](b"I", b"B", n, 0.0, 0.0, index, index, 0.0, self._d, self._e,
+                                found, blocks, value, block, split)
+        if info != 0 or found[0] != 1:
             return None
-        finally:
-            np.fill_diagonal(a, diagonal)
-        return x if np.all(np.isfinite(x)) else None
+        vector, failed = np.zeros(n), np.zeros(1, np.int64)
+        info = lapack["dstein"](_openblas.COL_MAJOR, n, self._d, self._e, 1, value, block, split,
+                                vector, n, failed)
+        if info == 0:
+            info = lapack["dormtr"](_openblas.COL_MAJOR, b"L", b"L", b"N", n, 1,
+                                    self._reflectors, n, self._tau, vector, n)
+        return vector if info == 0 and np.all(np.isfinite(vector)) else None
+
+    def _fall_back(self):
+        """Take every eigenpair from eigendecompose from now on."""
+        self._full = eigendecompose(self.graph)
+        self.eigenvalues = self._full.eigenvalues
+        self._reflectors = None
 
 
 @dataclass

@@ -568,8 +568,8 @@ def test_meta_sidecar(tmp_path):
     harness.write_meta(path, {"model.n": 100, "run.seed": 1}, workers=2)
     text = path.read_text()
     assert "numpy:" in text
-    assert ("eigensolver: eigvalsh + one inverse-iteration solve per eigenvector used "
-            "(eigh where that eigenvalue is repeated)\n") in text
+    assert ("eigensolver: dsytrd + dsterf; dstein + dormtr per eigenvector used "
+            "(eigh where repeated or LAPACK unavailable)\n") in text
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -3,7 +3,8 @@ scipy.linalg unloaded.
 
 scipy.sparse and scipy.sparse.csgraph are most of a fresh process's
 start-up cost, and only harness.motif_baseline uses them, so they load
-there.  The eigensolvers are numpy's, so no path loads scipy.linalg.
+there.  The eigensolvers are the LAPACK numpy loads, called through numpy
+or ctypes, so no path loads scipy.linalg.
 Each check runs in its own interpreter, since this test session may
 have loaded them already.
 """
@@ -86,3 +87,11 @@ assert len(motif) == 1 and motif[0].accuracy is not None, motif
 assert not motif[0].note.startswith("error:"), motif[0].note
 assert {SPARSE_LOADED}
 """, tmp_path)
+
+
+def test_import_opens_no_lapack(tmp_path):
+    """sgbm._openblas opens numpy's OpenBLAS, and imports numpy.ctypeslib to
+    bind it, on first use, not on import."""
+    run_fresh("import sgbm\nfrom sgbm import _openblas\n"
+              "assert _openblas._library.cache_info().currsize == 0\n"
+              "assert 'numpy.ctypeslib' not in sys.modules\n", tmp_path)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -203,8 +204,9 @@ def test_chunked_quadrature_matches_one_chunk(monkeypatch):
 
 
 def test_waxman_edge_density_default_grid_at_d3():
-    """512^3 quadrature nodes in bounded memory, against the radial integral
-    of q exp(-s r) times the l-infinity radius density 24 r^2."""
+    """The default F_hat(0) path at d = 3 in bounded memory, against the
+    radial integral of q exp(-s r) times the l-infinity radius density
+    24 r^2."""
     kern = Waxman(0.7, 2.0, d=3)
     x, w = np.polynomial.legendre.leggauss(64)
     r = 0.25 * (x + 1.0)
@@ -215,9 +217,36 @@ def test_waxman_edge_density_default_grid_at_d3():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert density == pytest.approx(radial, rel=1e-5)
+    assert density == pytest.approx(radial, rel=1e-13)
     assert peak < 400e6
     assert kernels.edge_density(kern) == density
+
+
+def waxman_density_closed_form(q, s, d):
+    """F_hat(0) of Waxman(q, s) at integer d in elementary functions: (2c)^d
+    inside the clip radius c, plus the integral of q e^(-sr) d 2^d r^(d-1)
+    over [c, 1/2], where the integral of r^m e^(-sr) from a to b is
+    m! / s^(m+1) (P(a) - P(b)) with P(x) = e^(-sx) sum_{j<=m} (sx)^j / j!."""
+    c = min(max(math.log(q) / s, 0.0), 0.5)
+    m = d - 1
+
+    def p(x):
+        return math.exp(-s * x) * sum((s * x) ** j / math.factorial(j) for j in range(m + 1))
+
+    return (2 * c) ** d + q * d * 2**d * math.factorial(m) / s ** (m + 1) * (p(c) - p(0.5))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q,s", [(0.7, 2.0), (1.6, 3.0), (1.3, 5.0), (0.45, 1.0)])
+def test_waxman_edge_density_matches_closed_form(q, s, d):
+    """d >= 2 takes the radial rule, exact to roundoff (the tensor grid was
+    off by about 1e-6 there; Waxman(1.6, 3.0, d=3) took 48 s on it).  d = 1
+    keeps the grid value bit for bit."""
+    kern = Waxman(q, s, d=d)
+    assert kernels.edge_density(kern) == pytest.approx(waxman_density_closed_form(q, s, d),
+                                                       rel=1e-13)
+    if d == 1:
+        assert kernels.edge_density(kern) == kernels.fourier_coeff_quadrature(kern, [0], 256)
 
 
 # --- convolution oracle ----------------------------------------------------

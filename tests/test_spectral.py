@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgbm import cli, harness, kernels, model, spectral
+from sgbm import _openblas, cli, harness, kernels, model, spectral
 from sgbm.model import Graph, SgbmParams
 from sgbm.spectral import DegenerateModelError, EigendecompositionError, Spectrum
 
@@ -23,6 +23,10 @@ def test_single_edge_spectrum():
     a = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     spec = spectral.eigendecompose(Graph(n=2, adjacency=a))
     assert np.allclose(spec.eigenvalues, [1.0, -1.0], atol=1e-12)
+    partial = spectral.PartialSpectrum(Graph(n=2, adjacency=a))
+    assert np.allclose(partial.eigenvector(1), [0.5**0.5, 0.5**0.5], atol=1e-15)
+    assert np.allclose(partial.eigenvector(2), [0.5**0.5, -(0.5**0.5)], atol=1e-15)
+    assert partial._full is None  # the tridiagonal path, at its smallest size
 
 
 def test_two_disjoint_edges_spectrum():
@@ -316,6 +320,82 @@ def test_sign_rule_gives_the_same_labels_on_both_paths():
         assert np.array_equal(labels, spectral.sign_partition(full.eigenvector))
 
 
+def kernel_pair(kind, d):
+    return {"indicator": (kernels.Indicator(0.2, d=d), kernels.Indicator(0.05, d=d)),
+            "waxman": (kernels.Waxman(1.6, 3.0, d=d), kernels.Waxman(0.5, 3.0, d=d)),
+            "constant": (kernels.Constant(0.9, d=d), kernels.Constant(0.1, d=d))}[kind]
+
+
+def assert_matches_full_solve(graph, partial, lambda_star, ranks=(2,)):
+    """The selected pair and each rank in ranks equal eigendecompose's:
+    vectors under the sign rule to 1e-10, with the same sign partition."""
+    full = spectral.eigendecompose(graph)
+    got, want = (spectral.select_eigenpair(s, lambda_star) for s in (partial, full))
+    assert got.selected_index == want.selected_index
+    pairs = [(got.eigenvector, want.eigenvector)]
+    pairs += [(partial.eigenvector(rank), full.eigenvector(rank)) for rank in ranks]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-10
+        assert np.array_equal(spectral.sign_partition(got), spectral.sign_partition(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 130, 1000])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["indicator", "waxman", "constant"])
+def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
+    f_in, f_out = kernel_pair(kind, d)
+    # the sampler takes even n only: an odd n is the leading block of n + 1
+    params = SgbmParams(n=n + n % 2, d=d, f_in=f_in, f_out=f_out, seed=n)
+    graph = Graph(n=n, adjacency=model.sample_graph(params)[0].adjacency[:n, :n].copy())
+    partial = spectral.PartialSpectrum(graph)
+    assert np.array_equal(partial.eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
+    lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
+                                            kernels.edge_density(f_out), n)
+    assert_matches_full_solve(graph, partial, lambda_star)
+
+
+def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
+    """Two components of 70 and 130 nodes: the tridiagonal form splits,
+    and dstebz reports more than one block."""
+    a = np.zeros((200, 200), dtype=np.uint8)
+    for lo, hi, seed in ((0, 70, 0), (70, 200, 1)):
+        params = SgbmParams(n=hi - lo, d=1, f_in=kernels.Indicator(0.2),
+                            f_out=kernels.Indicator(0.05), seed=seed)
+        a[lo:hi, lo:hi] = model.sample_graph(params)[0].adjacency
+    graph = Graph(n=200, adjacency=a)
+    blocks = []
+
+    def recording(*args):
+        info = real["dstebz"](*args)
+        blocks.append(int(args[11][0]))  # nsplit
+        return info
+
+    real = patch_lapack(monkeypatch, dstebz=recording)
+    partial = spectral.PartialSpectrum(graph)
+    assert np.array_equal(partial.eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
+    assert_matches_full_solve(graph, partial, spectral.ideal_eigenvalue(0.4, 0.1, 200),
+                              ranks=range(1, 11))
+    assert partial._full is None and len(blocks) >= 10 and min(blocks) > 1
+
+
+def test_without_lapack_the_partial_spectrum_is_the_full_solve(monkeypatch):
+    params = SgbmParams(n=300, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=5)
+    graph, _, _ = model.sample_graph(params)
+    full = spectral.eigendecompose(graph)
+    monkeypatch.setattr(_openblas, "lapack", lambda: None)
+    calls = count_full_solves(monkeypatch)
+    partial = spectral.PartialSpectrum(graph)
+    assert calls == [300]  # at construction
+    assert np.array_equal(partial.eigenvalues, full.eigenvalues)
+    lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 300)
+    got, want = (spectral.select_eigenpair(s, lambda_star) for s in (partial, full))
+    assert got.selected_index == want.selected_index
+    assert np.array_equal(got.eigenvector, want.eigenvector)
+    assert np.array_equal(partial.eigenvector(2), full.eigenvector(2))
+    assert calls == [300]
+
+
 def count_full_solves(monkeypatch):
     calls = []
     solve = spectral.eigendecompose
@@ -368,22 +448,41 @@ def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda
     assert calls == [graph.n]  # the full solve is kept, not repeated
 
 
-def test_singular_shifted_solve_falls_back_to_full_solve(monkeypatch):
+def patch_lapack(monkeypatch, **stand_ins):
+    """PartialSpectrum objects built from now on call the stand-ins in place
+    of the LAPACK routines of those names; returns the real routines."""
+    real = _openblas.lapack()
+    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, **stand_ins})
+    return real
+
+
+def failing_routine(*args):
+    return 1  # a LAPACK info > 0: no convergence
+
+
+def nan_dormtr(*args):
+    """Stands in for dormtr with a vector that is not finite."""
+    args[9][:] = np.nan
+    return 0
+
+
+def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=1)
     graph, _, _ = model.sample_graph(params)
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 200)
     reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
 
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    calls = count_full_solves(monkeypatch)
-    report = spectral.select_eigenpair(spectral.PartialSpectrum(graph), lambda_star)
-    assert calls == [200]
-    assert report.selected_index == reference.selected_index
-    assert np.array_equal(report.eigenvector, reference.eigenvector)
+    for name, stand_in in [("dsytrd", failing_routine), ("dsterf", failing_routine),
+                           ("dstebz", failing_routine), ("dstein", failing_routine),
+                           ("dormtr", failing_routine), ("dormtr", nan_dormtr)]:
+        with monkeypatch.context() as patch:
+            patch_lapack(patch, **{name: stand_in})
+            calls = count_full_solves(patch)
+            report = spectral.select_eigenpair(spectral.PartialSpectrum(graph), lambda_star)
+        assert calls == [200], (name, stand_in)
+        assert report.selected_index == reference.selected_index
+        assert np.array_equal(report.eigenvector, reference.eigenvector)
 
 
 def test_partial_spectrum_solves_each_rank_once(monkeypatch):
@@ -391,27 +490,28 @@ def test_partial_spectrum_solves_each_rank_once(monkeypatch):
                         f_out=kernels.Indicator(0.05), seed=2)
     graph, _, _ = model.sample_graph(params)
     solves = []
-    solve = np.linalg.solve
 
-    def counted(a, b):
-        solves.append(a.shape)
-        return solve(a, b)
+    def counted(*args):
+        solves.append(args[1])  # n
+        return real["dstein"](*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    real = patch_lapack(monkeypatch, dstein=counted)
     partial = spectral.PartialSpectrum(graph)
-    before = graph.dense()
+    before = partial._reflectors.copy()
     first = partial.eigenvector(4)
     assert partial.eigenvector(4) is first
     partial.eigenvector(2)
-    assert solves == [(200, 200), (200, 200)]
-    assert np.array_equal(partial._matrix, before)  # the shifted diagonal is restored
+    assert solves == [200, 200]
+    # dormtr may write to the reflectors while it runs; it must restore them
+    assert np.array_equal(partial._reflectors, before)
     with pytest.raises(ValueError):
         spectral.PartialSpectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
 
 
-def garbage_solve(a, b):
-    """Stands in for np.linalg.solve with an answer that is no eigenvector."""
-    return np.random.default_rng(1).standard_normal(len(b))
+def garbage_dormtr(*args):
+    """Stands in for dormtr with an answer that is no eigenvector."""
+    args[9][:] = np.random.default_rng(1).standard_normal(len(args[9]))
+    return 0
 
 
 def test_residual_check_on_both_paths(monkeypatch):
@@ -424,13 +524,13 @@ def test_residual_check_on_both_paths(monkeypatch):
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=3)
     graph, _, _ = model.sample_graph(params)
-    monkeypatch.setattr(np.linalg, "solve", garbage_solve)
+    patch_lapack(monkeypatch, dormtr=garbage_dormtr)
     with pytest.raises(EigendecompositionError, match="residual"):
         spectral.hosc(graph, 0.4, 0.1)
 
 
 def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(np.linalg, "solve", garbage_solve)
+    patch_lapack(monkeypatch, dormtr=garbage_dormtr)
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05))
     config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
