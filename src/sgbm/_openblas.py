@@ -19,6 +19,8 @@ from functools import cache
 import numpy as np
 
 COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
+# the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
+MEMORY_ERRORS = (-1010, -1011)
 
 _LAPACK = ("dsytrd", "dsterf", "dstebz", "dstein", "dormtr")
 
@@ -38,6 +40,9 @@ def _signatures():
     return {
         "openblas_get_num_threads": ([], ctypes.c_int),
         "openblas_set_num_threads": ([ctypes.c_int], None),
+        # layout, jobz, uplo, n, a, lda, w
+        "LAPACKE_dsyevd": ([layout, char, char, lapack_int, doubles, lapack_int, doubles],
+                           lapack_int),
         # layout, uplo, n, a, lda, d, e, tau
         "LAPACKE_dsytrd": ([layout, char, lapack_int, doubles, lapack_int, doubles, doubles,
                             doubles], lapack_int),

@@ -294,8 +294,12 @@ def fourier_coeff_quadrature(kernel, k, nodes_per_dim):
 
 @lru_cache
 def edge_density(kernel):
-    """Mean edge probability, F_hat(0), within [0, 1].  Memoised: kernels are frozen and finite."""
-    return fourier_coeff(kernel, np.zeros(kernel.d, dtype=int))
+    """Mean edge probability, F_hat(0), within [0, 1].  Memoised: kernels are frozen and finite.
+
+    Clipped to [0, 1]: where F = 1 everywhere (a Waxman kernel clipped
+    beyond 1/2), the quadrature weights sum to 1 only to roundoff.
+    """
+    return min(1.0, max(0.0, fourier_coeff(kernel, np.zeros(kernel.d, dtype=int))))
 
 
 def convolution_at_zero(kernels, grid_points_per_dim):

@@ -64,7 +64,10 @@ class Graph:
             raise ValueError(f"adjacency shape {a.shape} does not match n = {self.n}")
 
     def dense(self):
-        """Adjacency as float64, the form the eigensolver wants."""
+        """Adjacency as float64, the form the eigensolvers want: a fresh n x n
+        copy on every call, which eigendecompose and PartialSpectrum each
+        overwrite in place (dsyevd, dsytrd) as the one n x n array of their
+        solve.  Residual checks read the uint8 adjacency, not this."""
         return self.adjacency.astype(np.float64)
 
     def edge_count(self):

@@ -53,7 +53,7 @@ class DegenerateModelError(ValueError):
 
 # Both tolerances are relative to the spectral radius max(|lambda_1|, |lambda_n|, 1).
 # A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * radius;
-# eigh's eigenvectors and those from inverse iteration on the tridiagonal form
+# dsyevd's eigenvectors and those from inverse iteration on the tridiagonal form
 # both reach about 1e-15 * radius * sqrt(n).
 _RESIDUAL_RTOL = 1e-9
 # Below this distance to the nearest other eigenvalue, inverse iteration
@@ -82,9 +82,20 @@ def _oriented(vector):
     return vector if vector[first] > 0 else -vector
 
 
-def _checked(matrix, value, vector, radius):
-    """vector under the sign rule, once ||A v - value v|| passes; else raise."""
-    residual = float(np.linalg.norm(matrix @ vector - value * vector))
+def _checked(adjacency, value, vector, radius):
+    """vector under the sign rule, once ||A v - value v|| passes; else raise.
+
+    A v is taken a block of rows at a time, about 2**16 entries each, so
+    the uint8 adjacency is cast to float64 half a megabyte at a time, not
+    as one n x n temporary.
+    """
+    n = len(vector)
+    rows = max(1, 2**16 // n)
+    difference = np.empty(n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        difference[block] = adjacency[block] @ vector - value * vector[block]
+    residual = float(np.linalg.norm(difference))
     if not residual <= _RESIDUAL_RTOL * radius:
         raise EigendecompositionError(
             f"eigenvector at eigenvalue {value:.6g} has residual {residual:.3g}, "
@@ -203,9 +214,9 @@ class PartialSpectrum:
 
     def _fall_back(self):
         """Take every eigenpair from eigendecompose from now on."""
+        self._reflectors = None  # freed first: the full solve needs its own n x n copy
         self._full = eigendecompose(self.graph)
         self.eigenvalues = self._full.eigenvalues
-        self._reflectors = None
 
 
 @dataclass
@@ -221,15 +232,32 @@ class SelectionReport:
 def eigendecompose(graph):
     """Full symmetric eigendecomposition, eigenvalues sorted descending.
 
-    The arrays are reversed views of eigh's output, not copies.
+    LAPACK dsyevd (jobz V, uplo L), the routine numpy's eigh runs, works
+    in place on the one float64 copy of A: A is symmetric, so the C-order
+    copy is valid column-major input, and on return it holds the
+    eigenvectors column-major, ascending.  The arrays returned are
+    reversed views of it, not copies, so the solve holds one n x n array
+    beside dsyevd's own workspace.  Where numpy's OpenBLAS does not export
+    LAPACKE_dsyevd, eigh computes the same pairs from a second copy.
     """
     if graph.n < 2:
         raise ValueError("need at least two nodes")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(graph.dense())
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(str(exc)) from exc
-    # eigh returns ascending order
+    n, a = graph.n, graph.dense()
+    dsyevd = _openblas.function("LAPACKE_dsyevd")
+    if dsyevd is None:
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionError(str(exc)) from exc
+    else:
+        eigenvalues = np.empty(n)
+        info = dsyevd(_openblas.COL_MAJOR, b"V", b"L", n, a, n, eigenvalues)
+        if info in _openblas.MEMORY_ERRORS:
+            raise MemoryError(f"LAPACKE_dsyevd could not allocate its workspace (info {info})")
+        if info != 0:
+            raise EigendecompositionError(f"Eigenvalues did not converge (dsyevd info {info})")
+        eigenvectors = a.T  # column-major: row i of a pairs with eigenvalues[i]
+    # ascending order from both solvers
     return Spectrum(eigenvalues=eigenvalues[::-1], eigenvectors=eigenvectors[:, ::-1],
                     graph=graph)
 

@@ -154,6 +154,21 @@ def test_edge_density_values():
     assert kernels.edge_density(Indicator(0.1, d=2)) == pytest.approx(0.04, abs=1e-15)
 
 
+def test_edge_density_of_a_saturated_waxman_is_one():
+    """ln(2) / 0.5 lies beyond 1/2, so F = 1 on the whole torus; the
+    quadrature alone overshoots to 1.0000000000000002 at d = 1."""
+    assert kernels.edge_density(Waxman(2.0, 0.5)) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(kern=st.one_of(
+    st.builds(Constant, st.floats(0.0, 1.0), st.sampled_from([1, 2])),
+    st.builds(Indicator, st.floats(1e-6, 0.5, exclude_max=True), st.sampled_from([1, 2])),
+    st.builds(Waxman, st.floats(1e-3, 50.0), st.floats(0.0, 50.0), st.sampled_from([1, 2]))))
+def test_edge_density_is_a_probability(kern):
+    assert 0.0 <= kernels.edge_density(kern) <= 1.0
+
+
 # --- spectrum of coefficients: evenness, domination, decay ----------------
 
 @settings(max_examples=40, deadline=None)

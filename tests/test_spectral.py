@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,9 +61,94 @@ def test_spectrum_residual_and_orthonormality():
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(gram - np.eye(graph.n)).max() <= 1e-8
     assert spec.n == 300
-    # reversed views of eigh's output, not copies
+    # reversed views of dsyevd's output, not copies
     assert spec.eigenvalues.strides[0] < 0 and not spec.eigenvalues.flags.owndata
     assert spec.eigenvectors.strides[1] < 0 and not spec.eigenvectors.flags.owndata
+
+
+def sampled_graph(n, seed=0):
+    params = SgbmParams(n=n, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=seed)
+    return model.sample_graph(params)[0]
+
+
+def dsyevd_stand_in(routine):
+    """_openblas.function, with LAPACKE_dsyevd replaced by routine (None: not exported)."""
+    real = _openblas.function
+    return lambda name: routine if name == "LAPACKE_dsyevd" else real(name)
+
+
+def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, capsys):
+    graph = sampled_graph(200)
+    # info > 0: no convergence
+    monkeypatch.setattr(_openblas, "function", dsyevd_stand_in(lambda *args: 3))
+    with pytest.raises(EigendecompositionError, match="did not converge"):
+        spectral.eigendecompose(graph)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
+    model.write_labels(tmp_path / "labels.txt", np.ones(200, dtype=np.int8))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
+                   "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
+                   f"run.graph = {tmp_path / 'edges.txt'}\n"
+                   f"run.labels = {tmp_path / 'labels.txt'}\n")
+    assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "eigensolver failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("info", [-1010, -1011])  # LAPACKE's work and transpose memory errors
+def test_eigendecompose_allocation_failure_is_a_memory_error(monkeypatch, info):
+    monkeypatch.setattr(_openblas, "function", dsyevd_stand_in(lambda *args: info))
+    with pytest.raises(MemoryError):
+        spectral.eigendecompose(sampled_graph(20))
+
+
+def test_without_dsyevd_eigendecompose_is_eigh(monkeypatch):
+    graph = sampled_graph(300, seed=4)
+    monkeypatch.setattr(_openblas, "function", dsyevd_stand_in(None))
+    spec = spectral.eigendecompose(graph)
+    eigenvalues, eigenvectors = np.linalg.eigh(graph.dense())
+    assert np.array_equal(spec.eigenvalues, eigenvalues[::-1])
+    assert np.array_equal(spec.eigenvectors, eigenvectors[:, ::-1])
+
+
+def test_eigendecompose_holds_one_dense_copy():
+    """The traced peak is the float64 copy dsyevd overwrites (dsyevd's own
+    workspace is allocated by LAPACKE, outside tracemalloc); eigh would add
+    an n x n output array."""
+    graph = sampled_graph(1000)
+    tracemalloc.start()
+    try:
+        spec = spectral.eigendecompose(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.n == 1000
+    assert peak <= 1.1 * 8 * 1000**2
+
+
+def test_residual_check_allocates_by_row_block():
+    """eigenvector(rank) of either solver casts the uint8 adjacency a row
+    block at a time, never to one n x n float64 temporary (8 MB here)."""
+    graph = sampled_graph(1000)
+    full, partial = spectral.eigendecompose(graph), spectral.PartialSpectrum(graph)
+    for spectrum in (full, partial):
+        tracemalloc.start()
+        try:
+            spectrum.eigenvector(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, type(spectrum).__name__
+    assert partial._full is None  # the tridiagonal path was measured
+    vector = full.eigenvectors[:, 2]
+    radius = spectral._radius(full.eigenvalues)
+    value = float(full.eigenvalues[2])
+    assert np.array_equal(spectral._checked(graph.adjacency, value, vector, radius),
+                          full.eigenvector(3))
+    perturbed = vector.copy()
+    perturbed[500] += 1e-6
+    with pytest.raises(EigendecompositionError, match="residual"):
+        spectral._checked(graph.adjacency, value, perturbed, radius)
 
 
 # --- ideal_eigenvalue ---------------------------------------------------------
@@ -346,12 +433,22 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
     f_in, f_out = kernel_pair(kind, d)
     # the sampler takes even n only: an odd n is the leading block of n + 1
     params = SgbmParams(n=n + n % 2, d=d, f_in=f_in, f_out=f_out, seed=n)
-    graph = Graph(n=n, adjacency=model.sample_graph(params)[0].adjacency[:n, :n].copy())
+    sampled, labels, _ = model.sample_graph(params)
+    graph = Graph(n=n, adjacency=sampled.adjacency[:n, :n].copy())
     partial = spectral.PartialSpectrum(graph)
     assert np.array_equal(partial.eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
     lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
                                             kernels.edge_density(f_out), n)
     assert_matches_full_solve(graph, partial, lambda_star)
+    # eigendecompose's in-place dsyevd is eigh bit for bit
+    full = spectral.eigendecompose(graph)
+    eigenvalues, eigenvectors = np.linalg.eigh(graph.dense())
+    assert np.array_equal(full.eigenvalues, eigenvalues[::-1])
+    assert np.array_equal(full.eigenvectors, eigenvectors[:, ::-1])
+    truth = labels[:n]
+    assert (spectral.per_eigenvector_accuracy(full, truth)
+            == spectral.per_eigenvector_accuracy(
+                Spectrum(eigenvalues[::-1], eigenvectors[:, ::-1]), truth))
 
 
 def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
@@ -483,6 +580,27 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         assert calls == [200], (name, stand_in)
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
+
+
+@pytest.mark.parametrize("graph,lambda_star,stand_ins", [
+    (two_cliques(10)[0], 10.0, {}),  # a repeated eigenvalue
+    (sampled_graph(200, seed=1), 30.0, {"dstein": failing_routine}),
+], ids=["repeated", "lapack_failure"])
+def test_fall_back_frees_the_reflectors_before_the_full_solve(monkeypatch, graph, lambda_star,
+                                                              stand_ins):
+    patch_lapack(monkeypatch, **stand_ins)
+    freed = []
+    solve = spectral.eigendecompose
+
+    def counted(graph):
+        freed.append(partial._reflectors is None)
+        return solve(graph)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    partial = spectral.PartialSpectrum(graph)
+    assert partial._reflectors is not None
+    spectral.select_eigenpair(partial, lambda_star)
+    assert freed == [True]
 
 
 def test_partial_spectrum_solves_each_rank_once(monkeypatch):
