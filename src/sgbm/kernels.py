@@ -1,36 +1,47 @@
 """Connectivity probability functions on the flat torus.
 
 A kernel maps a displacement x in T^d = [-1/2, 1/2)^d to an edge
-probability F(x) in [0, 1].  All kernels here are radial in the
-l-infinity torus norm, so F is even and its Fourier coefficients
+probability F(x) in [0, 1].  Every kernel here is radial in the
+l-infinity torus norm, F(x) = f(||x||_inf), with a profile f that does
+not increase on [0, 1/2].  So F is even, its Fourier coefficients
 
     F_hat(k) = integral of F(x) exp(-2i pi <k, x>) dx,   k integer vector
 
-are real.  Three families are supported:
+are real, and F is a mixture of cube indicators, the layer-cake
+representation (Lieb & Loss, Analysis, 2nd ed., 2001, Thm 1.13):
+
+    F(x) = f(1/2) + integral over r of 1{||x||_inf <= r} (-df(r)).
+
+A cube of half-width r has the coefficients (2r)^d prod_j sinc(2 pi k_j r),
+so in every dimension d >= 1
+
+    F_hat(k) = f(1/2) [k = 0] + integral of (2r)^d prod_j sinc(2 pi k_j r) (-df(r)).
+
+Three families are supported:
 
 * Constant(p): F(x) = p, the classical block-model edge probability.
 * Indicator(r): F(x) = 1 if ||x||_inf <= r else 0 (hard radius).
 * Waxman(q, s): F(x) = min(1, q * exp(-s ||x||_inf)).
 
-Each family is a frozen dataclass with a config name, kind, and the
-three methods through which the rest of the package tells families
-apart: profile(dist), F as a vectorized function of the l-infinity norm;
-coeffs(ks), F_hat for every row of an (m, d) integer array; and
-breakpoints(), the radii in (0, 1/2) where the profile is not analytic.
+Each family is a frozen dataclass with a config name, kind, and the two
+methods through which the rest of the package tells families apart:
+profile(dist), f as a vectorized function of the l-infinity norm; and
+layers(), the measure -df as point masses (r, mass) and density panels
+(lo, hi, density) on which -f' is analytic.  Constant has no layers,
+Indicator one unit mass at r, and Waxman the density q s exp(-s r) from
+its clip radius (where q exp(-s r) falls through 1) out to 1/2.
 
-Constant and Indicator coefficients have closed forms, Indicator's being
-(2r)^d prod_j sinc(2 pi k_j r); Waxman falls back to Gauss-Legendre
-quadrature.  The quadrature is composite: the integration axis is split
-at the breakpoints so that each panel sees an analytic integrand.  Plain
-Gauss-Legendre across a jump stalls near 1e-3 accuracy no matter the
-node count.  At d >= 2 the tensor grid's integrand still has kinks on
-the diagonals |x_a| = |x_b|, where it converges only like nodes^-2
-(about 1e-6 at the default grid), so Waxman's F_hat(0) there comes from
-a 1-D rule over the radius instead.
+coefficients(kernel, ks) is the one rule for every family: the floor
+f(1/2) at k = 0, each mass times the cube's closed form, and each panel
+by one Gauss-Legendre rule of 2 max|k| + 64 nodes.  A panel's integrand
+is analytic, so the rule is exact to roundoff.  fourier_coeff_grid is
+an independent tensor-grid quadrature of the defining integral, kept at
+d <= 2 as an oracle.
 """
 
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -39,6 +50,7 @@ __all__ = [
     "Indicator",
     "Waxman",
     "eval_kernel",
+    "coefficients",
     "fourier_coeff",
     "fourier_coeff_quadrature",
     "fourier_coeff_grid",
@@ -48,9 +60,8 @@ __all__ = [
     "kernel_to_config",
 ]
 
-MAX_QUADRATURE_DIM = 3  # tensor grids beyond d=3 are a cost cliff
-DEFAULT_NODES_PER_DIM = 256
-_QUADRATURE_CHUNK = 2**22  # grid points sampled at once; about 32 MB of float64
+MAX_QUADRATURE_DIM = 2  # the tensor-grid oracle's cost grows like nodes^d
+PANEL_NODES = 64  # Gauss-Legendre nodes per density panel, plus 2 per unit of max|k|
 
 
 def _validate(kernel, in_range, message):
@@ -77,11 +88,8 @@ class Constant:
     def profile(self, dist):
         return np.full_like(np.asarray(dist, dtype=float), self.p)
 
-    def coeffs(self, ks):
-        return np.where(np.all(ks == 0, axis=1), float(self.p), 0.0)
-
-    def breakpoints(self):
-        return ()
+    def layers(self):
+        return (), ()
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,8 @@ class Indicator:
     def profile(self, dist):
         return (np.asarray(dist) <= self.r).astype(float)
 
-    def coeffs(self, ks):
-        return (2.0 * self.r) ** self.d * np.prod(_sinc(2.0 * np.pi * ks * self.r), axis=1)
-
-    def breakpoints(self):
-        return (self.r,)
+    def layers(self):
+        return ((self.r, 1.0),), ()
 
 
 @dataclass(frozen=True)
@@ -122,29 +127,12 @@ class Waxman:
     def profile(self, dist):
         return np.minimum(1.0, self.q * np.exp(-self.s * np.asarray(dist)))
 
-    def coeffs(self, ks):
-        # sign flips and coordinate permutations of k leave the coefficient
-        # unchanged, so only the canonical rows are integrated
-        canon = np.sort(np.abs(ks), axis=1)
-        unique, inverse = np.unique(canon, axis=0, return_inverse=True)
-        values = np.empty(len(unique))
-        rest = slice(0, None)
-        if self.d >= 2 and len(unique) and not unique[0].any():
-            # F_hat(0), the first canonical row, by the radial rule: the tensor
-            # grid is not split at the kinks of the l-infinity norm on the
-            # diagonals.  d = 1 keeps the grid's value, which the radial rule
-            # matches only to roundoff.
-            values[0] = _radial_mean(self)
-            rest = slice(1, None)
-        values[rest] = fourier_coeff_grid(self, unique[rest])
-        return values[inverse.ravel()]
-
-    def breakpoints(self):
-        if self.q > 1.0 and self.s > 0.0:
-            clip = np.log(self.q) / self.s  # radius where q e^{-s r} crosses 1
-            if clip < 0.5:
-                return (clip,)
-        return ()
+    def layers(self):
+        log_q = math.log(self.q)
+        if log_q >= 0.5 * self.s:  # q exp(-s r) >= 1 out to the corner: F = 1 everywhere
+            return (), ()
+        clip = log_q / self.s if log_q > 0.0 else 0.0  # where q exp(-s r) falls through 1
+        return (), ((clip, 0.5, lambda r: self.q * self.s * np.exp(-self.s * r)),)
 
 
 _KINDS = {cls.kind: cls for cls in (Constant, Indicator, Waxman)}
@@ -172,15 +160,52 @@ def _check_lattice_index(kernel, k):
     return k.astype(int).reshape(1, -1)  # a one-row batch
 
 
+def _cube(ks, r):
+    """F_hat of the cube ||x||_inf <= r for every row of ks: (2r)^d prod_j sinc(2 pi k_j r)."""
+    return (2.0 * r) ** ks.shape[1] * np.prod(_sinc(2.0 * np.pi * ks * r), axis=1)
+
+
+def coefficients(kernel, ks):
+    """F_hat(k) for every row of an (m, d) integer array, by the layer-cake rule.
+
+    Panels are integrated over the canonical rows only: sign flips and
+    coordinate permutations of k leave the coefficient unchanged.
+    """
+    ks = np.atleast_2d(np.asarray(ks, dtype=int))
+    if ks.shape[1] != kernel.d:
+        raise ValueError(f"lattice indices have dimension {ks.shape[1]}, kernel has {kernel.d}")
+    masses, panels = kernel.layers()
+    out = np.where(np.all(ks == 0, axis=1), float(kernel.profile(0.5)), 0.0)
+    for r, mass in masses:
+        out = out + mass * _cube(ks, r)
+    if panels:
+        canon, inverse = np.unique(np.sort(np.abs(ks), axis=1), axis=0, return_inverse=True)
+        kmax = int(canon.max(initial=0))
+        x, w = np.polynomial.legendre.leggauss(2 * kmax + PANEL_NODES)
+        for lo, hi, density in panels:
+            half = 0.5 * (hi - lo)
+            r = 0.5 * (lo + hi) + half * x
+            # sinc(2 pi k r) for k = 0..kmax; one (canonical row, node) product
+            # per axis, so memory stays at two rows-by-nodes arrays at any d
+            table = _sinc(2.0 * np.pi * np.arange(kmax + 1)[:, None] * r)
+            product = table[canon[:, 0]]
+            for axis in range(1, kernel.d):
+                product *= table[canon[:, axis]]
+            out = out + (product @ (half * w * density(r) * (2.0 * r) ** kernel.d))[inverse.ravel()]
+    return out
+
+
 def fourier_coeff(kernel, k):
-    """Fourier coefficient F_hat(k): one row of the kernel's coeffs."""
-    return float(kernel.coeffs(_check_lattice_index(kernel, k))[0])
+    """Fourier coefficient F_hat(k): one row of coefficients."""
+    return float(coefficients(kernel, _check_lattice_index(kernel, k))[0])
 
 
 def _axis_rule(kernel, nodes_per_panel):
-    """Composite Gauss-Legendre nodes and weights on [-1/2, 1/2], split at 0 and +-breakpoints."""
+    """Composite Gauss-Legendre nodes and weights on [-1/2, 1/2], split at 0
+    and at +-the radii of the kernel's layers, where the profile may jump or kink."""
     base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    breaks = {0.0, *kernel.breakpoints()}
+    masses, panels = kernel.layers()
+    breaks = {0.0, *(r for r, _ in masses), *(e for lo, hi, _ in panels for e in (lo, hi))}
     edges = sorted({-0.5, 0.5} | breaks | {-b for b in breaks})
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -190,105 +215,37 @@ def _axis_rule(kernel, nodes_per_panel):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _radial_mean(kernel):
-    """F_hat(0) = integral over [0, 1/2] of F(r) d 2^d r^(d-1) dr.
+def fourier_coeff_grid(kernel, ks, nodes_per_dim):
+    """Tensor-grid quadrature of F_hat for a batch of lattice indices, d <= 2.
 
-    d 2^d r^(d-1) is the density of the l-infinity norm of a uniform
-    point of the torus.  The Gauss-Legendre panels split at the
-    breakpoints, so each sees an analytic integrand.
-    """
-    base_x, base_w = np.polynomial.legendre.leggauss(DEFAULT_NODES_PER_DIM)
-    edges = [0.0, *kernel.breakpoints(), 0.5]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        r = 0.5 * (lo + hi) + half * base_x
-        total += half * float(np.sum(base_w * kernel.profile(r) * r ** (kernel.d - 1)))
-    return kernel.d * 2.0**kernel.d * total
-
-
-def fourier_coeff_grid(kernel, ks, nodes_per_dim=None):
-    """Quadrature estimates of F_hat for a whole batch of lattice indices.
-
-    ks is an (m, d) integer array.  The kernel is sampled on the tensor
-    grid, then contracted axis by axis with exp(-2i pi k_j x); rows
-    sharing a leading index prefix share the partial contraction.  Time
-    grows like nodes^d, hence the d <= 3 cap; memory stays near
-    _QUADRATURE_CHUNK points plus one nodes^(d-1) partial sum per
-    distinct leading index.
-
-    nodes_per_dim=None picks the per-panel node count from the largest
-    requested frequency: Gauss-Legendre needs node counts proportional
-    to the oscillation count or the estimate is garbage, so the default
-    is max(256, 3 * max|k_j|).  Pass an explicit count to pin the rule.
+    An oracle independent of the layer-cake rule: it integrates F itself
+    times exp(-2i pi <k, x>) over the torus, nodes_per_dim Gauss-Legendre
+    nodes per panel of each axis.  At d = 2 the integrand still kinks on
+    the diagonals |x_1| = |x_2|, where the grid converges only like
+    nodes^-2.  Gauss-Legendre needs node counts proportional to the
+    oscillation count, so pass at least about 3 max|k_j| nodes.
     """
     if kernel.d > MAX_QUADRATURE_DIM:
         raise ValueError(f"quadrature supports d <= {MAX_QUADRATURE_DIM}, got d = {kernel.d}")
     ks = np.atleast_2d(np.asarray(ks))
     if ks.shape[1] != kernel.d:
         raise ValueError(f"lattice indices have dimension {ks.shape[1]}, kernel has {kernel.d}")
-    if nodes_per_dim is None:
-        kmax = int(np.max(np.abs(ks))) if ks.size else 0
-        nodes_per_dim = max(DEFAULT_NODES_PER_DIM, 3 * kmax)
     if nodes_per_dim < 16:
         raise ValueError("need at least 16 quadrature nodes per dimension")
-    if not len(ks):
-        return np.empty(0)
     x, w = _axis_rule(kernel, nodes_per_dim)
-    d, m = kernel.d, len(x)
-    phases = {}  # per unique k entry: complex exponential over the axis nodes
-    for kj in np.unique(ks):
-        phases[kj] = np.exp(-2j * np.pi * kj * x)
-
-    # the first axis is contracted over chunks of its nodes, so at most about
-    # _QUADRATURE_CHUNK grid points are sampled at once; each distinct leading
-    # k keeps one running partial sum.  One chunk covers d <= 2 and small
-    # d = 3 grids.
-    leading = ks[:, 0]
-    partial = {}
-    rows_per_chunk = max(1, _QUADRATURE_CHUNK // m ** (d - 1))
-    for lo in range(0, m, rows_per_chunk):
-        chunk = slice(lo, lo + rows_per_chunk)
-        # l-infinity distance and the outer product of axis weights, by broadcasting
-        dist = np.abs(x[chunk]).reshape((-1,) + (1,) * (d - 1))
-        for axis in range(1, d):
-            dist = np.maximum(dist, np.abs(x).reshape(_axis_shape(d, axis)))
-        weighted = kernel.profile(dist)
-        for axis in range(d):
-            weighted = weighted * (w[chunk] if axis == 0 else w).reshape(_axis_shape(d, axis))
-        for val in np.unique(leading):
-            part = np.tensordot(phases[val][chunk], weighted, axes=([0], [0]))
-            if val in partial:
-                partial[val] += part
-            else:
-                partial[val] = part
-
-    out = np.empty(len(ks))
-
-    def contract(tensor, rows, axis):
-        if axis == d:
-            # even kernels have real coefficients; the imaginary part is roundoff
-            out[rows] = tensor.real
-            return
-        leading = ks[rows, axis]
-        for val in np.unique(leading):
-            sub = rows[leading == val]
-            contract(np.tensordot(phases[val], tensor, axes=([0], [0])), sub, axis + 1)
-
-    for val, tensor in partial.items():
-        contract(tensor, np.flatnonzero(leading == val), 1)
-    return out
-
-
-def _axis_shape(d, axis):
-    """Broadcast shape that lays a 1-D array of axis nodes along `axis` of d."""
-    shape = [1] * d
-    shape[axis] = -1
-    return shape
+    values, index = np.unique(ks, return_inverse=True)
+    phases = np.exp(-2j * np.pi * np.outer(values, x))  # one row per distinct entry of k
+    dist = np.abs(x)
+    if kernel.d == 1:
+        table = phases @ (w * kernel.profile(dist))
+    else:
+        table = phases @ (kernel.profile(np.maximum.outer(dist, dist)) * np.outer(w, w)) @ phases.T
+    # even kernels have real coefficients; the imaginary part is roundoff
+    return table[tuple(index.reshape(ks.shape).T)].real
 
 
 def fourier_coeff_quadrature(kernel, k, nodes_per_dim):
-    """Single-coefficient quadrature oracle (independent of the closed forms)."""
+    """Single-coefficient quadrature oracle, independent of the layer-cake rule."""
     return float(fourier_coeff_grid(kernel, _check_lattice_index(kernel, k), nodes_per_dim)[0])
 
 
@@ -296,8 +253,8 @@ def fourier_coeff_quadrature(kernel, k, nodes_per_dim):
 def edge_density(kernel):
     """Mean edge probability, F_hat(0), within [0, 1].  Memoised: kernels are frozen and finite.
 
-    Clipped to [0, 1]: where F = 1 everywhere (a Waxman kernel clipped
-    beyond 1/2), the quadrature weights sum to 1 only to roundoff.
+    Clipped to [0, 1]: where F is 1 nearly everywhere (a Waxman kernel
+    clipped just short of 1/2), floor plus panel sum to 1 only to roundoff.
     """
     return min(1.0, max(0.0, fourier_coeff(kernel, np.zeros(kernel.d, dtype=int))))
 

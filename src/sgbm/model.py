@@ -67,8 +67,18 @@ class Graph:
         """Adjacency as float64, the form the eigensolvers want: a fresh n x n
         copy on every call, which eigendecompose and PartialSpectrum each
         overwrite in place (dsyevd, dsytrd) as the one n x n array of their
-        solve.  Residual checks read the uint8 adjacency, not this."""
+        solve.  Residual checks and rayleigh_bound use matvec, not this."""
         return self.adjacency.astype(np.float64)
+
+    def matvec(self, vector):
+        """A v, a block of rows at a time, about 2**16 entries each: the uint8
+        adjacency is cast to float64 half a megabyte at a time, never as one
+        n x n temporary."""
+        rows = max(1, 2**16 // self.n)
+        out = np.empty(self.n)
+        for start in range(0, self.n, rows):
+            out[start:start + rows] = self.adjacency[start:start + rows] @ vector
+        return out
 
     def edge_count(self):
         return int(self.adjacency.sum()) // 2

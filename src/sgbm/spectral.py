@@ -82,19 +82,9 @@ def _oriented(vector):
     return vector if vector[first] > 0 else -vector
 
 
-def _checked(adjacency, value, vector, radius):
-    """vector under the sign rule, once ||A v - value v|| passes; else raise.
-
-    A v is taken a block of rows at a time, about 2**16 entries each, so
-    the uint8 adjacency is cast to float64 half a megabyte at a time, not
-    as one n x n temporary.
-    """
-    n = len(vector)
-    rows = max(1, 2**16 // n)
-    difference = np.empty(n)
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        difference[block] = adjacency[block] @ vector - value * vector[block]
+def _checked(graph, value, vector, radius):
+    """vector under the sign rule, once ||A v - value v|| passes; else raise."""
+    difference = graph.matvec(vector) - value * vector
     residual = float(np.linalg.norm(difference))
     if not residual <= _RESIDUAL_RTOL * radius:
         raise EigendecompositionError(
@@ -122,7 +112,7 @@ class Spectrum:
         vector = self.eigenvectors[:, rank - 1]
         if self.graph is None:
             return _oriented(vector)
-        return _checked(self.graph.adjacency, float(self.eigenvalues[rank - 1]), vector,
+        return _checked(self.graph, float(self.eigenvalues[rank - 1]), vector,
                         _radius(self.eigenvalues))
 
 
@@ -189,7 +179,7 @@ class PartialSpectrum:
             if x is None:
                 self._fall_back()
                 return self._full.eigenvector(rank)
-            self._vectors[rank] = _checked(self.graph.adjacency, value, x, radius)
+            self._vectors[rank] = _checked(self.graph, value, x, radius)
         return self._vectors[rank]
 
     def _tridiagonal_vector(self, rank):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import edge_density
+from .kernels import coefficients, edge_density
 from .spectral import DegenerateModelError
 
 __all__ = [
@@ -93,8 +93,8 @@ def _lattice_box(d, K):
 
 
 def coefficient_table(kernel, ks):
-    """F_hat(k) for every row of ks, from the kernel's vectorized coeffs."""
-    return kernel.coeffs(np.atleast_2d(np.asarray(ks, dtype=int)))
+    """F_hat(k) for every row of ks: kernels.coefficients."""
+    return coefficients(kernel, ks)
 
 
 def _families(f_in, f_out, K):
@@ -211,8 +211,7 @@ def rayleigh_bound(graph, v, spectrum):
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("test vector must be nonzero")
-    a = graph.dense()
-    av = a @ v
+    av = graph.matvec(v)
     rho = float(v @ av) / float(v @ v)
     residual = float(np.linalg.norm(av - rho * v))
     lam = spectrum.eigenvalues

@@ -170,6 +170,27 @@ def test_cluster_generated_graph(tmp_path, capsys):
     assert abs(float(selected[0][2]) - printed_acc) < 1e-4
 
 
+WAXMAN_KERNELS = """\
+kernel_in.kind = waxman
+kernel_in.q = 0.9
+kernel_in.s = 2
+kernel_out.kind = waxman
+kernel_out.q = 0.3
+kernel_out.s = 2
+"""
+
+
+def test_generate_then_cluster_waxman_at_d4(tmp_path):
+    """Waxman coefficients need no tensor grid, so any d runs end to end."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    cfg = write_config(tmp_path, "model.n = 200\nmodel.d = 4\n" + WAXMAN_KERNELS)
+    assert cli.main(["generate", "--config", cfg, "--out", str(data), "--quiet"]) == 0
+    cfg = write_config(tmp_path, WAXMAN_KERNELS + f"run.graph = {data / 'edges.txt'}\n"
+                       f"run.labels = {data / 'labels.txt'}\n", name="cluster.cfg")
+    assert cli.main(["cluster", "--config", cfg, "--out", str(out)]) == 0
+    assert len(model.read_labels(out / "predicted.labels")) == 200
+
+
 def test_cluster_selection_profile_is_complete(tmp_path):
     cfg = write_config(tmp_path, GBM_CONFIG + "run.seed = 1\n")
     out = tmp_path / "out"

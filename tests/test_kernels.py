@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgbm import kernels, theory
 from sgbm.kernels import Constant, Indicator, Waxman
@@ -107,16 +108,54 @@ def test_coeff_rejects_bad_index():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fourier_coeff_is_coefficient_table_row(d):
-    """The single-index and batch paths agree bit for bit.  Waxman runs at
-    d <= 2 only: its default d = 3 grid is 512^3 nodes, about 5 s a call."""
+    """The single-index and batch paths agree bit for bit."""
     kerns = [Constant(0.35, d=d), Indicator(0.08, d=d), Indicator(0.17, d=d),
-             Indicator(0.3, d=d)]
-    if d <= 2:
-        kerns += [Waxman(0.7, 2.0, d=d), Waxman(1.6, 3.0, d=d)]
+             Indicator(0.3, d=d), Waxman(0.7, 2.0, d=d), Waxman(1.6, 3.0, d=d)]
     for kern in kerns:
         for k in ([0, 0, 0], [1, 0, 0], [-2, 3, 1], [5, 5, -7]):
             k = k[:d]
             assert kernels.fourier_coeff(kern, k) == theory.coefficient_table(kern, [k])[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_and_indicator_coefficients_are_their_closed_forms(d):
+    """The layer-cake rule gives Constant's p [k = 0] and Indicator's
+    (2r)^d prod_j sinc(2 pi k_j r) back bit for bit on the K = 64 lattice
+    box, in the very floating-point expressions the closed forms are
+    written in."""
+    ks = theory._lattice_box(d, 64)
+    for p in (0.0, 0.35, 1.0):
+        expected = np.where(np.all(ks == 0, axis=1), p, 0.0)
+        assert np.array_equal(theory.coefficient_table(Constant(p, d=d), ks), expected)
+    for r in (0.08, 0.17, 0.3):
+        expected = (2.0 * r) ** d * np.prod(np.sinc(2.0 * np.pi * ks * r / np.pi), axis=1)
+        assert np.array_equal(theory.coefficient_table(Indicator(r, d=d), ks), expected)
+
+
+def region_split_coeff_2d(kern, k, nodes=400):
+    """Waxman F_hat(k) at d = 2 from the defining double integral, split by
+    which coordinate is largest.  On |x_2| <= |x_1| the kernel depends on
+    |x_1| alone, and the inner integral over x_2 is 2|x_1| sinc(2 pi k_2 x_1);
+    likewise with the axes swapped.  So F_hat(k) is the 1-D integral over
+    t in [0, 1/2] of 4 t f(t) (cos(2 pi k_1 t) sinc(2 pi k_2 t) + the same
+    with k_1, k_2 swapped), taken by Gauss-Legendre on panels split where
+    f is clipped.  It integrates f itself, not -df as the layer-cake rule does."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    clip = min(max(math.log(kern.q) / kern.s, 0.0), 0.5)
+    total = 0.0
+    for lo, hi in ((0.0, clip), (clip, 0.5)):
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        both = sum(np.cos(2 * np.pi * a * t) * np.sinc(2 * b * t) for a, b in (k, k[::-1]))
+        total += 0.5 * (hi - lo) * float(np.sum(w * 4.0 * t * kern.profile(t) * both))
+    return total
+
+
+def test_waxman_d2_coefficients_match_region_split_oracle():
+    ks = [(0, 0), (1, 0), (3, 2), (7, 7), (0, 13), (20, -5)]
+    for kern in (Waxman(1.6, 3.0, d=2), Waxman(0.7, 2.0, d=2), Waxman(1.3, 5.0, d=2)):
+        got = theory.coefficient_table(kern, ks)
+        want = [region_split_coeff_2d(kern, k) for k in ks]
+        assert np.max(np.abs(got - want)) <= 1e-13, kern
 
 
 # --- fourier_coeff_quadrature ---------------------------------------------
@@ -138,7 +177,7 @@ def test_quadrature_waxman_density_bounds():
 
 def test_quadrature_dimension_cap():
     with pytest.raises(ValueError):
-        kernels.fourier_coeff_quadrature(Indicator(0.2, d=4), [0, 0, 0, 0], 64)
+        kernels.fourier_coeff_quadrature(Indicator(0.2, d=3), [0, 0, 0], 64)
 
 
 def test_quadrature_minimum_nodes():
@@ -155,18 +194,23 @@ def test_edge_density_values():
 
 
 def test_edge_density_of_a_saturated_waxman_is_one():
-    """ln(2) / 0.5 lies beyond 1/2, so F = 1 on the whole torus; the
-    quadrature alone overshoots to 1.0000000000000002 at d = 1."""
+    """ln(2) / 0.5 lies beyond 1/2, so F = 1 on the whole torus: the floor
+    f(1/2) = 1 with no layer above it (the grid gave 1.0000000000000002)."""
     assert kernels.edge_density(Waxman(2.0, 0.5)) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(kern=st.one_of(
-    st.builds(Constant, st.floats(0.0, 1.0), st.sampled_from([1, 2])),
-    st.builds(Indicator, st.floats(1e-6, 0.5, exclude_max=True), st.sampled_from([1, 2])),
-    st.builds(Waxman, st.floats(1e-3, 50.0), st.floats(0.0, 50.0), st.sampled_from([1, 2]))))
+    st.builds(Constant, st.floats(0.0, 1.0), st.sampled_from([1, 2, 3, 4])),
+    st.builds(Indicator, st.floats(1e-6, 0.5, exclude_max=True), st.sampled_from([1, 2, 3, 4])),
+    st.builds(Waxman, st.floats(1e-3, 50.0), st.floats(0.0, 50.0),
+              st.sampled_from([1, 2, 3, 4]))))
+@example(kern=Waxman(50.0, 5e-324))  # log(q) / s overflows; the clip radius must not divide
 def test_edge_density_is_a_probability(kern):
-    assert 0.0 <= kernels.edge_density(kern) <= 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = kernels.edge_density(kern)
+    assert 0.0 <= density <= 1.0
 
 
 # --- spectrum of coefficients: evenness, domination, decay ----------------
@@ -205,23 +249,9 @@ def test_batch_grid_agrees_with_single_calls():
     assert np.allclose(batch, singles, atol=1e-12)
 
 
-def test_chunked_quadrature_matches_one_chunk(monkeypatch):
-    """d = 3, 96 nodes per axis: one chunk by default, 7-row chunks with a
-    ragged last one when patched; several distinct leading indices."""
-    kern = Waxman(0.7, 2.0, d=3)
-    ks = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 2], [1, 1, 1], [-2, 3, 1], [5, 5, -7],
-                   [-2, 0, 4]])
-    whole = kernels.fourier_coeff_grid(kern, ks, 48)
-    monkeypatch.setattr(kernels, "_QUADRATURE_CHUNK", 7 * 96**2)
-    chunked = kernels.fourier_coeff_grid(kern, ks, 48)
-    assert not np.array_equal(chunked, whole)  # the sums really were split
-    assert np.allclose(chunked, whole, rtol=0, atol=1e-14)
-
-
 def test_waxman_edge_density_default_grid_at_d3():
-    """The default F_hat(0) path at d = 3 in bounded memory, against the
-    radial integral of q exp(-s r) times the l-infinity radius density
-    24 r^2."""
+    """F_hat(0) at d = 3 in bounded memory, against the radial integral of
+    q exp(-s r) times the l-infinity radius density 24 r^2."""
     kern = Waxman(0.7, 2.0, d=3)
     x, w = np.polynomial.legendre.leggauss(64)
     r = 0.25 * (x + 1.0)
@@ -251,17 +281,13 @@ def waxman_density_closed_form(q, s, d):
     return (2 * c) ** d + q * d * 2**d * math.factorial(m) / s ** (m + 1) * (p(c) - p(0.5))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("q,s", [(0.7, 2.0), (1.6, 3.0), (1.3, 5.0), (0.45, 1.0)])
 def test_waxman_edge_density_matches_closed_form(q, s, d):
-    """d >= 2 takes the radial rule, exact to roundoff (the tensor grid was
-    off by about 1e-6 there; Waxman(1.6, 3.0, d=3) took 48 s on it).  d = 1
-    keeps the grid value bit for bit."""
+    """The layer-cake rule is exact to roundoff in every dimension."""
     kern = Waxman(q, s, d=d)
     assert kernels.edge_density(kern) == pytest.approx(waxman_density_closed_form(q, s, d),
                                                        rel=1e-13)
-    if d == 1:
-        assert kernels.edge_density(kern) == kernels.fourier_coeff_quadrature(kern, [0], 256)
 
 
 # --- convolution oracle ----------------------------------------------------

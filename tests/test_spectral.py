@@ -143,12 +143,12 @@ def test_residual_check_allocates_by_row_block():
     vector = full.eigenvectors[:, 2]
     radius = spectral._radius(full.eigenvalues)
     value = float(full.eigenvalues[2])
-    assert np.array_equal(spectral._checked(graph.adjacency, value, vector, radius),
+    assert np.array_equal(spectral._checked(graph, value, vector, radius),
                           full.eigenvector(3))
     perturbed = vector.copy()
     perturbed[500] += 1e-6
     with pytest.raises(EigendecompositionError, match="residual"):
-        spectral._checked(graph.adjacency, value, perturbed, radius)
+        spectral._checked(graph, value, perturbed, radius)
 
 
 # --- ideal_eigenvalue ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,38 @@ def test_rayleigh_bound_dominates_on_sbm(sbm_instances):
     for inst in sbm_instances:
         report = theory.rayleigh_bound(inst["graph"], inst["planted"], inst["spectrum"])
         assert report.actual_sine <= report.sine_bound
+
+
+def rayleigh_instance(n, seed):
+    params = SgbmParams(n=n, d=1, f_in=Indicator(0.2), f_out=Indicator(0.05), seed=seed)
+    graph, _, _ = model.sample_graph(params)
+    vector = np.random.default_rng(seed).standard_normal(n)
+    return graph, vector, spectral.eigendecompose(graph)
+
+
+def test_rayleigh_report_matches_the_dense_product():
+    graph, v, spectrum = rayleigh_instance(300, 4)
+    report = theory.rayleigh_bound(graph, v, spectrum)
+    av = graph.dense() @ v
+    rho = float(v @ av) / float(v @ v)
+    residual = float(np.linalg.norm(av - rho * v))
+    assert abs(report.rho - rho) <= 1e-12
+    assert abs(report.residual - residual) <= 1e-12
+    assert report.sine_bound == pytest.approx(residual / (np.linalg.norm(v) * report.delta),
+                                              rel=1e-12)
+
+
+def test_rayleigh_bound_allocates_by_row_block():
+    """A v comes from row blocks of the uint8 adjacency, never from one
+    n x n float64 copy (8 MB here)."""
+    graph, v, spectrum = rayleigh_instance(1000, 5)
+    tracemalloc.start()
+    try:
+        theory.rayleigh_bound(graph, v, spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_rayleigh_validation():
