@@ -166,6 +166,18 @@ def _grow_by_majority(adjacency, labels):
         labels[idx[decided]] = new[decided]
 
 
+def _components(adjacent):
+    """Component labels of a symmetric boolean matrix, grown by breadth-first
+    frontiers and numbered by smallest node, as scipy.sparse.csgraph numbers them."""
+    assignment = np.full(len(adjacent), -1)
+    while (unseen := np.flatnonzero(assignment < 0)).size:
+        label, frontier = assignment.max() + 1, unseen[:1]
+        while frontier.size:
+            assignment[frontier] = label
+            frontier = np.flatnonzero(adjacent[frontier].any(axis=0) & (assignment < 0))
+    return assignment
+
+
 def motif_baseline(graph):
     """Common-neighbor clustering: a transparent, simplified baseline.
 
@@ -177,12 +189,8 @@ def motif_baseline(graph):
     Returns (labels, note); note is empty normally and names the
     fallback (sign partition of the second-ranked eigenvector) when the
     filtered graph does not leave two usable components.  Raises
-    MotifInputError for n < 4 or a graph with no edges.  scipy.sparse
-    is imported here, its only user in sgbm, so no other path loads it.
+    MotifInputError for n < 4 or a graph with no edges.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if graph.n < 4:
         raise MotifInputError("baseline needs n >= 4")
     a = graph.adjacency
@@ -208,12 +216,12 @@ def motif_baseline(graph):
         threshold = 0.5 * (counts[split] + counts[split + 1])
         keep = common > threshold  # intra-like edges have the larger counts
 
-    kept = csr_matrix((np.ones(keep.sum()), (i[keep], j[keep])), shape=(graph.n, graph.n))
-    kept = kept + kept.T
-    n_comp, assignment = connected_components(kept, directed=False)
-    comp_sizes = np.bincount(assignment, minlength=n_comp)
+    kept = np.zeros(a.shape, dtype=bool)
+    kept[i[keep], j[keep]] = kept[j[keep], i[keep]] = True
+    assignment = _components(kept)
+    comp_sizes = np.bincount(assignment)
     big = np.argsort(comp_sizes)[::-1]
-    if n_comp < 2 or comp_sizes[big[1]] < 2:
+    if len(comp_sizes) < 2 or comp_sizes[big[1]] < 2:
         return sign_partition(PartialSpectrum(graph).eigenvector(2)), "fallback: fiedler_sign"
 
     labels = np.zeros(graph.n, dtype=np.int8)
@@ -310,34 +318,19 @@ def run_sweep(config, workers=1):
     OpenBLAS set to one thread for the pool's lifetime (see
     _one_blas_thread; the setting is process-global).  LAPACK and numpy's
     elementwise kernels release the GIL, so the workers really run at
-    once instead of queueing on one shared BLAS thread pool.  Rows come
-    back sorted grid-major, then by seed position, then by algorithm
-    position, whatever the execution order was.
+    once instead of queueing on one shared BLAS thread pool.  pool.map keeps
+    input order, so rows come grid-major, then by seed, then by algorithm.
     """
-    seeds = list(config.seeds)
-    cells = [(gi, si, point, seed)
-             for gi, point in enumerate(config.grid)
-             for si, seed in enumerate(seeds)]
+    cells = [(gi, point, seed) for gi, point in enumerate(config.grid) for seed in config.seeds]
     if config.persist_labels and config.out:
         os.makedirs(config.out, exist_ok=True)
-    if "motif_baseline" in config.algorithms:
-        # load scipy.sparse here, on this thread, before any cell: imported
-        # inside the first cell, it left the peak RSS of later ones ~6 MB higher
-        import scipy.sparse.csgraph  # noqa: F401
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda cell: _run_cell(config, cell[0], cell[2], cell[3]), cells))
+            chunks = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     else:
-        chunks = [_run_cell(config, gi, point, seed) for gi, si, point, seed in cells]
-
-    keyed = []
-    for (gi, si, point, seed), chunk in zip(cells, chunks):
-        for row in chunk:
-            keyed.append(((gi, si, config.algorithms.index(row.algorithm)), row))
-    keyed.sort(key=lambda pair: pair[0])
-    return [row for _, row in keyed]
+        chunks = [_run_cell(config, *cell) for cell in cells]
+    return [row for chunk in chunks for row in chunk]
 
 
 def aggregate(rows, group_fields, value_field="accuracy"):

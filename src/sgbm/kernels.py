@@ -165,6 +165,15 @@ def _cube(ks, r):
     return (2.0 * r) ** ks.shape[1] * np.prod(_sinc(2.0 * np.pi * ks * r), axis=1)
 
 
+def _canonical_rows(ks):
+    """Distinct rows of sorted |k|, lexicographic, and the inverse map, by a 1-D unique on
+    each row's C-order place in the (max|k| + 1)^d box, which must hold under 2**63 places."""
+    sorted_abs = np.sort(np.abs(ks), axis=1)
+    box = (int(sorted_abs.max(initial=0)) + 1,) * ks.shape[1]
+    keys, inverse = np.unique(np.ravel_multi_index(sorted_abs.T, box), return_inverse=True)
+    return np.stack(np.unravel_index(keys, box), axis=1), inverse
+
+
 def coefficients(kernel, ks):
     """F_hat(k) for every row of an (m, d) integer array, by the layer-cake rule.
 
@@ -179,7 +188,7 @@ def coefficients(kernel, ks):
     for r, mass in masses:
         out = out + mass * _cube(ks, r)
     if panels:
-        canon, inverse = np.unique(np.sort(np.abs(ks), axis=1), axis=0, return_inverse=True)
+        canon, inverse = _canonical_rows(ks)
         kmax = int(canon.max(initial=0))
         x, w = np.polynomial.legendre.leggauss(2 * kmax + PANEL_NODES)
         for lo, hi, density in panels:
@@ -191,7 +200,7 @@ def coefficients(kernel, ks):
             product = table[canon[:, 0]]
             for axis in range(1, kernel.d):
                 product *= table[canon[:, axis]]
-            out = out + (product @ (half * w * density(r) * (2.0 * r) ** kernel.d))[inverse.ravel()]
+            out = out + (product @ (half * w * density(r) * (2.0 * r) ** kernel.d))[inverse]
     return out
 
 

@@ -98,12 +98,15 @@ def coefficient_table(kernel, ks):
 
 
 def _families(f_in, f_out, K):
+    """Lattice box, both families, both coefficient tables, and the tail bound."""
     if f_in.d != f_out.d:
         raise ValueError("kernels must share dimension")
     ks = _lattice_box(f_in.d, K)
     c_in = coefficient_table(f_in, ks)
     c_out = coefficient_table(f_out, ks)
-    return ks, (c_in + c_out) / 2.0, (c_in - c_out) / 2.0, c_in, c_out
+    shell = np.max(np.abs(ks), axis=1) == K
+    tail = float(np.max(np.abs(c_in[shell]) + np.abs(c_out[shell]), initial=0.0))
+    return ks, (c_in + c_out) / 2.0, (c_in - c_out) / 2.0, c_in, c_out, tail
 
 
 def limiting_atoms(f_in, f_out, K=DEFAULT_LATTICE_CUTOFF):
@@ -114,9 +117,7 @@ def limiting_atoms(f_in, f_out, K=DEFAULT_LATTICE_CUTOFF):
     """
     if K < 1:
         raise ValueError("cutoff K must be >= 1")
-    ks, sums, diffs, c_in, c_out = _families(f_in, f_out, K)
-    shell = np.max(np.abs(ks), axis=1) == K
-    tail = float(np.max(np.abs(c_in[shell]) + np.abs(c_out[shell])))
+    _, sums, diffs, _, _, tail = _families(f_in, f_out, K)
     atoms = []
     for family, values in (("sum", sums), ("difference", diffs)):
         locations, counts = np.unique(np.round(values, 12), return_counts=True)
@@ -129,7 +130,7 @@ def limiting_moment(f_in, f_out, m, K=DEFAULT_LATTICE_CUTOFF):
     """Truncated m-th moment of the limiting measure: sum of atom^m."""
     if m < 1:
         raise ValueError("moment order must be >= 1")
-    _, sums, diffs, _, _ = _families(f_in, f_out, K)
+    _, sums, diffs, _, _, _ = _families(f_in, f_out, K)
     return float(np.sum(sums**m) + np.sum(diffs**m))
 
 
@@ -161,12 +162,9 @@ def isolation_check(f_in, f_out, K=DEFAULT_LATTICE_CUTOFF):
     if mu_in == mu_out:
         raise DegenerateModelError("mu_in equals mu_out: isolation is undefined")
     target = mu_in - mu_out
-    ks, sums, diffs, c_in, c_out = _families(f_in, f_out, K)
-    shell = np.max(np.abs(ks), axis=1) == K
-    tail = float(np.max(np.abs(c_in[shell]) + np.abs(c_out[shell])))
+    ks, _, _, c_in, c_out, tail = _families(f_in, f_out, K)
     gap_sum = float(np.min(np.abs((c_in + c_out) - target)))
-    nonzero = ~np.all(ks == 0, axis=1)
-    gap_diff = float(np.min(np.abs((c_in - c_out)[nonzero] - target)))
+    gap_diff = float(np.min(np.abs((c_in - c_out)[ks.any(axis=1)] - target)))  # k != 0
     epsilon = min(gap_sum / 2.0, gap_diff / 2.0, abs(target) / 4.0)
     satisfied = bool(gap_sum > tail and gap_diff > tail)
     return IsolationReport(min_gap_sum=gap_sum, min_gap_diff=gap_diff,

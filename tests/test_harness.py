@@ -356,6 +356,53 @@ def test_common_neighbours_match_int32_product():
         assert np.array_equal(counts, a @ a)
 
 
+def assert_components_match_scipy(kept):
+    """harness._components against scipy's connected_components, the finder it
+    replaced: the same count, and the same label for every node."""
+    from scipy.sparse.csgraph import connected_components
+
+    want_count, want = connected_components(kept.astype(np.float64), directed=False)
+    got = harness._components(kept)
+    assert len(np.unique(got)) == got.max(initial=-1) + 1 == want_count
+    assert np.array_equal(got, want)
+
+
+def test_components_match_scipy_on_motif_kept_edges(monkeypatch):
+    """On the kept-edge graphs motif_baseline itself builds from sampled GBMs."""
+    seen = []
+    components = harness._components
+    monkeypatch.setattr(harness, "_components", lambda kept: seen.append(kept) or components(kept))
+    for seed, r_in in ((0, 0.2), (1, 0.2), (2, 0.08), (3, 0.08), (4, 0.12)):
+        params = model.SgbmParams(n=600, d=1, f_in=kernels.Indicator(r_in),
+                                  f_out=kernels.Indicator(0.05), seed=seed)
+        harness.motif_baseline(model.sample_graph(params)[0])
+    monkeypatch.undo()
+    assert len(seen) == 5
+    assert max(components(kept).max() for kept in seen) > 1  # more than two components
+    for kept in seen:
+        assert_components_match_scipy(kept)
+
+
+def test_components_match_scipy_on_edge_cases():
+    rng = np.random.default_rng(0)
+    cases = []
+    for n, p in ((50, 0.01), (200, 0.004), (200, 0.02), (400, 0.003)):
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        cases.append(upper | upper.T)  # sparse random graphs: isolated nodes, many components
+    path = np.zeros((300, 300), dtype=bool)
+    order = rng.permutation(300)  # a path of diameter n - 1 through shuffled node ids
+    path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = True
+    cases.append(path)
+    cases.append(np.zeros((7, 7), dtype=bool))  # edgeless: every node its own component
+    halves = two_cliques(10)[0].adjacency.astype(bool)
+    interleaved = np.arange(20).reshape(2, 10).T.ravel()  # cliques on even and odd ids
+    cases.append(halves[np.ix_(interleaved, interleaved)])  # two equal sizes: the tie order
+    cases.append(halves)
+    for kept in cases:
+        assert_components_match_scipy(kept)
+    assert list(harness._components(cases[-2])) == [0, 1] * 10
+
+
 def test_motif_on_separated_gbm():
     accs = []
     for seed in range(10):

@@ -1,10 +1,10 @@
-"""A fresh `import sgbm`, and every CLI command, leave scipy.sparse and
-scipy.linalg unloaded.
+"""A fresh `import sgbm`, every CLI command, and a sweep with every
+algorithm, motif_baseline included, leave scipy.sparse and scipy.linalg
+unloaded.
 
-scipy.sparse and scipy.sparse.csgraph are most of a fresh process's
-start-up cost, and only harness.motif_baseline uses them, so they load
-there.  The eigensolvers are the LAPACK numpy loads, called through numpy
-or ctypes, so no path loads scipy.linalg.
+The eigensolvers are the LAPACK numpy loads, called through numpy or
+ctypes, and motif_baseline finds its components with numpy, so no path
+loads a scipy subpackage; `sgbm sweep` reads only scipy.__version__.
 Each check runs in its own interpreter, since this test session may
 have loaded them already.
 """
@@ -29,7 +29,6 @@ kernel_out.kind = indicator
 kernel_out.r = 0.05
 """
 
-SPARSE_LOADED = 'any(m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in sys.modules)'
 SOLVERS_LOADED = ('any(m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "linalg"]) '
                   'for m in sys.modules)')
 
@@ -71,22 +70,15 @@ def cli_run(command, config):
     cli_run("sweep", "sweep.cfg"),
     "from sgbm import harness\n"
     "harness.fig3_sweep(n_list=(200,), seeds=range(1), algorithms=('hosc', 'hosc_li', 'fiedler'))\n",
+    "from sgbm import harness\n"
+    "rows, _ = harness.fig3_sweep(n_list=(200,), seeds=range(1), algorithms=harness.ALGORITHMS)\n"
+    "motif = [row for row in rows if row.algorithm == 'motif_baseline']\n"
+    "assert len(motif) == 1 and motif[0].accuracy is not None, motif\n"
+    "assert not motif[0].note.startswith('error:'), motif[0].note\n",
 ], ids=["import", "import_cli", "generate", "cluster", "cluster_unlabelled", "spectrum",
-        "sweep", "fig3_sweep"])
+        "sweep", "fig3_sweep", "fig3_sweep_motif"])
 def test_no_scipy_sparse_after(code, workdir):
     run_fresh(code + f"assert not {SOLVERS_LOADED}\n", workdir)
-
-
-def test_motif_baseline_loads_scipy_sparse_itself(tmp_path):
-    run_fresh(f"""\
-from sgbm import harness
-assert not {SPARSE_LOADED}
-rows, _ = harness.fig3_sweep(n_list=(200,), seeds=range(1), algorithms=harness.ALGORITHMS)
-motif = [row for row in rows if row.algorithm == "motif_baseline"]
-assert len(motif) == 1 and motif[0].accuracy is not None, motif
-assert not motif[0].note.startswith("error:"), motif[0].note
-assert {SPARSE_LOADED}
-""", tmp_path)
 
 
 def test_import_opens_no_lapack(tmp_path):

@@ -117,6 +117,38 @@ def test_fourier_coeff_is_coefficient_table_row(d):
             assert kernels.fourier_coeff(kern, k) == theory.coefficient_table(kern, [k])[0]
 
 
+def canonical_rows_by_row_unique(ks):
+    """The row-wise np.unique (axis=0) that kernels._canonical_rows replaced."""
+    canon, inverse = np.unique(np.sort(np.abs(ks), axis=1), axis=0, return_inverse=True)
+    return canon, inverse.ravel()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_canonical_rows_match_row_unique(d, monkeypatch):
+    """One integer key per row gives the row-wise unique's rows and inverse,
+    and so the same coefficients, bit for bit."""
+    rng = np.random.default_rng(d)
+    random_rows = rng.integers(-9, 10, size=(300, d))
+    batches = [
+        theory._lattice_box(d, 3),  # every sign and permutation of each canonical row
+        np.concatenate([random_rows, random_rows[::-1], -random_rows]),  # duplicates
+        np.zeros((1, d), dtype=int),  # k = 0 alone: a box of one key
+        np.array([[0] * (d - 1) + [-12], [12] + [0] * (d - 1), [0] * d]),
+    ]
+    kerns = [Waxman(0.7, 2.0, d=d), Waxman(1.6, 3.0, d=d)]
+    got = {}
+    for bi, ks in enumerate(batches):
+        canon, inverse = kernels._canonical_rows(ks)
+        want_canon, want_inverse = canonical_rows_by_row_unique(ks)
+        assert canon.dtype == want_canon.dtype and np.array_equal(canon, want_canon)
+        assert np.array_equal(inverse, want_inverse)
+        for ki, kern in enumerate(kerns):
+            got[bi, ki] = kernels.coefficients(kern, ks)
+    monkeypatch.setattr(kernels, "_canonical_rows", canonical_rows_by_row_unique)
+    for (bi, ki), values in got.items():
+        assert np.array_equal(values, kernels.coefficients(kerns[ki], batches[bi]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_constant_and_indicator_coefficients_are_their_closed_forms(d):
     """The layer-cake rule gives Constant's p [k = 0] and Indicator's
