@@ -33,7 +33,6 @@ from .model import (
 from .spectral import (
     DegenerateModelError,
     EigendecompositionError,
-    PartialSpectrum,
     SelectionReport,
     Spectrum,
     accuracy,

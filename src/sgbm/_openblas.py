@@ -22,7 +22,7 @@ COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 # the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
 MEMORY_ERRORS = (-1010, -1011)
 
-_LAPACK = ("dsytrd", "dsterf", "dstebz", "dstein", "dormtr")
+_LAPACK = ("dsytrd", "dsterf", "dstebz", "dstein", "dormtr", "dstedc", "dormtr_work")
 
 
 @cache
@@ -40,9 +40,6 @@ def _signatures():
     return {
         "openblas_get_num_threads": ([], ctypes.c_int),
         "openblas_set_num_threads": ([ctypes.c_int], None),
-        # layout, jobz, uplo, n, a, lda, w
-        "LAPACKE_dsyevd": ([layout, char, char, lapack_int, doubles, lapack_int, doubles],
-                           lapack_int),
         # layout, uplo, n, a, lda, d, e, tau
         "LAPACKE_dsytrd": ([layout, char, lapack_int, doubles, lapack_int, doubles, doubles,
                             doubles], lapack_int),
@@ -58,6 +55,13 @@ def _signatures():
         # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
         "LAPACKE_dormtr": ([layout, char, char, char, lapack_int, lapack_int, doubles,
                             lapack_int, doubles, doubles, lapack_int], lapack_int),
+        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+        "LAPACKE_dormtr_work": ([layout, char, char, char, lapack_int, lapack_int, doubles,
+                                 lapack_int, doubles, doubles, lapack_int, doubles, lapack_int],
+                                lapack_int),
+        # layout, compz, n, d, e, z, ldz
+        "LAPACKE_dstedc": ([layout, char, lapack_int, doubles, doubles, doubles, lapack_int],
+                           lapack_int),
     }
 
 
@@ -82,7 +86,7 @@ def function(name):
 
 
 def lapack():
-    """{"dsytrd": ..., "dormtr": ...}: the LAPACKE routines PartialSpectrum
-    calls, or None unless every one of them is bound."""
+    """{"dsytrd": ..., "dormtr_work": ...}: the LAPACKE routines
+    spectral.Spectrum calls, or None unless every one of them is bound."""
     routines = {name: function(f"LAPACKE_{name}") for name in _LAPACK}
     return None if None in routines.values() else routines

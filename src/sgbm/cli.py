@@ -160,7 +160,7 @@ def cmd_cluster(args, config):
         f_in, f_out = params.f_in, params.f_out
 
     # the accuracy profile needs every eigenvector; without truth, only eigenvalues
-    solve = spectral.eigendecompose if truth is not None else spectral.PartialSpectrum
+    solve = spectral.eigendecompose if truth is not None else spectral.Spectrum
     predicted, report = spectral.cluster(graph, algorithm, kernels.edge_density(f_in),
                                          kernels.edge_density(f_out), solve=solve,
                                          iterate=li_iterate == "true")
@@ -222,14 +222,8 @@ def cmd_sweep(args, config):
         raise ConfigError("run.preset must be one of fig3, fig4, waxman")
     kw = {}
     if "seeds" in run:
-        kw["seeds"] = seeds = _int_list("run", "seeds", run["seeds"])
-        if not seeds:
-            raise ConfigError("run.seeds is empty")
-        if any(not 0 <= s < 2**32 for s in seeds):
-            raise ConfigError("run.seeds entries must fit in 32 unsigned bits")
+        kw["seeds"] = _int_list("run", "seeds", run["seeds"])
     master = args.seed if args.seed is not None else _int("run", "seed", run.get("seed", "0"))
-    if not 0 <= master < 2**64:
-        raise ConfigError("run.seed must fit in 64 unsigned bits")
     workers = _int("run", "workers", run.get("workers", "1"))
     if workers < 1:
         raise ConfigError("run.workers must be >= 1")

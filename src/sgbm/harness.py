@@ -25,7 +25,7 @@ from .model import SgbmParams, _mix64, sample_graph, write_labels
 from .spectral import (
     DegenerateModelError,
     EigendecompositionError,
-    PartialSpectrum,
+    Spectrum,
     accuracy,
     cluster,
     sign_partition,
@@ -81,6 +81,11 @@ class SweepConfig:
             raise ValueError("sweep grid must be non-empty")
         if not list(self.seeds):
             raise ValueError("sweep needs at least one seed")
+        # cell_seed packs grid_index << 32 | seed and mixes in the 64-bit master seed
+        if not all(0 <= seed < 2**32 for seed in self.seeds):
+            raise ValueError("sweep seeds must lie in [0, 2**32)")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("the master seed must lie in [0, 2**64)")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}; choose from {ALGORITHMS}")
@@ -222,7 +227,7 @@ def motif_baseline(graph):
     comp_sizes = np.bincount(assignment)
     big = np.argsort(comp_sizes)[::-1]
     if len(comp_sizes) < 2 or comp_sizes[big[1]] < 2:
-        return sign_partition(PartialSpectrum(graph).eigenvector(2)), "fallback: fiedler_sign"
+        return sign_partition(Spectrum(graph).eigenvector(2)), "fallback: fiedler_sign"
 
     labels = np.zeros(graph.n, dtype=np.int8)
     labels[assignment == big[0]] = 1
@@ -252,7 +257,7 @@ def _run_cell(config, grid_index, point, seed):
         nonlocal spectrum, spectrum_ms
         if spectrum is None:
             t = time.perf_counter()
-            spectrum = PartialSpectrum(graph)
+            spectrum = Spectrum(graph)
             spectrum_ms = (time.perf_counter() - t) * 1000.0
         return spectrum
 
@@ -285,7 +290,7 @@ def _run_cell(config, grid_index, point, seed):
 
 
 def _blas_thread_controls():
-    """(get, set) for the thread count of the OpenBLAS that eigh uses, or None."""
+    """(get, set) for the thread count of numpy's OpenBLAS, which LAPACK runs on, or None."""
     get = _openblas.function("openblas_get_num_threads")
     put = _openblas.function("openblas_set_num_threads")
     return None if get is None or put is None else (get, put)
@@ -456,7 +461,7 @@ def spectrum_experiment(params, K=64, threshold=0.02, window=0.02, out=None):
     predicted atoms, and the per-eigenvalue match report.
     """
     graph, _, _ = sample_graph(params)
-    spectrum = PartialSpectrum(graph)  # eigenvalues only: no eigenvector is asked for
+    spectrum = Spectrum(graph)  # eigenvalues only: no eigenvector is asked for
     measure = limiting_atoms(params.f_in, params.f_out, K=K)
     report = spectrum_match(spectrum, measure, threshold=threshold, window=window)
     if out:
@@ -528,9 +533,9 @@ def write_meta(path, config_echo, workers=1):
         f"scipy: {scipy.__version__}",
         f"blas: {_blas_name()}",
         f"blas_threads: {threads}",
-        # how _run_cell solves: spectral.PartialSpectrum
-        "eigensolver: dsytrd + dsterf; dstein + dormtr per eigenvector used "
-        "(eigh where repeated or LAPACK unavailable)",
+        # how _run_cell solves: spectral.Spectrum
+        "eigensolver: dsytrd + dsterf; dstebz + dstein + dormtr per eigenvector used "
+        "(dstedc + dormtr for all where repeated or a call fails; eigh where LAPACK unavailable)",
         "config:",
     ]
     lines += [f"  {key} = {value}" for key, value in sorted(config_echo.items())]

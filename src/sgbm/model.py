@@ -64,10 +64,10 @@ class Graph:
             raise ValueError(f"adjacency shape {a.shape} does not match n = {self.n}")
 
     def dense(self):
-        """Adjacency as float64, the form the eigensolvers want: a fresh n x n
-        copy on every call, which eigendecompose and PartialSpectrum each
-        overwrite in place (dsyevd, dsytrd) as the one n x n array of their
-        solve.  Residual checks and rayleigh_bound use matvec, not this."""
+        """Adjacency as float64, the form LAPACK wants: a fresh n x n copy on
+        every call, which spectral.Spectrum overwrites in place with its
+        tridiagonal reduction (dsytrd) and keeps as the reflectors.
+        Residual checks and rayleigh_bound use matvec, not this."""
         return self.adjacency.astype(np.float64)
 
     def matvec(self, vector):

@@ -83,7 +83,7 @@ def rayleigh_angle_bound():
         params = model.SgbmParams(n=500, d=1, f_in=kernels.Constant(0.9),
                                   f_out=kernels.Constant(0.1), seed=seed)
         graph, labels, _ = model.sample_graph(params)
-        spectrum = spectral.eigendecompose(graph)
+        spectrum = spectral.Spectrum(graph)
         planted = np.where(np.asarray(labels) == 1, 1.0, -1.0) / np.sqrt(graph.n)
         report = theory.rayleigh_bound(graph, planted, spectrum)
         if report.actual_sine > report.sine_bound + 1e-12:

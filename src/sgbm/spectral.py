@@ -7,12 +7,9 @@ matching eigenvector.  The informative eigenvalue is generally NOT the
 second largest: geometric graphs park several spatial harmonics above
 it, which is the whole reason selection is by value rather than by rank.
 
-Two solvers give the spectrum.  eigendecompose returns every eigenpair
-(Spectrum); PartialSpectrum returns every eigenvalue but solves for an
-eigenvector only when one is asked for, which is all that clustering
-needs.  Both hand out eigenvectors through eigenvector(rank), which
-checks the residual and applies one sign rule, so labels do not depend
-on which solver ran.
+One class, Spectrum, gives the spectrum from one kept tridiagonal
+reduction: clustering reads every eigenvalue and one eigenvector, the
+per-eigenvector accuracy profile reads every eigenvector.
 
 A one-pass neighbor-majority relabelling serves as local improvement.
 """
@@ -25,7 +22,6 @@ from . import _openblas
 
 __all__ = [
     "Spectrum",
-    "PartialSpectrum",
     "SelectionReport",
     "EigendecompositionError",
     "DegenerateModelError",
@@ -53,8 +49,8 @@ class DegenerateModelError(ValueError):
 
 # Both tolerances are relative to the spectral radius max(|lambda_1|, |lambda_n|, 1).
 # A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * radius;
-# dsyevd's eigenvectors and those from inverse iteration on the tridiagonal form
-# both reach about 1e-15 * radius * sqrt(n).
+# divide-and-conquer eigenvectors and those from inverse iteration on the
+# tridiagonal form both reach about 1e-15 * radius * sqrt(n).
 _RESIDUAL_RTOL = 1e-9
 # Below this distance to the nearest other eigenvalue, inverse iteration
 # cannot single out one eigenvector (a repeated eigenvalue).
@@ -93,93 +89,83 @@ def _checked(graph, value, vector, radius):
     return _oriented(vector)
 
 
-@dataclass
 class Spectrum:
-    eigenvalues: np.ndarray  # length n, sorted descending
-    eigenvectors: np.ndarray  # (n, n), column i pairs with eigenvalues[i]
-    graph: object = None  # the Graph solved, when known; eigenvector() checks against it
-
-    @property
-    def n(self):
-        return len(self.eigenvalues)
-
-    def eigenvector(self, rank):
-        """Eigenvector of rank (1 = largest eigenvalue) under the sign rule.
-
-        Residual-checked against the graph when the spectrum came from
-        eigendecompose; a Spectrum built by hand has no matrix to check.
-        """
-        vector = self.eigenvectors[:, rank - 1]
-        if self.graph is None:
-            return _oriented(vector)
-        return _checked(self.graph, float(self.eigenvalues[rank - 1]), vector,
-                        _radius(self.eigenvalues))
-
-
-class PartialSpectrum:
-    """Every eigenvalue; an eigenvector only when one is asked for.
+    """Every eigenpair of a graph's adjacency matrix A, each solved on first use.
 
     The constructor reduces one float64 copy of A to tridiagonal form,
     T = Q^T A Q (LAPACK dsytrd, in place: the copy then holds the
-    Householder reflectors of Q), and takes every eigenvalue of T with
-    dsterf.  For eigenvalues alone, eigvalsh's dsyevd makes the same two
-    calls, so the eigenvalues equal eigvalsh's bit for bit; they are
-    sorted descending as in Spectrum.  eigenvector(rank) isolates the one
-    eigenvalue of T by bisection (dstebz), takes its eigenvector by
-    inverse iteration on T (dstein, O(n)) and maps it back through the
-    reflectors (dormtr, O(n^2)): the dsyevx pipeline (LAPACK Users'
-    Guide, section 2.4.4; Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4).  Vectors are cached by rank.
+    Householder reflectors of Q).  Every request is answered from T and
+    the reflectors (LAPACK Users' Guide, section 2.4.4; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4):
 
-    When the gap to the nearest other eigenvalue is too small for inverse
-    iteration to single out one vector (a repeated eigenvalue), when a
-    LAPACK call reports failure or returns a non-finite vector, or when
-    numpy's OpenBLAS does not export these routines, the spectrum falls
-    back to eigendecompose: from then on its eigenvalues and eigenvectors
-    are the full solve's, so results are the full path's.
+    - eigenvalues: every eigenvalue of T by dsterf, sorted descending.
+      eigvalsh's dsyevd makes the same two calls, so they equal its bit
+      for bit.
+    - eigenvector(rank): the eigenvalue isolated by bisection on T
+      (dstebz), its eigenvector by inverse iteration on T (dstein, O(n)),
+      mapped back through the reflectors (dormtr, O(n^2)): the dsyevx
+      pipeline.  Vectors are cached by rank.
+    - eigenvectors: every eigenvector of T by divide and conquer
+      (dstedc), mapped back by one dormtr over all n columns: dsyevd's
+      own inner steps, so the pairs equal eigh's bit for bit.  The
+      reflectors are dropped after it.
+
+    Eigenvalues are fixed at their first read: dstedc's (eigh's) if
+    every vector was solved by then, otherwise dsterf's (eigvalsh's).
+    eigenvector(rank) reads its column of eigenvectors once every vector
+    is solved, for a repeated eigenvalue (too close to another for
+    inverse iteration to single out one vector), and when a LAPACK call
+    fails or returns a vector that is not finite; so do the eigenvalues
+    when dsterf fails.  Without these routines in numpy's OpenBLAS, eigh
+    gives every pair.
     """
 
     def __init__(self, graph):
         if graph.n < 2:
             raise ValueError("need at least two nodes")
-        self.graph = graph
+        self.graph, self.n = graph, graph.n
+        self._eigenvalues = self._eigenvectors = None
         self._vectors = {}
-        self._full = None
         self._lapack = _openblas.lapack()
         if self._lapack is None:
-            self._fall_back()
             return
         n = graph.n
         # A is symmetric, so its C-order copy read in Fortran order is A itself
         self._reflectors = graph.dense()
         self._d, self._e, self._tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-        info = self._lapack["dsytrd"](_openblas.COL_MAJOR, b"L", n, self._reflectors, n,
-                                      self._d, self._e, self._tau)
-        eigenvalues = self._d.copy()
-        if info == 0:
-            info = self._lapack["dsterf"](n, eigenvalues, self._e.copy())
-        if info != 0:
-            self._fall_back()
-            return
-        self.eigenvalues = eigenvalues[::-1]
+        _raise_on_failure("dsytrd", self._lapack["dsytrd"](
+            _openblas.COL_MAJOR, b"L", n, self._reflectors, n, self._d, self._e, self._tau))
 
     @property
-    def n(self):
-        return len(self.eigenvalues)
+    def eigenvalues(self):
+        """Every eigenvalue, sorted descending."""
+        if self._eigenvalues is None:
+            if self._lapack is not None:
+                values = self._d.copy()
+                if self._lapack["dsterf"](self.n, values, self._e.copy()) == 0:
+                    self._eigenvalues = values[::-1]
+            if self._eigenvalues is None:
+                self._solve_all()
+        return self._eigenvalues
+
+    @property
+    def eigenvectors(self):
+        """(n, n) array: column i pairs with eigenvalues[i]."""
+        if self._eigenvectors is None:
+            self._solve_all()
+        return self._eigenvectors
 
     def eigenvector(self, rank):
-        """Eigenvector of rank (1 = largest eigenvalue) under the sign rule."""
-        if self._full is not None:
-            return self._full.eigenvector(rank)
+        """Eigenvector of rank (1 = largest eigenvalue), residual-checked,
+        under the sign rule."""
         if rank not in self._vectors:
-            value = float(self.eigenvalues[rank - 1])
-            radius = _radius(self.eigenvalues)
-            pinned = _gap(self.eigenvalues, rank - 1) > _GAP_RTOL * radius
-            x = self._tridiagonal_vector(rank) if pinned else None
-            if x is None:
-                self._fall_back()
-                return self._full.eigenvector(rank)
-            self._vectors[rank] = _checked(self.graph, value, x, radius)
+            values = self.eigenvalues
+            radius = _radius(values)
+            pinned = self._eigenvectors is None and _gap(values, rank - 1) > _GAP_RTOL * radius
+            vector = self._tridiagonal_vector(rank) if pinned else None
+            if vector is None:
+                vector = self.eigenvectors[:, rank - 1]
+            self._vectors[rank] = _checked(self.graph, float(values[rank - 1]), vector, radius)
         return self._vectors[rank]
 
     def _tridiagonal_vector(self, rank):
@@ -202,11 +188,39 @@ class PartialSpectrum:
                                     self._reflectors, n, self._tau, vector, n)
         return vector if info == 0 and np.all(np.isfinite(vector)) else None
 
-    def _fall_back(self):
-        """Take every eigenpair from eigendecompose from now on."""
-        self._reflectors = None  # freed first: the full solve needs its own n x n copy
-        self._full = eigendecompose(self.graph)
-        self.eigenvalues = self._full.eigenvalues
+    def _solve_all(self):
+        """Every eigenpair, as dsyevd computes them; eigh without LAPACK."""
+        if self._lapack is None:
+            try:
+                values, vectors = np.linalg.eigh(self.graph.dense())
+            except np.linalg.LinAlgError as exc:
+                raise EigendecompositionError(str(exc)) from exc
+        else:
+            n = self.n
+            values, rows = self._d.copy(), np.empty((n, n))
+            _raise_on_failure("dstedc", self._lapack["dstedc"](
+                _openblas.COL_MAJOR, b"I", n, values, self._e.copy(), rows, n))
+            # dormqr's whole blocked workspace (n * nb + 65 * 64 doubles, nb <= 64), as
+            # dsyevd passes it: with the n * nb that LAPACKE_dormtr allocates, dormqr
+            # shrinks its block and the vectors differ from dsyevd's in the last bits
+            work = np.empty(n * 64 + 65 * 64)
+            _raise_on_failure("dormtr", self._lapack["dormtr_work"](
+                _openblas.COL_MAJOR, b"L", b"L", b"N", n, n, self._reflectors, n, self._tau,
+                rows, n, work, len(work)))
+            vectors = rows.T  # column-major: row i of rows pairs with values[i]
+            self._reflectors = None  # every later request reads the vectors
+        self._eigenvectors = vectors[:, ::-1]
+        if self._eigenvalues is None:
+            self._eigenvalues = values[::-1]
+
+
+def _raise_on_failure(name, info):
+    """MemoryError when LAPACKE could not allocate a workspace, EigendecompositionError
+    for any other nonzero info."""
+    if info in _openblas.MEMORY_ERRORS:
+        raise MemoryError(f"LAPACKE_{name} could not allocate its workspace (info {info})")
+    if info != 0:
+        raise EigendecompositionError(f"LAPACK {name} failed (info {info})")
 
 
 @dataclass
@@ -216,40 +230,16 @@ class SelectionReport:
     lambda_selected: float
     gap_to_next: float  # distance to the nearest other eigenvalue
     eigenvector: np.ndarray
-    spectrum: object  # the Spectrum or PartialSpectrum selected from
+    spectrum: object  # the Spectrum selected from
 
 
 def eigendecompose(graph):
-    """Full symmetric eigendecomposition, eigenvalues sorted descending.
-
-    LAPACK dsyevd (jobz V, uplo L), the routine numpy's eigh runs, works
-    in place on the one float64 copy of A: A is symmetric, so the C-order
-    copy is valid column-major input, and on return it holds the
-    eigenvectors column-major, ascending.  The arrays returned are
-    reversed views of it, not copies, so the solve holds one n x n array
-    beside dsyevd's own workspace.  Where numpy's OpenBLAS does not export
-    LAPACKE_dsyevd, eigh computes the same pairs from a second copy.
-    """
-    if graph.n < 2:
-        raise ValueError("need at least two nodes")
-    n, a = graph.n, graph.dense()
-    dsyevd = _openblas.function("LAPACKE_dsyevd")
-    if dsyevd is None:
-        try:
-            eigenvalues, eigenvectors = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise EigendecompositionError(str(exc)) from exc
-    else:
-        eigenvalues = np.empty(n)
-        info = dsyevd(_openblas.COL_MAJOR, b"V", b"L", n, a, n, eigenvalues)
-        if info in _openblas.MEMORY_ERRORS:
-            raise MemoryError(f"LAPACKE_dsyevd could not allocate its workspace (info {info})")
-        if info != 0:
-            raise EigendecompositionError(f"Eigenvalues did not converge (dsyevd info {info})")
-        eigenvectors = a.T  # column-major: row i of a pairs with eigenvalues[i]
-    # ascending order from both solvers
-    return Spectrum(eigenvalues=eigenvalues[::-1], eigenvectors=eigenvectors[:, ::-1],
-                    graph=graph)
+    """Spectrum(graph) with every eigenvector solved first, so that its
+    eigenvalues and eigenvectors equal numpy's eigh bit for bit (in
+    descending order)."""
+    spectrum = Spectrum(graph)
+    spectrum._solve_all()
+    return spectrum
 
 
 def ideal_eigenvalue(mu_in, mu_out, n):
@@ -263,12 +253,11 @@ def ideal_eigenvalue(mu_in, mu_out, n):
 def select_eigenpair(spectrum, lambda_star):
     """Eigenpair whose eigenvalue is closest to lambda*.
 
-    spectrum is a Spectrum or a PartialSpectrum; the eigenvector comes
-    from its eigenvector(), so it is residual-checked and follows the
-    sign rule on either.  Exact distance ties go to the larger
-    eigenvalue.  gap_to_next is the distance from the chosen eigenvalue
-    to the nearest other one, the quantity that controls how trustworthy
-    the selection is.
+    The eigenvector comes from spectrum.eigenvector(), so it is
+    residual-checked and follows the sign rule.  Exact distance ties go
+    to the larger eigenvalue.  gap_to_next is the distance from the
+    chosen eigenvalue to the nearest other one, the quantity that
+    controls how trustworthy the selection is.
     """
     lam = spectrum.eigenvalues
     if len(lam) == 0:
@@ -276,16 +265,12 @@ def select_eigenpair(spectrum, lambda_star):
     # argmin returns the first minimizer; descending order makes that the
     # larger eigenvalue on a tie
     idx = int(np.argmin(np.abs(lam - lambda_star)))
-    vector = spectrum.eigenvector(idx + 1)
-    if spectrum.eigenvalues is not lam:
-        # a PartialSpectrum fell back to eigendecompose: select on its eigenvalues
-        return select_eigenpair(spectrum, lambda_star)
     return SelectionReport(
         lambda_star=float(lambda_star),
         selected_index=idx + 1,
         lambda_selected=float(lam[idx]),
         gap_to_next=_gap(lam, idx),
-        eigenvector=vector,
+        eigenvector=spectrum.eigenvector(idx + 1),
         spectrum=spectrum,
     )
 
@@ -302,16 +287,16 @@ def cluster(graph, algorithm, mu_in, mu_out, solve=None, iterate=False):
     hosc splits by the sign of the eigenvector nearest lambda*, and
     hosc_li then runs local_improvement(iterate=iterate); fiedler splits
     by rank 2 and leaves lambda_star and gap_to_next None.  solve(graph)
-    (default PartialSpectrum) runs after lambda* is computed, so a
+    (default Spectrum) runs after lambda* is computed, so a
     degenerate model raises before any solve.
     """
     if algorithm == "fiedler":
-        spectrum = (solve or PartialSpectrum)(graph)
-        vector = spectrum.eigenvector(2)  # first: a fallback replaces the eigenvalues
-        report = SelectionReport(None, 2, float(spectrum.eigenvalues[1]), None, vector, spectrum)
+        spectrum = (solve or Spectrum)(graph)
+        report = SelectionReport(None, 2, float(spectrum.eigenvalues[1]), None,
+                                 spectrum.eigenvector(2), spectrum)
     elif algorithm in ("hosc", "hosc_li"):
         lambda_star = ideal_eigenvalue(mu_in, mu_out, graph.n)
-        report = select_eigenpair((solve or PartialSpectrum)(graph), lambda_star)
+        report = select_eigenpair((solve or Spectrum)(graph), lambda_star)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     labels = sign_partition(report.eigenvector)

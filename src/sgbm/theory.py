@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import coefficients, edge_density
-from .spectral import DegenerateModelError
+from .spectral import DegenerateModelError, Spectrum
 
 __all__ = [
     "Atom",
@@ -202,6 +202,8 @@ def rayleigh_bound(graph, v, spectrum):
     computed spectrum: the guarantee of an order-n gap is asymptotic and
     the diagnostic must be honest at finite n.  delta = 0 (rho at a
     repeated eigenvalue) is reported as an unbounded (inf) bound.
+    spectrum is graph's Spectrum; of its eigenvectors only the one at
+    the closest eigenvalue is read.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.n,):
@@ -218,7 +220,7 @@ def rayleigh_bound(graph, v, spectrum):
     delta = float(others.min()) if len(others) else np.inf
     sine_bound = residual / (norm * delta) if delta > 0 else np.inf
     unit = v / norm
-    cosine = min(1.0, abs(float(unit @ spectrum.eigenvectors[:, closest])))
+    cosine = min(1.0, abs(float(unit @ spectrum.eigenvector(closest + 1))))
     actual = float(np.sqrt(max(0.0, 1.0 - cosine**2)))
     return RayleighReport(rho=rho, residual=residual, delta=delta,
                           sine_bound=sine_bound, actual_sine=actual,
@@ -230,7 +232,7 @@ def trace_lipschitz_check(a, b, m):
 
     The Hamming distance counts ordered pairs, i.e. both triangles of the
     symmetric difference.  Small n uses direct matrix powering; larger n
-    goes through eigenvalues.
+    goes through the eigenvalues of Spectrum, which equal eigvalsh's.
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
@@ -239,14 +241,14 @@ def trace_lipschitz_check(a, b, m):
     n = a.n
 
     def trace_power(graph):
-        dense = graph.dense()
         if n <= 64:
+            dense = graph.dense()
             acc = np.eye(n)
             for _ in range(m):
                 acc = acc @ dense
             return float(np.trace(acc))
-        eigenvalues = np.linalg.eigvalsh(dense)
-        return float(np.sum(eigenvalues**m))
+        ascending = Spectrum(graph).eigenvalues[::-1]  # eigvalsh's order: the sum rounds the same
+        return float(np.sum(ascending**m))
 
     lhs = abs(trace_power(a) - trace_power(b))
     hamming = int(np.sum(a.adjacency != b.adjacency))

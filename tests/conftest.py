@@ -14,6 +14,26 @@ import pytest
 from sgbm import kernels, model, spectral
 
 
+class FixedSpectrum:
+    """A spectrum given by its eigenpairs, for tests of code that reads one:
+    eigenvalues, eigenvectors (column i pairs with eigenvalues[i]) and n,
+    and eigenvector(rank) as the column itself."""
+
+    def __init__(self, eigenvalues, eigenvectors=None):
+        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+        self.eigenvectors = eigenvectors
+        self.n = len(self.eigenvalues)
+
+    def eigenvector(self, rank):
+        return self.eigenvectors[:, rank - 1]
+
+
+@pytest.fixture
+def fixed_spectrum():
+    """The FixedSpectrum class."""
+    return FixedSpectrum
+
+
 @pytest.fixture(scope="session")
 def sparse_gbm_ensemble():
     """10 GBM draws at n=2000, r_in=0.08, r_out=0.02, seeds 0..9.

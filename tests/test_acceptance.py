@@ -77,14 +77,12 @@ def test_04_local_improvement_gives_exact_recovery(exact_recovery_ensemble):
     assert zero >= 9
 
 
-def test_05_spiked_eigenvalues_match_limit_atoms(sparse_gbm_ensemble):
+def test_05_spiked_eigenvalues_match_limit_atoms(sparse_gbm_ensemble, fixed_spectrum):
     """Eigenvalues of A/n outside the bulk sit on predicted atoms."""
     measure = theory.limiting_atoms(sparse_gbm_ensemble["f_in"], sparse_gbm_ensemble["f_out"],
                                     K=200)
     for eigenvalues in sparse_gbm_ensemble["eigenvalues"][:5]:
-        spectrum = spectral.Spectrum(eigenvalues=eigenvalues,
-                                     eigenvectors=np.empty((0, 0)))
-        report = theory.spectrum_match(spectrum, measure,
+        report = theory.spectrum_match(fixed_spectrum(eigenvalues), measure,
                                        threshold=0.02, window=0.02)
         assert report.entries
         assert report.outlier_count == 0

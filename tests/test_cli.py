@@ -22,16 +22,15 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 
 def count_solves(monkeypatch):
-    """Record graph.n for every call of either solver entry point."""
+    """Record graph.n for every Spectrum built, by eigendecompose or directly."""
     calls = []
-    for name in ("eigendecompose", "PartialSpectrum"):
-        solve = getattr(spectral, name)
+    solve = spectral.Spectrum
 
-        def counted(graph, solve=solve):
-            calls.append(graph.n)
-            return solve(graph)
+    def counted(graph):
+        calls.append(graph.n)
+        return solve(graph)
 
-        monkeypatch.setattr(spectral, name, counted)
+    monkeypatch.setattr(spectral, "Spectrum", counted)
     return calls
 
 

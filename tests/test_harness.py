@@ -54,6 +54,18 @@ def test_cell_seed_deterministic_and_distinct():
     assert harness.cell_seed(1, 3, 4) != harness.cell_seed(2, 3, 4)
 
 
+def test_sweep_rejects_seeds_outside_the_cell_seed_range():
+    """cell_seed packs grid_index << 32 | seed, so seed 2**32 at grid 0 would
+    be seed 0 at grid 1; the master seed is taken as 64 unsigned bits."""
+    with pytest.raises(ValueError, match="seeds must lie in"):
+        harness.fig3_sweep(n_list=(100, 100), seeds=[0, 2**32])
+    point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2), f_out=kernels.Indicator(0.1))
+    for seeds, master_seed in (([-1], 0), ([0], -1), ([0], 2**64)):
+        with pytest.raises(ValueError):
+            SweepConfig(experiment="x", grid=[point], seeds=seeds, master_seed=master_seed)
+    SweepConfig(experiment="x", grid=[point], seeds=[0, 2**32 - 1], master_seed=2**64 - 1)
+
+
 # --- run_sweep basics ------------------------------------------------------------
 
 def test_sweep_cardinality_and_order():
@@ -158,16 +170,16 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
 
 
 def count_partial_solves(monkeypatch, delay=0.0):
-    """Record graph.n for every PartialSpectrum a sweep cell builds, after a sleep."""
+    """Record graph.n for every Spectrum a sweep cell builds, after a sleep."""
     calls = []
-    solve = spectral.PartialSpectrum
+    solve = spectral.Spectrum
 
     def counted(graph):
         calls.append(graph.n)
         time.sleep(delay)
         return solve(graph)
 
-    monkeypatch.setattr(harness, "PartialSpectrum", counted)
+    monkeypatch.setattr(harness, "Spectrum", counted)
     return calls
 
 
@@ -579,7 +591,7 @@ def test_spectrum_files_match_full_eigh(tmp_path, monkeypatch, f_in, f_out):
     """eigenvalues.csv and match.csv from eigvalsh equal those from eigh."""
     params = model.SgbmParams(n=1000, d=1, f_in=f_in, f_out=f_out, seed=4)
     harness.spectrum_experiment(params, out=str(tmp_path / "partial"))
-    monkeypatch.setattr(harness, "PartialSpectrum", spectral.eigendecompose)
+    monkeypatch.setattr(harness, "Spectrum", spectral.eigendecompose)
     harness.spectrum_experiment(params, out=str(tmp_path / "full"))
     for name in ("eigenvalues.csv", "atoms.csv", "match.csv"):
         assert (tmp_path / "partial" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
@@ -615,8 +627,9 @@ def test_meta_sidecar(tmp_path):
     harness.write_meta(path, {"model.n": 100, "run.seed": 1}, workers=2)
     text = path.read_text()
     assert "numpy:" in text
-    assert ("eigensolver: dsytrd + dsterf; dstein + dormtr per eigenvector used "
-            "(eigh where repeated or LAPACK unavailable)\n") in text
+    assert ("eigensolver: dsytrd + dsterf; dstebz + dstein + dormtr per eigenvector used "
+            "(dstedc + dormtr for all where repeated or a call fails; "
+            "eigh where LAPACK unavailable)\n") in text
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

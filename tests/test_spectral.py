@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgbm import _openblas, cli, harness, kernels, model, spectral
 from sgbm.model import Graph, SgbmParams
-from sgbm.spectral import DegenerateModelError, EigendecompositionError, Spectrum
+from sgbm.spectral import DegenerateModelError, EigendecompositionError
 
 
 def two_cliques(half):
@@ -25,10 +25,10 @@ def test_single_edge_spectrum():
     a = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     spec = spectral.eigendecompose(Graph(n=2, adjacency=a))
     assert np.allclose(spec.eigenvalues, [1.0, -1.0], atol=1e-12)
-    partial = spectral.PartialSpectrum(Graph(n=2, adjacency=a))
+    partial = spectral.Spectrum(Graph(n=2, adjacency=a))
     assert np.allclose(partial.eigenvector(1), [0.5**0.5, 0.5**0.5], atol=1e-15)
     assert np.allclose(partial.eigenvector(2), [0.5**0.5, -(0.5**0.5)], atol=1e-15)
-    assert partial._full is None  # the tridiagonal path, at its smallest size
+    assert partial._eigenvectors is None  # the tridiagonal path, at its smallest size
 
 
 def test_two_disjoint_edges_spectrum():
@@ -61,7 +61,7 @@ def test_spectrum_residual_and_orthonormality():
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(gram - np.eye(graph.n)).max() <= 1e-8
     assert spec.n == 300
-    # reversed views of dsyevd's output, not copies
+    # reversed views of the solve's output, not copies
     assert spec.eigenvalues.strides[0] < 0 and not spec.eigenvalues.flags.owndata
     assert spec.eigenvectors.strides[1] < 0 and not spec.eigenvectors.flags.owndata
 
@@ -72,17 +72,11 @@ def sampled_graph(n, seed=0):
     return model.sample_graph(params)[0]
 
 
-def dsyevd_stand_in(routine):
-    """_openblas.function, with LAPACKE_dsyevd replaced by routine (None: not exported)."""
-    real = _openblas.function
-    return lambda name: routine if name == "LAPACKE_dsyevd" else real(name)
-
-
 def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, capsys):
     graph = sampled_graph(200)
     # info > 0: no convergence
-    monkeypatch.setattr(_openblas, "function", dsyevd_stand_in(lambda *args: 3))
-    with pytest.raises(EigendecompositionError, match="did not converge"):
+    patch_lapack(monkeypatch, dstedc=lambda *args: 3)
+    with pytest.raises(EigendecompositionError, match="dstedc failed"):
         spectral.eigendecompose(graph)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "labels.txt", np.ones(200, dtype=np.int8))
@@ -92,45 +86,38 @@ def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, ca
                    f"run.graph = {tmp_path / 'edges.txt'}\n"
                    f"run.labels = {tmp_path / 'labels.txt'}\n")
     assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    assert "eigensolver failure: Eigenvalues did not converge" in capsys.readouterr().err
+    assert "eigensolver failure: LAPACK dstedc failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("info", [-1010, -1011])  # LAPACKE's work and transpose memory errors
 def test_eigendecompose_allocation_failure_is_a_memory_error(monkeypatch, info):
-    monkeypatch.setattr(_openblas, "function", dsyevd_stand_in(lambda *args: info))
+    patch_lapack(monkeypatch, dstedc=lambda *args: info)
     with pytest.raises(MemoryError):
         spectral.eigendecompose(sampled_graph(20))
 
 
-def test_without_dsyevd_eigendecompose_is_eigh(monkeypatch):
-    graph = sampled_graph(300, seed=4)
-    monkeypatch.setattr(_openblas, "function", dsyevd_stand_in(None))
-    spec = spectral.eigendecompose(graph)
-    eigenvalues, eigenvectors = np.linalg.eigh(graph.dense())
-    assert np.array_equal(spec.eigenvalues, eigenvalues[::-1])
-    assert np.array_equal(spec.eigenvectors, eigenvectors[:, ::-1])
-
-
 def test_eigendecompose_holds_one_dense_copy():
-    """The traced peak is the float64 copy dsyevd overwrites (dsyevd's own
-    workspace is allocated by LAPACKE, outside tracemalloc); eigh would add
-    an n x n output array."""
+    """While it solves, the traced peak is two float64 n x n arrays: the
+    reflectors and the eigenvectors (dstedc's own workspace is allocated by
+    LAPACKE, outside tracemalloc).  Once every vector is solved the
+    reflectors are dropped, and the spectrum holds the one array."""
     graph = sampled_graph(1000)
     tracemalloc.start()
     try:
         spec = spectral.eigendecompose(graph)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert spec.n == 1000
-    assert peak <= 1.1 * 8 * 1000**2
+    assert peak <= 2.1 * 8 * 1000**2
+    assert held <= 1.1 * 8 * 1000**2
 
 
 def test_residual_check_allocates_by_row_block():
     """eigenvector(rank) of either solver casts the uint8 adjacency a row
     block at a time, never to one n x n float64 temporary (8 MB here)."""
     graph = sampled_graph(1000)
-    full, partial = spectral.eigendecompose(graph), spectral.PartialSpectrum(graph)
+    full, partial = spectral.eigendecompose(graph), spectral.Spectrum(graph)
     for spectrum in (full, partial):
         tracemalloc.start()
         try:
@@ -138,8 +125,8 @@ def test_residual_check_allocates_by_row_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1e6, type(spectrum).__name__
-    assert partial._full is None  # the tridiagonal path was measured
+        assert peak < 1e6
+    assert partial._eigenvectors is None  # the tridiagonal path was measured
     vector = full.eigenvectors[:, 2]
     radius = spectral._radius(full.eigenvalues)
     value = float(full.eigenvalues[2])
@@ -165,25 +152,24 @@ def test_ideal_eigenvalue_degenerate():
 
 # --- select_eigenpair ---------------------------------------------------------
 
-def test_select_closest():
-    spec = Spectrum(eigenvalues=np.array([3.0, -1.0, -1.0, -1.0]),
-                    eigenvectors=np.eye(4))
+def test_select_closest(fixed_spectrum):
+    spec = fixed_spectrum([3.0, -1.0, -1.0, -1.0], np.eye(4))
     report = spectral.select_eigenpair(spec, 2.0)
     assert report.lambda_selected == 3.0
     assert report.selected_index == 1
     assert report.gap_to_next == pytest.approx(4.0)
 
 
-def test_select_tie_prefers_larger():
-    spec = Spectrum(eigenvalues=np.array([2.0, 0.0]), eigenvectors=np.eye(2))
+def test_select_tie_prefers_larger(fixed_spectrum):
+    spec = fixed_spectrum([2.0, 0.0], np.eye(2))
     report = spectral.select_eigenpair(spec, 1.0)
     assert report.lambda_selected == 2.0
     assert report.selected_index == 1
     assert report.gap_to_next == pytest.approx(2.0)
 
 
-def test_select_empty_spectrum():
-    spec = Spectrum(eigenvalues=np.array([]), eigenvectors=np.zeros((0, 0)))
+def test_select_empty_spectrum(fixed_spectrum):
+    spec = fixed_spectrum([], np.zeros((0, 0)))
     with pytest.raises(ValueError):
         spectral.select_eigenpair(spec, 1.0)
 
@@ -262,7 +248,7 @@ def composed(graph, algorithm, mu_in, mu_out, solve, iterate):
     return labels, report.selected_index, report.lambda_selected, lambda_star
 
 
-@pytest.mark.parametrize("solve", [spectral.PartialSpectrum, spectral.eigendecompose],
+@pytest.mark.parametrize("solve", [spectral.Spectrum, spectral.eigendecompose],
                          ids=["partial", "full"])
 @pytest.mark.parametrize("algorithm,iterate", [
     ("hosc", False), ("hosc_li", False), ("hosc_li", True), ("fiedler", False)])
@@ -280,8 +266,9 @@ def test_cluster_matches_step_by_step_composition(solve, algorithm, iterate):
         assert np.array_equal(labels, reference[0])
         assert (report.selected_index, report.lambda_selected, report.lambda_star) \
             == reference[1:]
-        assert type(report.spectrum) is (spectral.Spectrum if solve is spectral.eigendecompose
-                                         else spectral.PartialSpectrum)
+        assert type(report.spectrum) is spectral.Spectrum
+        # only eigendecompose solves every vector
+        assert (report.spectrum._eigenvectors is None) == (solve is spectral.Spectrum)
         if algorithm == "fiedler":
             assert report.gap_to_next is None
 
@@ -289,7 +276,7 @@ def test_cluster_matches_step_by_step_composition(solve, algorithm, iterate):
 def test_cluster_defaults_to_partial_spectrum_and_hosc_is_cluster():
     graph, _ = two_cliques(10)
     labels, report = spectral.cluster(graph, "hosc", 0.9, 0.1)
-    assert isinstance(report.spectrum, spectral.PartialSpectrum)
+    assert type(report.spectrum) is spectral.Spectrum
     hosc_labels, hosc_report = spectral.hosc(graph, 0.9, 0.1)
     assert np.array_equal(labels, hosc_labels)
     assert hosc_report.selected_index == report.selected_index
@@ -328,7 +315,7 @@ def test_hosc_invariant_under_node_relabelling():
         assert spectral.loss(truth, labels) == spectral.loss(truth[perm], labels_p)
 
 
-# --- PartialSpectrum against the full eigh --------------------------------------
+# --- the tridiagonal path against the full eigh ----------------------------------
 
 def preset_rows(workers):
     """The fig3, fig4 and waxman preset cells the differential test compares."""
@@ -342,9 +329,11 @@ def preset_rows(workers):
 def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
     """Rank, lambda_selected, gap_to_next, accuracy, results.csv and labels.
 
-    The reference runs the same sweeps with eigendecompose in place of
-    PartialSpectrum.  Persisted labels are compared byte for byte: the sign
-    rule makes them independent of the solver, not just equal up to a swap.
+    The reference runs the same sweeps with eigendecompose, which solves
+    every vector first, in place of Spectrum, which solves only the
+    vectors asked for; no cell falls back to the full solve.  Persisted
+    labels are compared byte for byte: the sign rule makes them
+    independent of the solver, not just equal up to a swap.
     """
     labels_dir = {}
     run_sweep = harness.run_sweep
@@ -355,9 +344,11 @@ def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_sweep", persisting)
     labels_dir["out"] = tmp_path / "partial_labels"
+    full_solves = count_full_solves(monkeypatch)
     runs = {workers: preset_rows(workers) for workers in (1, 2)}
+    assert full_solves == []
     labels_dir["out"] = tmp_path / "full_labels"
-    monkeypatch.setattr(harness, "PartialSpectrum", spectral.eigendecompose)
+    monkeypatch.setattr(harness, "Spectrum", spectral.eigendecompose)
     full = preset_rows(2)
 
     assert len(full) == 12 * 3 + 12 * 2 + 16 * 2
@@ -399,7 +390,7 @@ def test_sign_rule_gives_the_same_labels_on_both_paths():
         graph, _, _ = model.sample_graph(params)
         lambda_star = spectral.ideal_eigenvalue(0.3, 0.1, 300)
         full = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
-        partial = spectral.select_eigenpair(spectral.PartialSpectrum(graph), lambda_star)
+        partial = spectral.select_eigenpair(spectral.Spectrum(graph), lambda_star)
         assert np.abs(full.eigenvector - partial.eigenvector).max() <= 1e-9
         assert np.array_equal(spectral.sign_partition(full.eigenvector),
                               spectral.sign_partition(partial.eigenvector))
@@ -435,20 +426,23 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
     params = SgbmParams(n=n + n % 2, d=d, f_in=f_in, f_out=f_out, seed=n)
     sampled, labels, _ = model.sample_graph(params)
     graph = Graph(n=n, adjacency=sampled.adjacency[:n, :n].copy())
-    partial = spectral.PartialSpectrum(graph)
-    assert np.array_equal(partial.eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
+    partial = spectral.Spectrum(graph)
+    eigenvalues = partial.eigenvalues
+    assert np.array_equal(eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
     lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
                                             kernels.edge_density(f_out), n)
     assert_matches_full_solve(graph, partial, lambda_star)
-    # eigendecompose's in-place dsyevd is eigh bit for bit
+    # eigendecompose, the steps of dsyevd on the kept reduction, is eigh bit for bit
     full = spectral.eigendecompose(graph)
-    eigenvalues, eigenvectors = np.linalg.eigh(graph.dense())
-    assert np.array_equal(full.eigenvalues, eigenvalues[::-1])
-    assert np.array_equal(full.eigenvectors, eigenvectors[:, ::-1])
+    values, vectors = np.linalg.eigh(graph.dense())
+    assert np.array_equal(full.eigenvalues, values[::-1])
+    assert np.array_equal(full.eigenvectors, vectors[:, ::-1])
+    # and so is every vector solved after the eigenvalues, which stay eigvalsh's
+    assert np.array_equal(partial.eigenvectors, vectors[:, ::-1])
+    assert partial.eigenvalues is eigenvalues and partial._reflectors is None
     truth = labels[:n]
-    assert (spectral.per_eigenvector_accuracy(full, truth)
-            == spectral.per_eigenvector_accuracy(
-                Spectrum(eigenvalues[::-1], eigenvectors[:, ::-1]), truth))
+    assert (spectral.per_eigenvector_accuracy(partial, truth)
+            == spectral.per_eigenvector_accuracy(full, truth))
 
 
 def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
@@ -468,40 +462,59 @@ def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
         return info
 
     real = patch_lapack(monkeypatch, dstebz=recording)
-    partial = spectral.PartialSpectrum(graph)
+    partial = spectral.Spectrum(graph)
     assert np.array_equal(partial.eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
     assert_matches_full_solve(graph, partial, spectral.ideal_eigenvalue(0.4, 0.1, 200),
                               ranks=range(1, 11))
-    assert partial._full is None and len(blocks) >= 10 and min(blocks) > 1
+    assert partial._eigenvectors is None and len(blocks) >= 10 and min(blocks) > 1
 
 
 def test_without_lapack_the_partial_spectrum_is_the_full_solve(monkeypatch):
+    """Without the LAPACK routines, one eigh gives every pair, and
+    eigendecompose is eigh."""
     params = SgbmParams(n=300, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=5)
     graph, _, _ = model.sample_graph(params)
-    full = spectral.eigendecompose(graph)
+    values, vectors = np.linalg.eigh(graph.dense())
     monkeypatch.setattr(_openblas, "lapack", lambda: None)
-    calls = count_full_solves(monkeypatch)
-    partial = spectral.PartialSpectrum(graph)
-    assert calls == [300]  # at construction
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    full = spectral.eigendecompose(graph)
+    assert np.array_equal(full.eigenvalues, values[::-1])
+    assert np.array_equal(full.eigenvectors, vectors[:, ::-1])
+    partial = spectral.Spectrum(graph)
     assert np.array_equal(partial.eigenvalues, full.eigenvalues)
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 300)
     got, want = (spectral.select_eigenpair(s, lambda_star) for s in (partial, full))
     assert got.selected_index == want.selected_index
     assert np.array_equal(got.eigenvector, want.eigenvector)
     assert np.array_equal(partial.eigenvector(2), full.eigenvector(2))
-    assert calls == [300]
+    assert calls == [300, 300]  # one per spectrum
+
+
+def patch_lapack(monkeypatch, **stand_ins):
+    """Spectrum objects built from now on call the stand-ins in place of
+    the LAPACK routines of those names; returns the real routines."""
+    real = _openblas.lapack()
+    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, **stand_ins})
+    return real
 
 
 def count_full_solves(monkeypatch):
+    """Record n for every dstedc call of the Spectrum objects built from now on."""
     calls = []
-    solve = spectral.eigendecompose
 
-    def counted(graph):
-        calls.append(graph.n)
-        return solve(graph)
+    def counted(*args):
+        calls.append(args[2])  # n
+        return real["dstedc"](*args)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    real = patch_lapack(monkeypatch, dstedc=counted)
     return calls
 
 
@@ -530,27 +543,25 @@ def twin_graph():
     twin_graph(),
 ], ids=["two_cliques", "K10", "twin"])
 def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda_star):
-    full = spectral.eigendecompose(graph)
-    reference = spectral.select_eigenpair(full, lambda_star)
+    """The selected rank, vector and labels are eigendecompose's; the
+    eigenvalues stay eigvalsh's, and every vector is solved once."""
+    reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
     calls = count_full_solves(monkeypatch)
-    partial = spectral.PartialSpectrum(graph)
+    partial = spectral.Spectrum(graph)
+    eigenvalues = partial.eigenvalues
     report = spectral.select_eigenpair(partial, lambda_star)
     assert calls == [graph.n]
+    assert partial.eigenvalues is eigenvalues
+    assert np.array_equal(eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
     assert report.selected_index == reference.selected_index
-    assert report.lambda_selected == reference.lambda_selected
-    assert report.gap_to_next == reference.gap_to_next
     assert np.array_equal(report.eigenvector, reference.eigenvector)
-    assert np.array_equal(partial.eigenvalues, full.eigenvalues)
+    assert np.array_equal(spectral.sign_partition(report.eigenvector),
+                          spectral.sign_partition(reference.eigenvector))
+    # a roundoff-level gap: what sent the rank to the full solve
+    assert report.gap_to_next <= spectral._GAP_RTOL * spectral._radius(eigenvalues)
     partial.eigenvector(1)
     assert calls == [graph.n]  # the full solve is kept, not repeated
-
-
-def patch_lapack(monkeypatch, **stand_ins):
-    """PartialSpectrum objects built from now on call the stand-ins in place
-    of the LAPACK routines of those names; returns the real routines."""
-    real = _openblas.lapack()
-    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, **stand_ins})
-    return real
+    assert partial._reflectors is None
 
 
 def failing_routine(*args):
@@ -570,37 +581,20 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 200)
     reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
 
-    for name, stand_in in [("dsytrd", failing_routine), ("dsterf", failing_routine),
-                           ("dstebz", failing_routine), ("dstein", failing_routine),
-                           ("dormtr", failing_routine), ("dormtr", nan_dormtr)]:
+    for name, stand_in in [("dsterf", failing_routine), ("dstebz", failing_routine),
+                           ("dstein", failing_routine), ("dormtr", failing_routine),
+                           ("dormtr", nan_dormtr)]:
         with monkeypatch.context() as patch:
-            patch_lapack(patch, **{name: stand_in})
             calls = count_full_solves(patch)
-            report = spectral.select_eigenpair(spectral.PartialSpectrum(graph), lambda_star)
+            patch_lapack(patch, **{name: stand_in})
+            report = spectral.select_eigenpair(spectral.Spectrum(graph), lambda_star)
         assert calls == [200], (name, stand_in)
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
-
-
-@pytest.mark.parametrize("graph,lambda_star,stand_ins", [
-    (two_cliques(10)[0], 10.0, {}),  # a repeated eigenvalue
-    (sampled_graph(200, seed=1), 30.0, {"dstein": failing_routine}),
-], ids=["repeated", "lapack_failure"])
-def test_fall_back_frees_the_reflectors_before_the_full_solve(monkeypatch, graph, lambda_star,
-                                                              stand_ins):
-    patch_lapack(monkeypatch, **stand_ins)
-    freed = []
-    solve = spectral.eigendecompose
-
-    def counted(graph):
-        freed.append(partial._reflectors is None)
-        return solve(graph)
-
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
-    partial = spectral.PartialSpectrum(graph)
-    assert partial._reflectors is not None
-    spectral.select_eigenpair(partial, lambda_star)
-    assert freed == [True]
+    # without the reduction there is nothing to fall back on
+    patch_lapack(monkeypatch, dsytrd=failing_routine)
+    with pytest.raises(EigendecompositionError, match="dsytrd failed"):
+        spectral.Spectrum(graph)
 
 
 def test_partial_spectrum_solves_each_rank_once(monkeypatch):
@@ -614,7 +608,7 @@ def test_partial_spectrum_solves_each_rank_once(monkeypatch):
         return real["dstein"](*args)
 
     real = patch_lapack(monkeypatch, dstein=counted)
-    partial = spectral.PartialSpectrum(graph)
+    partial = spectral.Spectrum(graph)
     before = partial._reflectors.copy()
     first = partial.eigenvector(4)
     assert partial.eigenvector(4) is first
@@ -623,25 +617,24 @@ def test_partial_spectrum_solves_each_rank_once(monkeypatch):
     # dormtr may write to the reflectors while it runs; it must restore them
     assert np.array_equal(partial._reflectors, before)
     with pytest.raises(ValueError):
-        spectral.PartialSpectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
+        spectral.Spectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
 
 
 def garbage_dormtr(*args):
     """Stands in for dormtr with an answer that is no eigenvector."""
-    args[9][:] = np.random.default_rng(1).standard_normal(len(args[9]))
+    args[9][:] = np.random.default_rng(1).standard_normal(args[9].shape)
     return 0
 
 
 def test_residual_check_on_both_paths(monkeypatch):
-    graph, _ = two_cliques(6)
-    spec = spectral.eigendecompose(graph)
-    mismatched = Spectrum(eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors[:, ::-1],
-                          graph=graph)
-    with pytest.raises(EigendecompositionError, match="residual"):
-        mismatched.eigenvector(1)
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=3)
     graph, _, _ = model.sample_graph(params)
+    with monkeypatch.context() as patch:
+        patch_lapack(patch, dormtr_work=garbage_dormtr)
+        spec = spectral.eigendecompose(graph)
+        with pytest.raises(EigendecompositionError, match="residual"):
+            spec.eigenvector(1)
     patch_lapack(monkeypatch, dormtr=garbage_dormtr)
     with pytest.raises(EigendecompositionError, match="residual"):
         spectral.hosc(graph, 0.4, 0.1)

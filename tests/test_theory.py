@@ -246,6 +246,20 @@ def test_rayleigh_report_matches_the_dense_product():
                                               rel=1e-12)
 
 
+def test_rayleigh_bound_reads_one_eigenvector(sbm_instances):
+    """On the SBM draws of sgbm validate's check, a Spectrum whose vectors
+    are not solved gives the full solve's report, and solves one vector."""
+    for inst in sbm_instances[:3]:
+        graph, planted = inst["graph"], inst["planted"]
+        spectrum = spectral.Spectrum(graph)
+        report = theory.rayleigh_bound(graph, planted, spectrum)
+        want = theory.rayleigh_bound(graph, planted, inst["spectrum"])
+        assert spectrum._eigenvectors is None
+        assert report.closest_rank == want.closest_rank
+        for name in ("rho", "residual", "delta", "sine_bound", "actual_sine"):
+            assert abs(getattr(report, name) - getattr(want, name)) <= 1e-12, name
+
+
 def test_rayleigh_bound_allocates_by_row_block():
     """A v comes from row blocks of the uint8 adjacency, never from one
     n x n float64 copy (8 MB here)."""
@@ -309,6 +323,15 @@ def test_trace_eigenvalue_path_matches_direct():
                  - np.trace(np.linalg.matrix_power(b.dense(), 3)))
     assert lhs == pytest.approx(direct, rel=1e-9, abs=1e-6)
     assert lhs <= rhs
+
+
+def test_trace_eigenvalue_path_is_eigvalsh():
+    rng = np.random.default_rng(8)
+    a, b = _random_graph(100, 0.3, rng), _random_graph(100, 0.3, rng)
+    for m in (2, 3, 4):
+        lhs, _ = theory.trace_lipschitz_check(a, b, m)
+        traces = [float(np.sum(np.linalg.eigvalsh(g.dense()) ** m)) for g in (a, b)]
+        assert lhs == abs(traces[0] - traces[1])
 
 
 def test_trace_validation():
