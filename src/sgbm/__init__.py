@@ -5,6 +5,7 @@ from .kernels import (
     Constant,
     Indicator,
     Waxman,
+    coefficients,
     convolution_at_zero,
     edge_density,
     eval_kernel,
@@ -52,7 +53,6 @@ from .theory import (
     LimitingMeasure,
     RayleighReport,
     SpectrumMatch,
-    coefficient_table,
     empirical_moment,
     isolation_check,
     limiting_atoms,

@@ -2,8 +2,9 @@
 
 Subcommands: generate, cluster, spectrum, sweep, validate.  One flat
 config file (key = value lines, # comments) drives any subcommand; the
-key namespaces are model.*, kernel_in.*, kernel_out.*, run.*.  Unknown
-keys are rejected before any work starts.
+key namespaces are model.*, kernel_in.*, kernel_out.*, run.*.  Each
+subcommand accepts only the keys it reads (KEYS); any other key is
+rejected before any work starts.
 
 Exit codes: 0 ok, 2 config problem, 3 degenerate model (mu_in = mu_out),
 4 numeric failure (eigensolver breakdown or a failed validation check).
@@ -25,8 +26,8 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config(path):
-    """Flat 'section.key = value' file into nested dicts, strictly."""
+def parse_config(path, command):
+    """Flat 'section.key = value' file into nested dicts; only the keys command reads."""
     sections = {"model": {}, "kernel_in": {}, "kernel_out": {}, "run": {}}
     if path is None:
         return sections
@@ -42,15 +43,9 @@ def parse_config(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if "." not in key:
-            raise ConfigError(f"{path}:{lineno}: keys are namespaced, e.g. model.n")
-        section, name = key.split(".", 1)
-        if section not in sections:
-            raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
-        if section == "model" and name not in ("n", "d"):
-            raise ConfigError(f"{path}:{lineno}: unknown model key {name!r}")
-        if section == "run" and name not in _RUN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown run key {name!r}")
+        section, _, name = key.partition(".")
+        if key not in KEYS[command] and f"{section}.*" not in KEYS[command]:
+            raise ConfigError(f"{path}:{lineno}: sgbm {command} does not read {key}")
         if name in sections[section]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         sections[section][name] = value
@@ -139,10 +134,15 @@ def cmd_cluster(args, config):
     li_iterate = run.get("li_iterate", "false").lower()
     if li_iterate not in ("true", "false"):
         raise ConfigError(f"run.li_iterate must be true or false, got {run['li_iterate']!r}")
+    if "labels" in run and "graph" not in run:
+        raise ConfigError("run.labels needs run.graph: a sampled graph has its own labels")
     truth = None
     if "graph" in run:
         try:
             graph, d, _ = model.read_graph(run["graph"])
+            if graph.n < 2:
+                raise ValueError(f"{run['graph']}: header has n = {graph.n}; "
+                                 "clustering needs n >= 2")
         except (ValueError, OSError) as exc:
             raise ConfigError(f"bad graph file: {exc}")
         f_in, f_out = _kernel_pair(config, d, "clustering a graph file still needs kernel "
@@ -210,9 +210,18 @@ _PRESETS = {
                {"mode": lambda section, name, value: value, "grid": _float_list,
                 "fixed_out": _float, "s": _float, "q": _float, "n_list": _int_list}),
 }
-_PRESET_KEYS = {key for _, parsers in _PRESETS.values() for key in parsers}
-_RUN_KEYS = _PRESET_KEYS | {"seed", "seeds", "algorithm", "preset", "graph", "labels", "out",
-                            "K", "threshold", "window", "workers", "li_iterate"}
+
+# command -> the keys it reads; "section.*" takes a whole kernel block, which
+# kernels.kernel_from_config checks.  sweep narrows its preset keys to the chosen preset's.
+_MODEL_KEYS = {"model.n", "model.d", "run.seed", "kernel_in.*", "kernel_out.*"}
+_SWEEP_KEYS = {"run.preset", "run.seeds", "run.seed", "run.workers"}
+KEYS = {
+    "generate": _MODEL_KEYS,
+    "cluster": _MODEL_KEYS | {"run.algorithm", "run.li_iterate", "run.graph", "run.labels"},
+    "spectrum": _MODEL_KEYS | {"run.K", "run.threshold", "run.window"},
+    "sweep": _SWEEP_KEYS | {f"run.{key}" for _, parsers in _PRESETS.values() for key in parsers},
+    "validate": set(),
+}
 
 
 def cmd_sweep(args, config):
@@ -229,12 +238,12 @@ def cmd_sweep(args, config):
         raise ConfigError("run.workers must be >= 1")
 
     sweep, parsers = _PRESETS[preset]
-    foreign = sorted(set(run) & (_PRESET_KEYS - set(parsers)))
+    foreign = sorted(key for key in run if f"run.{key}" not in _SWEEP_KEYS and key not in parsers)
     if foreign:
-        raise ConfigError(f"run.{foreign[0]} does not apply to preset {preset}")
+        raise ConfigError(f"sgbm sweep does not read run.{foreign[0]} with preset {preset}")
     kw.update((key, parse("run", key, run[key])) for key, parse in parsers.items() if key in run)
     try:
-        rows = sweep(master_seed=master, out=args.out, workers=workers, **kw)[0]
+        rows = sweep(master_seed=master, workers=workers, **kw)[0]
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -290,7 +299,7 @@ def main(argv=None):
     try:
         if args.seed is not None and not (0 <= args.seed < 2**64):
             raise ConfigError("--seed must fit in 64 unsigned bits")
-        config = parse_config(args.config)
+        config = parse_config(args.config, args.command)
         if args.command != "validate" and args.config is None:
             raise ConfigError(f"{args.command} needs --config")
         return handlers[args.command](args, config)

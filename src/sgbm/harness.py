@@ -73,8 +73,7 @@ class SweepConfig:
     seeds: list
     algorithms: tuple = ("hosc",)
     master_seed: int = 0
-    persist_labels: bool = False
-    out: str = None
+    labels_dir: str = None  # if set, each row's predicted and true labels are written here
 
     def __post_init__(self):
         if not self.grid:
@@ -282,10 +281,10 @@ def _run_cell(config, grid_index, point, seed):
             predicted = None
         row.runtime_ms = sample_ms + shared_ms + (time.perf_counter() - t0) * 1000.0
         rows.append(row)
-        if config.persist_labels and config.out and predicted is not None:
+        if config.labels_dir and predicted is not None:
             stem = f"{config.experiment}_g{grid_index}_s{seed}_{algorithm}"
-            write_labels(os.path.join(config.out, f"{stem}.predicted"), predicted)
-            write_labels(os.path.join(config.out, f"{stem}.truth"), truth)
+            write_labels(os.path.join(config.labels_dir, f"{stem}.predicted"), predicted)
+            write_labels(os.path.join(config.labels_dir, f"{stem}.truth"), truth)
     return rows
 
 
@@ -327,8 +326,8 @@ def run_sweep(config, workers=1):
     input order, so rows come grid-major, then by seed, then by algorithm.
     """
     cells = [(gi, point, seed) for gi, point in enumerate(config.grid) for seed in config.seeds]
-    if config.persist_labels and config.out:
-        os.makedirs(config.out, exist_ok=True)
+    if config.labels_dir:
+        os.makedirs(config.labels_dir, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -338,14 +337,14 @@ def run_sweep(config, workers=1):
     return [row for chunk in chunks for row in chunk]
 
 
-def aggregate(rows, group_fields, value_field="accuracy"):
-    """Mean, standard error and count of a field over row groups."""
+def aggregate(rows, group_fields):
+    """Mean, standard error and count of accuracy over row groups."""
     groups = {}
     for row in rows:
-        if getattr(row, value_field) is None:
+        if row.accuracy is None:
             continue
         key = tuple(getattr(row, name) for name in group_fields)
-        groups.setdefault(key, []).append(getattr(row, value_field))
+        groups.setdefault(key, []).append(row.accuracy)
     out = []
     for key in sorted(groups):
         vals = np.asarray(groups[key], dtype=float)
@@ -378,18 +377,18 @@ WAXMAN_N = (500, 2000)
 
 
 def fig3_sweep(n_list=FIG3_N, r_in=0.08, r_out=0.05, seeds=range(20),
-               algorithms=("hosc", "hosc_li"), master_seed=0, out=None, workers=1):
+               algorithms=("hosc", "hosc_li"), master_seed=0, workers=1):
     """Accuracy versus graph size at fixed radii."""
     grid = [GridPoint(n=n, d=1, f_in=Indicator(r_in), f_out=Indicator(r_out))
             for n in n_list]
     config = SweepConfig(experiment="fig3", grid=grid, seeds=list(seeds),
-                         algorithms=tuple(algorithms), master_seed=master_seed, out=out)
+                         algorithms=tuple(algorithms), master_seed=master_seed)
     rows = run_sweep(config, workers=workers)
     return rows, aggregate(rows, ("n", "algorithm"))
 
 
 def fig4_sweep(r_in_grid=FIG4_R_IN_GRID, r_out=0.06, n=1500, seeds=range(5),
-               master_seed=0, out=None, workers=1):
+               master_seed=0, workers=1):
     """Accuracy and selected rank versus r_in; dips sit at rank jumps."""
     r_in_grid = tuple(r_in_grid)
     if min(r_in_grid) <= r_out:
@@ -397,7 +396,7 @@ def fig4_sweep(r_in_grid=FIG4_R_IN_GRID, r_out=0.06, n=1500, seeds=range(5),
     grid = [GridPoint(n=n, d=1, f_in=Indicator(r), f_out=Indicator(r_out))
             for r in r_in_grid]
     config = SweepConfig(experiment="fig4", grid=grid, seeds=list(seeds),
-                         algorithms=("hosc",), master_seed=master_seed, out=out)
+                         algorithms=("hosc",), master_seed=master_seed)
     rows = run_sweep(config, workers=workers)
     means = _grid_means(rows)
     table = [{"r_in": r, "mean_accuracy": means.get(gi),
@@ -407,7 +406,7 @@ def fig4_sweep(r_in_grid=FIG4_R_IN_GRID, r_out=0.06, n=1500, seeds=range(5),
 
 
 def waxman_sweep(mode="q", grid=WAXMAN_Q_GRID, fixed_out=0.5, s=1.0, q=0.7,
-                 n_list=WAXMAN_N, seeds=range(10), master_seed=0, out=None, workers=1):
+                 n_list=WAXMAN_N, seeds=range(10), master_seed=0, workers=1):
     """Accuracy across a Waxman parameter grid straddling the symmetric point.
 
     mode "q": q_in runs over the grid with q_out = fixed_out and a shared
@@ -426,7 +425,7 @@ def waxman_sweep(mode="q", grid=WAXMAN_Q_GRID, fixed_out=0.5, s=1.0, q=0.7,
                 f_in, f_out = Waxman(q, value), Waxman(q, fixed_out)
             points.append(GridPoint(n=n, d=1, f_in=f_in, f_out=f_out))
     config = SweepConfig(experiment="waxman", grid=points, seeds=list(seeds),
-                         algorithms=("hosc",), master_seed=master_seed, out=out)
+                         algorithms=("hosc",), master_seed=master_seed)
     rows = run_sweep(config, workers=workers)
 
     grid = tuple(grid)
@@ -519,9 +518,7 @@ def _blas_name():
 
 
 def write_meta(path, config_echo, workers=1):
-    """meta.txt: library versions, BLAS and its thread count, eigensolver, config echo."""
-    import scipy
-
+    """meta.txt: numpy version, BLAS and its thread count, eigensolver, config echo."""
     controls = _blas_thread_controls()
     if controls is None:
         threads = "not controllable"
@@ -530,7 +527,6 @@ def write_meta(path, config_echo, workers=1):
     lines = [
         f"timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
         f"numpy: {np.__version__}",
-        f"scipy: {scipy.__version__}",
         f"blas: {_blas_name()}",
         f"blas_threads: {threads}",
         # how _run_cell solves: spectral.Spectrum

@@ -52,7 +52,6 @@ __all__ = [
     "eval_kernel",
     "coefficients",
     "fourier_coeff",
-    "fourier_coeff_quadrature",
     "fourier_coeff_grid",
     "edge_density",
     "convolution_at_zero",
@@ -251,11 +250,6 @@ def fourier_coeff_grid(kernel, ks, nodes_per_dim):
         table = phases @ (kernel.profile(np.maximum.outer(dist, dist)) * np.outer(w, w)) @ phases.T
     # even kernels have real coefficients; the imaginary part is roundoff
     return table[tuple(index.reshape(ks.shape).T)].real
-
-
-def fourier_coeff_quadrature(kernel, k, nodes_per_dim):
-    """Single-coefficient quadrature oracle, independent of the layer-cake rule."""
-    return float(fourier_coeff_grid(kernel, _check_lattice_index(kernel, k), nodes_per_dim)[0])
 
 
 @lru_cache

@@ -16,7 +16,7 @@ def fourier_quadrature_agreement():
         kern = kernels.Indicator(0.17, d=d)
         axis = np.arange(-50, 51)
         ks = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        analytic = theory.coefficient_table(kern, ks)
+        analytic = kernels.coefficients(kern, ks)
         quad = kernels.fourier_coeff_grid(kern, ks, 256)
         worst = max(worst, float(np.max(np.abs(analytic - quad))))
     return worst <= 1e-10, f"max |analytic - quadrature| = {worst:.2e} (allowed 1e-10)"
@@ -37,7 +37,7 @@ def convolution_identity():
         (kernels.Waxman(0.9, 4.0), 2, 500),
     ):
         ks = np.arange(-cutoff, cutoff + 1).reshape(-1, 1)
-        lattice = float(np.sum(theory.coefficient_table(kern, ks) ** m))
+        lattice = float(np.sum(kernels.coefficients(kern, ks) ** m))
         oracle = kernels.convolution_at_zero([kern] * m, grid_n)
         worst = max(worst, abs(oracle - lattice))
     return worst <= 1e-6, f"max |oracle - lattice sum| = {worst:.2e} (allowed 1e-6)"

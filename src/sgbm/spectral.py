@@ -55,6 +55,8 @@ _RESIDUAL_RTOL = 1e-9
 # Below this distance to the nearest other eigenvalue, inverse iteration
 # cannot single out one eigenvector (a repeated eigenvalue).
 _GAP_RTOL = 1e-8
+# local_improvement(iterate=True) stops here if the majority vote has not settled
+_LI_MAX_ROUNDS = 100
 
 
 def _radius(eigenvalues):
@@ -310,13 +312,13 @@ def hosc(graph, mu_in, mu_out):
     return cluster(graph, "hosc", mu_in, mu_out)
 
 
-def local_improvement(graph, labels, iterate=False, max_rounds=100):
+def local_improvement(graph, labels, iterate=False):
     """Reassign every node to its neighbors' majority label, one synchronous pass.
 
     Labels must be 1 or 2.  All counts are taken against the input
     labelling, so the result does not depend on node order.  Ties (equal
     counts, including isolated nodes) keep the input label.  iterate=True
-    repeats the pass until a fixed point, capped at max_rounds; the
+    repeats the pass until a fixed point, capped at _LI_MAX_ROUNDS; the
     default single pass is the canonical algorithm.
     """
     labels = np.asarray(labels, dtype=np.int8)
@@ -328,8 +330,7 @@ def local_improvement(graph, labels, iterate=False, max_rounds=100):
     # integer vote counts on the uint8 matrix: exact, and no float64 n x n copy
     degree = a.sum(axis=1, dtype=np.int64)
     current = labels
-    rounds = max_rounds if iterate else 1
-    for _ in range(rounds):
+    for _ in range(_LI_MAX_ROUNDS if iterate else 1):
         votes_1 = a[:, current == 1].sum(axis=1, dtype=np.int64)
         votes_2 = degree - votes_1
         updated = np.where(votes_1 > votes_2, 1, np.where(votes_2 > votes_1, 2, current))

@@ -27,7 +27,6 @@ __all__ = [
     "SpectrumMatch",
     "RayleighReport",
     "DEFAULT_LATTICE_CUTOFF",
-    "coefficient_table",
     "limiting_atoms",
     "limiting_moment",
     "empirical_moment",
@@ -92,18 +91,13 @@ def _lattice_box(d, K):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def coefficient_table(kernel, ks):
-    """F_hat(k) for every row of ks: kernels.coefficients."""
-    return coefficients(kernel, ks)
-
-
 def _families(f_in, f_out, K):
     """Lattice box, both families, both coefficient tables, and the tail bound."""
     if f_in.d != f_out.d:
         raise ValueError("kernels must share dimension")
     ks = _lattice_box(f_in.d, K)
-    c_in = coefficient_table(f_in, ks)
-    c_out = coefficient_table(f_out, ks)
+    c_in = coefficients(f_in, ks)
+    c_out = coefficients(f_out, ks)
     shell = np.max(np.abs(ks), axis=1) == K
     tail = float(np.max(np.abs(c_in[shell]) + np.abs(c_out[shell]), initial=0.0))
     return ks, (c_in + c_out) / 2.0, (c_in - c_out) / 2.0, c_in, c_out, tail

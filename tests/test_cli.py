@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgbm import cli, kernels, model, spectral
+from sgbm import cli, harness, kernels, model, spectral
 from sgbm.model import Graph
 
 
@@ -45,7 +45,7 @@ kernel_in.kind = constant
 kernel_in.p = 0.9
 run.seed = 3
 """)
-    config = cli.parse_config(path)
+    config = cli.parse_config(path, "generate")
     assert config["model"] == {"n": "100"}
     assert config["kernel_in"] == {"kind": "constant", "p": "0.9"}
     assert config["run"] == {"seed": "3"}
@@ -62,25 +62,25 @@ run.seed = 3
 def test_parse_config_rejects(tmp_path, line):
     path = write_config(tmp_path, line + "\n")
     with pytest.raises(cli.ConfigError):
-        cli.parse_config(path)
+        cli.parse_config(path, "generate")
 
 
 def test_parse_config_rejects_duplicates(tmp_path):
     path = write_config(tmp_path, "model.n = 100\nmodel.n = 200\n")
     with pytest.raises(cli.ConfigError):
-        cli.parse_config(path)
+        cli.parse_config(path, "generate")
 
 
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(cli.ConfigError):
-        cli.parse_config(str(tmp_path / "nope.cfg"))
+        cli.parse_config(str(tmp_path / "nope.cfg"), "generate")
 
 
 def test_build_params_requirements(tmp_path):
-    config = cli.parse_config(write_config(tmp_path, "model.d = 1\n"))
+    config = cli.parse_config(write_config(tmp_path, "model.d = 1\n"), "generate")
     with pytest.raises(cli.ConfigError, match="model.n is required"):
         cli.build_params(config)
-    config = cli.parse_config(write_config(tmp_path, "model.n = 100\n", "b.cfg"))
+    config = cli.parse_config(write_config(tmp_path, "model.n = 100\n", "b.cfg"), "generate")
     with pytest.raises(cli.ConfigError, match="kernel_in"):
         cli.build_params(config)
 
@@ -456,6 +456,73 @@ def test_sweep_rejects_bad_preset_argument(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# --- keys each command reads ----------------------------------------------------
+
+COMMAND_CONFIGS = {
+    "generate": GBM_CONFIG,
+    "cluster": GBM_CONFIG,
+    "spectrum": GBM_CONFIG,
+    "sweep": "run.preset = fig3\nrun.n_list = 150\nrun.seeds = 0:1\n",
+    "validate": "",
+}
+
+
+@pytest.mark.parametrize("command,line", [
+    ("generate", "run.out = elsewhere"),
+    ("generate", "run.algorithm = hosc"),
+    ("cluster", "run.K = 8"),
+    ("cluster", "run.workers = 2"),
+    ("spectrum", "run.workers = 2"),
+    ("spectrum", "run.graph = edges.txt"),
+    ("sweep", "run.algorithm = motif_baseline"),
+    ("sweep", "model.n = 200"),
+    ("sweep", "kernel_in.kind = indicator"),
+    ("validate", "run.seed = 1"),
+    ("validate", "model.n = 200"),
+])
+def test_command_rejects_key_it_does_not_read(tmp_path, capsys, command, line):
+    cfg = write_config(tmp_path, COMMAND_CONFIGS[command] + line + "\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"sgbm {command} does not read {line.split(' =')[0]}" in err
+    assert not out.exists()
+
+
+def test_cluster_rejects_labels_without_graph(tmp_path, capsys):
+    cfg = write_config(tmp_path, GBM_CONFIG + f"run.labels = {tmp_path / 'nonexistent'}\n")
+    out = tmp_path / "o"
+    assert cli.main(["cluster", "--config", cfg, "--out", str(out)]) == 2
+    assert "run.labels needs run.graph" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_cluster_rejects_graph_file_below_two_nodes(tmp_path, capsys, n):
+    (tmp_path / "edges.txt").write_text(f"{n} 1 0\n")
+    cfg = write_config(tmp_path, GBM_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n")
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: bad graph file:" in capsys.readouterr().err
+
+
+def test_benchmark_shaped_inputs_still_run(tmp_path):
+    """The keys of perfbench's workloads, at a smaller n: each is one its command reads."""
+    data = tmp_path / "data"
+    generate = write_config(tmp_path, GBM_CONFIG + "run.seed = 3\n", "generate.cfg")
+    kernel_blocks = GBM_CONFIG[GBM_CONFIG.index("kernel_in"):]
+    cluster = write_config(tmp_path, kernel_blocks + f"run.graph = {data / 'edges.txt'}\n"
+                           f"run.labels = {data / 'labels.txt'}\nrun.algorithm = hosc_li\n",
+                           "cluster.cfg")
+    sweep = write_config(tmp_path, "run.preset = waxman\nrun.n_list = 150\nrun.seeds = 0:1\n"
+                                   "run.workers = 2\nrun.seed = 3\n", "sweep.cfg")
+    for command, cfg, out in (("generate", generate, data), ("cluster", cluster, tmp_path / "c"),
+                              ("sweep", sweep, tmp_path / "s")):
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0, command
+    rows, _ = harness.fig3_sweep(n_list=(150,), r_in=0.2, r_out=0.05, seeds=range(1),
+                                 algorithms=harness.ALGORITHMS, master_seed=3)
+    assert len(rows) == len(harness.ALGORITHMS)
 
 
 # --- validate ----------------------------------------------------------------

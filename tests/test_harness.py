@@ -241,8 +241,7 @@ def test_persisted_labels_reproduce_accuracy(tmp_path):
             GridPoint(n=200, d=1, f_in=kernels.Indicator(0.15),
                       f_out=kernels.Indicator(0.05))]
     config = SweepConfig(experiment="audit", grid=grid, seeds=[0, 1],
-                         algorithms=("hosc", "hosc_li"), persist_labels=True,
-                         out=str(tmp_path))
+                         algorithms=("hosc", "hosc_li"), labels_dir=str(tmp_path))
     rows = harness.run_sweep(config)
     assert len(rows) == 8
     for gi in (0, 1):

@@ -1,12 +1,11 @@
-"""A fresh `import sgbm`, every CLI command, and a sweep with every
-algorithm, motif_baseline included, leave scipy.sparse and scipy.linalg
-unloaded.
+"""A fresh `import sgbm`, every CLI command, every sweep preset, and a
+sweep with every algorithm, motif_baseline included, load no scipy
+module at all.
 
 The eigensolvers are the LAPACK numpy loads, called through numpy or
-ctypes, and motif_baseline finds its components with numpy, so no path
-loads a scipy subpackage; `sgbm sweep` reads only scipy.__version__.
-Each check runs in its own interpreter, since this test session may
-have loaded them already.
+ctypes, and motif_baseline finds its components with numpy, so sgbm
+runs on numpy alone.  Each check runs in its own interpreter, since this
+test session may have loaded scipy already.
 """
 
 import os
@@ -29,8 +28,7 @@ kernel_out.kind = indicator
 kernel_out.r = 0.05
 """
 
-SOLVERS_LOADED = ('any(m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "linalg"]) '
-                  'for m in sys.modules)')
+SCIPY_LOADED = 'any(m.split(".")[0] == "scipy" for m in sys.modules)'
 
 
 def run_fresh(code, cwd):
@@ -53,11 +51,16 @@ def workdir(tmp_path):
     (tmp_path / "cluster_unlabelled.cfg").write_text(GBM_CONFIG + "run.graph = gen/edges.txt\n")
     (tmp_path / "sweep.cfg").write_text(
         "run.preset = waxman\nrun.n_list = 200\nrun.seeds = 0:1\n")
+    (tmp_path / "sweep_fig3.cfg").write_text(
+        "run.preset = fig3\nrun.n_list = 200\nrun.seeds = 0:1\nrun.workers = 2\n")
+    (tmp_path / "sweep_fig4.cfg").write_text(
+        "run.preset = fig4\nrun.n = 200\nrun.r_in_grid = 0.1\nrun.seeds = 0:1\n")
     return tmp_path
 
 
-def cli_run(command, config):
-    return f"from sgbm import cli\nassert cli.main({[command, '--config', config, '--quiet']!r}) == 0\n"
+def cli_run(command, config=None):
+    argv = [command, "--quiet"] + (["--config", config] if config else [])
+    return f"from sgbm import cli\nassert cli.main({argv!r}) == 0\n"
 
 
 @pytest.mark.parametrize("code", [
@@ -68,6 +71,9 @@ def cli_run(command, config):
     cli_run("cluster", "cluster_unlabelled.cfg"),
     cli_run("spectrum", "gbm.cfg"),
     cli_run("sweep", "sweep.cfg"),
+    cli_run("sweep", "sweep_fig3.cfg"),
+    cli_run("sweep", "sweep_fig4.cfg"),
+    cli_run("validate"),
     "from sgbm import harness\n"
     "harness.fig3_sweep(n_list=(200,), seeds=range(1), algorithms=('hosc', 'hosc_li', 'fiedler'))\n",
     "from sgbm import harness\n"
@@ -76,9 +82,9 @@ def cli_run(command, config):
     "assert len(motif) == 1 and motif[0].accuracy is not None, motif\n"
     "assert not motif[0].note.startswith('error:'), motif[0].note\n",
 ], ids=["import", "import_cli", "generate", "cluster", "cluster_unlabelled", "spectrum",
-        "sweep", "fig3_sweep", "fig3_sweep_motif"])
+        "sweep", "sweep_fig3", "sweep_fig4", "validate", "fig3_sweep", "fig3_sweep_motif"])
 def test_no_scipy_sparse_after(code, workdir):
-    run_fresh(code + f"assert not {SOLVERS_LOADED}\n", workdir)
+    run_fresh(code + f"assert not {SCIPY_LOADED}\n", workdir)
 
 
 def test_import_opens_no_lapack(tmp_path):

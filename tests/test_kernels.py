@@ -114,7 +114,7 @@ def test_fourier_coeff_is_coefficient_table_row(d):
     for kern in kerns:
         for k in ([0, 0, 0], [1, 0, 0], [-2, 3, 1], [5, 5, -7]):
             k = k[:d]
-            assert kernels.fourier_coeff(kern, k) == theory.coefficient_table(kern, [k])[0]
+            assert kernels.fourier_coeff(kern, k) == kernels.coefficients(kern, [k])[0]
 
 
 def canonical_rows_by_row_unique(ks):
@@ -158,10 +158,10 @@ def test_constant_and_indicator_coefficients_are_their_closed_forms(d):
     ks = theory._lattice_box(d, 64)
     for p in (0.0, 0.35, 1.0):
         expected = np.where(np.all(ks == 0, axis=1), p, 0.0)
-        assert np.array_equal(theory.coefficient_table(Constant(p, d=d), ks), expected)
+        assert np.array_equal(kernels.coefficients(Constant(p, d=d), ks), expected)
     for r in (0.08, 0.17, 0.3):
         expected = (2.0 * r) ** d * np.prod(np.sinc(2.0 * np.pi * ks * r / np.pi), axis=1)
-        assert np.array_equal(theory.coefficient_table(Indicator(r, d=d), ks), expected)
+        assert np.array_equal(kernels.coefficients(Indicator(r, d=d), ks), expected)
 
 
 def region_split_coeff_2d(kern, k, nodes=400):
@@ -185,36 +185,36 @@ def region_split_coeff_2d(kern, k, nodes=400):
 def test_waxman_d2_coefficients_match_region_split_oracle():
     ks = [(0, 0), (1, 0), (3, 2), (7, 7), (0, 13), (20, -5)]
     for kern in (Waxman(1.6, 3.0, d=2), Waxman(0.7, 2.0, d=2), Waxman(1.3, 5.0, d=2)):
-        got = theory.coefficient_table(kern, ks)
+        got = kernels.coefficients(kern, ks)
         want = [region_split_coeff_2d(kern, k) for k in ks]
         assert np.max(np.abs(got - want)) <= 1e-13, kern
 
 
-# --- fourier_coeff_quadrature ---------------------------------------------
+# --- fourier_coeff_grid at one index -------------------------------------
 
 def test_quadrature_matches_closed_form():
-    got = kernels.fourier_coeff_quadrature(Indicator(0.25), [1], 2048)
+    got = kernels.fourier_coeff_grid(Indicator(0.25), [1], 2048)[0]
     assert got == pytest.approx(1.0 / np.pi, abs=1e-10)
 
 
 def test_quadrature_constant_integrand():
-    got = kernels.fourier_coeff_quadrature(Constant(0.7), [0], 2048)
+    got = kernels.fourier_coeff_grid(Constant(0.7), [0], 2048)[0]
     assert got == pytest.approx(0.7, abs=1e-12)
 
 
 def test_quadrature_waxman_density_bounds():
-    got = kernels.fourier_coeff_quadrature(Waxman(0.9, 4.0), [0], 512)
+    got = kernels.fourier_coeff_grid(Waxman(0.9, 4.0), [0], 512)[0]
     assert 0.0 < got < 0.9
 
 
 def test_quadrature_dimension_cap():
     with pytest.raises(ValueError):
-        kernels.fourier_coeff_quadrature(Indicator(0.2, d=3), [0, 0, 0], 64)
+        kernels.fourier_coeff_grid(Indicator(0.2, d=3), [0, 0, 0], 64)
 
 
 def test_quadrature_minimum_nodes():
     with pytest.raises(ValueError):
-        kernels.fourier_coeff_quadrature(Indicator(0.2), [0], 8)
+        kernels.fourier_coeff_grid(Indicator(0.2), [0], 8)
 
 
 # --- edge_density ---------------------------------------------------------
@@ -277,7 +277,7 @@ def test_batch_grid_agrees_with_single_calls():
     kern = Waxman(1.3, 5.0, d=2)
     ks = np.array([[0, 0], [1, 0], [0, 1], [-2, 3], [3, -2], [5, 5]])
     batch = kernels.fourier_coeff_grid(kern, ks, 256)
-    singles = [kernels.fourier_coeff_quadrature(kern, k, 256) for k in ks]
+    singles = [kernels.fourier_coeff_grid(kern, k, 256)[0] for k in ks]
     assert np.allclose(batch, singles, atol=1e-12)
 
 

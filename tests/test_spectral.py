@@ -339,7 +339,7 @@ def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
     run_sweep = harness.run_sweep
 
     def persisting(config, workers=1):
-        config.persist_labels, config.out = True, str(labels_dir["out"])
+        config.labels_dir = str(labels_dir["out"])
         return run_sweep(config, workers=workers)
 
     monkeypatch.setattr(harness, "run_sweep", persisting)

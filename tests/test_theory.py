@@ -344,17 +344,17 @@ def test_trace_validation():
         theory.trace_lipschitz_check(a, a, 0)
 
 
-# --- coefficient_table --------------------------------------------------------------------
+# --- coefficients ------------------------------------------------------------------------
 
 def test_coefficient_table_symmetries():
     kern = Waxman(0.8, 2.5, d=2)
     ks = np.array([[1, 2], [2, 1], [-1, 2], [1, -2], [-2, -1]])
-    vals = theory.coefficient_table(kern, ks)
+    vals = kernels.coefficients(kern, ks)
     assert np.allclose(vals, vals[0], atol=1e-12)
     single = kernels.fourier_coeff(kern, [1, 2])
     assert vals[0] == pytest.approx(single, abs=1e-10)
 
 
 def test_coefficient_table_constant():
-    vals = theory.coefficient_table(Constant(0.6), np.array([[0], [1], [-3]]))
+    vals = kernels.coefficients(Constant(0.6), np.array([[0], [1], [-3]]))
     assert np.allclose(vals, [0.6, 0.0, 0.0], atol=1e-15)
