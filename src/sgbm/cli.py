@@ -134,10 +134,21 @@ def cmd_cluster(args, config):
     li_iterate = run.get("li_iterate", "false").lower()
     if li_iterate not in ("true", "false"):
         raise ConfigError(f"run.li_iterate must be true or false, got {run['li_iterate']!r}")
+    if "li_iterate" in run and algorithm != "hosc_li":
+        raise ConfigError(f"sgbm cluster does not read run.li_iterate with run.algorithm = "
+                          f"{algorithm}: only hosc_li refines")
     if "labels" in run and "graph" not in run:
         raise ConfigError("run.labels needs run.graph: a sampled graph has its own labels")
     truth = None
     if "graph" in run:
+        unread = [f"model.{key}" for key in config["model"]]
+        if "seed" in run:
+            unread.append("run.seed")
+        if args.seed is not None:
+            unread.append("--seed")
+        if unread:
+            raise ConfigError(f"sgbm cluster does not read {unread[0]} with run.graph: "
+                              "the graph file is clustered as it is")
         try:
             graph, d, _ = model.read_graph(run["graph"])
             if graph.n < 2:
@@ -212,7 +223,8 @@ _PRESETS = {
 }
 
 # command -> the keys it reads; "section.*" takes a whole kernel block, which
-# kernels.kernel_from_config checks.  sweep narrows its preset keys to the chosen preset's.
+# kernels.kernel_from_config checks.  sweep narrows its preset keys to the chosen preset's;
+# cluster drops the sampling keys with run.graph, and run.li_iterate without hosc_li.
 _MODEL_KEYS = {"model.n", "model.d", "run.seed", "kernel_in.*", "kernel_out.*"}
 _SWEEP_KEYS = {"run.preset", "run.seeds", "run.seed", "run.workers"}
 KEYS = {

@@ -530,8 +530,9 @@ def write_meta(path, config_echo, workers=1):
         f"blas: {_blas_name()}",
         f"blas_threads: {threads}",
         # how _run_cell solves: spectral.Spectrum
-        "eigensolver: dsytrd + dsterf; dstebz + dstein + dormtr per eigenvector used "
-        "(dstedc + dormtr for all where repeated or a call fails; eigh where LAPACK unavailable)",
+        "eigensolver: dsytrd; Sturm count + dstebz window for selection (no dsterf); "
+        "dstebz + dstein + dormtr per eigenvector used (dstedc + dormtr for all where "
+        "repeated or a call fails; eigh where LAPACK unavailable)",
         "config:",
     ]
     lines += [f"  {key} = {value}" for key, value in sorted(config_echo.items())]

@@ -8,7 +8,8 @@ second largest: geometric graphs park several spatial harmonics above
 it, which is the whole reason selection is by value rather than by rank.
 
 One class, Spectrum, gives the spectrum from one kept tridiagonal
-reduction: clustering reads every eigenvalue and one eigenvector, the
+reduction: clustering reads a Sturm count at lambda*, the eigenvalues of
+four ranks around it by bisection, and one eigenvector; the
 per-eigenvector accuracy profile reads every eigenvector.
 
 A one-pass neighbor-majority relabelling serves as local improvement.
@@ -63,9 +64,12 @@ def _radius(eigenvalues):
     return max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
 
 
-def _gap(eigenvalues, index):
-    """Distance from eigenvalues[index] to the nearest other one; inf if none."""
-    others = np.abs(np.delete(eigenvalues, index) - eigenvalues[index])
+def _gap_at(spectrum, rank):
+    """Distance from the rank-th eigenvalue to the nearest other one, which
+    has rank - 1 or rank + 1; inf if there is none."""
+    first = max(1, rank - 1)
+    near = spectrum.values(first, min(spectrum.n, rank + 1))
+    others = np.abs(np.delete(near, rank - first) - near[rank - first])
     return float(others.min()) if len(others) else np.inf
 
 
@@ -100,9 +104,15 @@ class Spectrum:
     the reflectors (LAPACK Users' Guide, section 2.4.4; Parlett, The
     Symmetric Eigenvalue Problem, ch. 4):
 
-    - eigenvalues: every eigenvalue of T by dsterf, sorted descending.
-      eigvalsh's dsyevd makes the same two calls, so they equal its bit
-      for bit.
+    - count_above(x): how many eigenvalues exceed x, by one Sturm count
+      on T, O(n) (Parlett, section 3.3).
+    - values(first, last): the eigenvalues of ranks first..last by
+      bisection on T (dstebz), O(n) per eigenvalue, cached by rank.
+      Selection, the residual check's radius and the repeated-eigenvalue
+      guard read these, so clustering runs no dsterf.
+    - eigenvalues: every eigenvalue of T by dsterf, sorted descending,
+      for callers that print or scan the whole spectrum.  eigvalsh's
+      dsyevd makes the same two calls, so they equal its bit for bit.
     - eigenvector(rank): the eigenvalue isolated by bisection on T
       (dstebz), its eigenvector by inverse iteration on T (dstein, O(n)),
       mapped back through the reflectors (dormtr, O(n^2)): the dsyevx
@@ -114,6 +124,7 @@ class Spectrum:
 
     Eigenvalues are fixed at their first read: dstedc's (eigh's) if
     every vector was solved by then, otherwise dsterf's (eigvalsh's).
+    Once they are, count_above and values read them too.
     eigenvector(rank) reads its column of eigenvectors once every vector
     is solved, for a repeated eigenvalue (too close to another for
     inverse iteration to single out one vector), and when a LAPACK call
@@ -127,7 +138,7 @@ class Spectrum:
             raise ValueError("need at least two nodes")
         self.graph, self.n = graph, graph.n
         self._eigenvalues = self._eigenvectors = None
-        self._vectors = {}
+        self._vectors, self._bisected = {}, {}
         self._lapack = _openblas.lapack()
         if self._lapack is None:
             return
@@ -137,6 +148,62 @@ class Spectrum:
         self._d, self._e, self._tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
         _raise_on_failure("dsytrd", self._lapack["dsytrd"](
             _openblas.COL_MAJOR, b"L", n, self._reflectors, n, self._d, self._e, self._tau))
+
+    def count_above(self, x):
+        """How many eigenvalues are greater than x.
+
+        A Sturm count: n minus the number of non-positive pivots of the
+        LDL^T factorization of T - x I, with dstebz's rules for where T
+        splits and for the smallest pivot (pivmin).
+        """
+        if self._eigenvalues is not None or self._lapack is None:
+            return int(np.sum(self.eigenvalues > x))
+        tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
+        squares = self._e**2
+        # T splits where e_j^2 is within roundoff of d_j d_j+1; the next pivot restarts there
+        split = np.abs(self._d[1:] * self._d[:-1]) * ulp**2 + tiny > squares
+        pivmin = max(1.0, squares.max(initial=0.0, where=~split)) * tiny
+        squares[split] = 0.0
+        pivot, below, x = 1.0, 0, float(x)
+        for diagonal, square in zip(self._d.tolist(), [0.0] + squares.tolist()):
+            pivot = diagonal - square / pivot - x
+            if abs(pivot) < pivmin:
+                pivot = -pivmin
+            below += pivot <= 0
+        return self.n - below
+
+    def values(self, first, last):
+        """The eigenvalues of ranks first..last (1 = largest), descending.
+
+        One bisection on T (dstebz) gives the ranks not cached yet; each
+        rank keeps the value it is first given.  Once every eigenvalue is
+        known, or when dstebz fails, they are read from eigenvalues.
+        """
+        if not 1 <= first <= last <= self.n:
+            raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
+        ranks = range(first, last + 1)
+        if self._eigenvalues is None and self._lapack is not None:
+            if not self._bisected.keys() >= set(ranks):
+                bisected = self._bisect(first, last)
+                if bisected is not None:
+                    found = bisected[0][:len(ranks)].tolist()[::-1]
+                    self._bisected = {**dict(zip(ranks, found)), **self._bisected}
+            if self._bisected.keys() >= set(ranks):
+                return np.array([self._bisected[rank] for rank in ranks])
+        return self.eigenvalues[first - 1:last]
+
+    def _bisect(self, first, last):
+        """dstebz on T for the eigenvalues of ranks first..last: (values in
+        ascending order, their blocks, the block ends), each n entries long
+        with the first last - first + 1 filled; None when dstebz fails."""
+        n = self.n
+        found, blocks = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        # LAPACKE checks all n entries of the values for NaN in dstein
+        value, block, split = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
+        # dstebz counts from the smallest eigenvalue, from 1
+        info = self._lapack["dstebz"](b"I", b"E", n, 0.0, 0.0, n - last + 1, n - first + 1, 0.0,
+                                      self._d, self._e, found, blocks, value, block, split)
+        return (value, block, split) if info == 0 and found[0] == last - first + 1 else None
 
     @property
     def eigenvalues(self):
@@ -161,27 +228,24 @@ class Spectrum:
         """Eigenvector of rank (1 = largest eigenvalue), residual-checked,
         under the sign rule."""
         if rank not in self._vectors:
-            values = self.eigenvalues
-            radius = _radius(values)
-            pinned = self._eigenvectors is None and _gap(values, rank - 1) > _GAP_RTOL * radius
+            # ranks 1 and n are bisected once, then read from the cache
+            radius = _radius([self.values(1, 1)[0], self.values(self.n, self.n)[0]])
+            value = float(self.values(rank, rank)[0])
+            pinned = self._eigenvectors is None and _gap_at(self, rank) > _GAP_RTOL * radius
             vector = self._tridiagonal_vector(rank) if pinned else None
             if vector is None:
                 vector = self.eigenvectors[:, rank - 1]
-            self._vectors[rank] = _checked(self.graph, float(values[rank - 1]), vector, radius)
+            self._vectors[rank] = _checked(self.graph, value, vector, radius)
         return self._vectors[rank]
 
     def _tridiagonal_vector(self, rank):
         """Unit eigenvector of A at the rank-th largest eigenvalue, or None
         when a LAPACK call reports failure or the vector is not finite."""
         lapack, n = self._lapack, self.n
-        index = n - rank + 1  # dstebz counts from the smallest eigenvalue, from 1
-        found, blocks = np.zeros(1, np.int64), np.zeros(1, np.int64)
-        value = np.zeros(n)  # LAPACKE checks all n entries for NaN in dstein
-        block, split = np.zeros(n, np.int64), np.zeros(n, np.int64)
-        info = lapack["dstebz"](b"I", b"B", n, 0.0, 0.0, index, index, 0.0, self._d, self._e,
-                                found, blocks, value, block, split)
-        if info != 0 or found[0] != 1:
+        bisected = self._bisect(rank, rank)
+        if bisected is None:
             return None
+        value, block, split = bisected
         vector, failed = np.zeros(n), np.zeros(1, np.int64)
         info = lapack["dstein"](_openblas.COL_MAJOR, n, self._d, self._e, 1, value, block, split,
                                 vector, n, failed)
@@ -255,24 +319,30 @@ def ideal_eigenvalue(mu_in, mu_out, n):
 def select_eigenpair(spectrum, lambda_star):
     """Eigenpair whose eigenvalue is closest to lambda*.
 
-    The eigenvector comes from spectrum.eigenvector(), so it is
-    residual-checked and follows the sign rule.  Exact distance ties go
-    to the larger eigenvalue.  gap_to_next is the distance from the
-    chosen eigenvalue to the nearest other one, the quantity that
-    controls how trustworthy the selection is.
+    It reads count_above(lambda*) and the window of ranks around that
+    count, never the whole spectrum.  The eigenvector comes from
+    spectrum.eigenvector(), so it is residual-checked and follows the
+    sign rule.  Exact distance ties go to the larger eigenvalue.
+    gap_to_next is the distance from the chosen eigenvalue to the
+    nearest other one, the quantity that controls how trustworthy the
+    selection is.
     """
-    lam = spectrum.eigenvalues
-    if len(lam) == 0:
+    n = spectrum.n
+    if n == 0:
         raise ValueError("empty spectrum")
+    # ranks 1..above lie above lambda*, so the nearest is rank above or above + 1
+    above = spectrum.count_above(lambda_star)
+    first = max(1, above - 1)
+    window = spectrum.values(first, min(n, above + 2))
     # argmin returns the first minimizer; descending order makes that the
     # larger eigenvalue on a tie
-    idx = int(np.argmin(np.abs(lam - lambda_star)))
+    rank = first + int(np.argmin(np.abs(window - lambda_star)))
     return SelectionReport(
         lambda_star=float(lambda_star),
-        selected_index=idx + 1,
-        lambda_selected=float(lam[idx]),
-        gap_to_next=_gap(lam, idx),
-        eigenvector=spectrum.eigenvector(idx + 1),
+        selected_index=rank,
+        lambda_selected=float(window[rank - first]),
+        gap_to_next=_gap_at(spectrum, rank),
+        eigenvector=spectrum.eigenvector(rank),
         spectrum=spectrum,
     )
 
@@ -294,7 +364,7 @@ def cluster(graph, algorithm, mu_in, mu_out, solve=None, iterate=False):
     """
     if algorithm == "fiedler":
         spectrum = (solve or Spectrum)(graph)
-        report = SelectionReport(None, 2, float(spectrum.eigenvalues[1]), None,
+        report = SelectionReport(None, 2, float(spectrum.values(2, 2)[0]), None,
                                  spectrum.eigenvector(2), spectrum)
     elif algorithm in ("hosc", "hosc_li"):
         lambda_star = ideal_eigenvalue(mu_in, mu_out, graph.n)

@@ -17,12 +17,19 @@ from sgbm import kernels, model, spectral
 class FixedSpectrum:
     """A spectrum given by its eigenpairs, for tests of code that reads one:
     eigenvalues, eigenvectors (column i pairs with eigenvalues[i]) and n,
-    and eigenvector(rank) as the column itself."""
+    count_above(x) and values(first, last) read from eigenvalues, and
+    eigenvector(rank) as the column itself."""
 
     def __init__(self, eigenvalues, eigenvectors=None):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenvectors = eigenvectors
         self.n = len(self.eigenvalues)
+
+    def count_above(self, x):
+        return int(np.sum(self.eigenvalues > x))
+
+    def values(self, first, last):
+        return self.eigenvalues[first - 1:last]
 
     def eigenvector(self, rank):
         return self.eigenvectors[:, rank - 1]

@@ -13,6 +13,8 @@ kernel_in.r = 0.2
 kernel_out.kind = indicator
 kernel_out.r = 0.05
 """
+# what cluster reads besides run.* when it clusters a graph file
+KERNEL_CONFIG = GBM_CONFIG[GBM_CONFIG.index("kernel_in"):]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -255,8 +257,8 @@ def test_cluster_missing_graph_file(tmp_path, capsys, missing):
     model.write_graph(tmp_path / "graph.txt", graph, 1, 0)
     model.write_labels(tmp_path / "labels.txt", labels)
     (tmp_path / f"{missing}.txt").unlink()
-    cfg = write_config(tmp_path, GBM_CONFIG + f"run.graph = {tmp_path / 'graph.txt'}\n"
-                                            f"run.labels = {tmp_path / 'labels.txt'}\n")
+    cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'graph.txt'}\n"
+                                               f"run.labels = {tmp_path / 'labels.txt'}\n")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: bad {missing} file:" in capsys.readouterr().err
 
@@ -307,6 +309,34 @@ def test_cluster_rejects_bad_li_iterate(tmp_path):
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("algorithm", ["", "run.algorithm = hosc\n"], ids=["default", "hosc"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_cluster_rejects_li_iterate_without_hosc_li(tmp_path, capsys, algorithm, value):
+    cfg = write_config(tmp_path, GBM_CONFIG + algorithm + f"run.li_iterate = {value}\n")
+    out = tmp_path / "o"
+    assert cli.main(["cluster", "--config", cfg, "--out", str(out)]) == 2
+    assert "sgbm cluster does not read run.li_iterate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,flag", [
+    ("model.n = 200\n", []), ("model.d = 1\n", []), ("run.seed = 1\n", []), ("", ["--seed", "1"]),
+], ids=["model.n", "model.d", "run.seed", "--seed"])
+def test_cluster_graph_file_rejects_sampling_keys(tmp_path, capsys, line, flag):
+    params = model.SgbmParams(n=20, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=0)
+    model.write_graph(tmp_path / "edges.txt", model.sample_graph(params)[0], 1, 0)
+    graph_line = f"run.graph = {tmp_path / 'edges.txt'}\n"
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, KERNEL_CONFIG + graph_line)
+    assert cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    cfg = write_config(tmp_path, KERNEL_CONFIG + line + graph_line)
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o2")] + flag) == 2
+    key = flag[0] if flag else line.split(" =")[0]
+    assert f"sgbm cluster does not read {key} with run.graph" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
+
+
 KERNEL_BLOCKS = {"constant": {"p": "0.3"}, "indicator": {"r": "0.2"},
                  "waxman": {"q": "0.7", "s": "1.5"}}
 
@@ -348,7 +378,7 @@ def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch,
     graph, truth, _ = model.sample_graph(params)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 5)
     model.write_labels(tmp_path / "truth.txt", truth)
-    text = GBM_CONFIG + f"run.algorithm = {algorithm}\nrun.graph = {tmp_path / 'edges.txt'}\n"
+    text = KERNEL_CONFIG + f"run.algorithm = {algorithm}\nrun.graph = {tmp_path / 'edges.txt'}\n"
     if with_truth:
         text += f"run.labels = {tmp_path / 'truth.txt'}\n"
     cfg = write_config(tmp_path, text)
@@ -502,7 +532,7 @@ def test_cluster_rejects_labels_without_graph(tmp_path, capsys):
 @pytest.mark.parametrize("n", [0, 1])
 def test_cluster_rejects_graph_file_below_two_nodes(tmp_path, capsys, n):
     (tmp_path / "edges.txt").write_text(f"{n} 1 0\n")
-    cfg = write_config(tmp_path, GBM_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n")
+    cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: bad graph file:" in capsys.readouterr().err
 

@@ -626,9 +626,9 @@ def test_meta_sidecar(tmp_path):
     harness.write_meta(path, {"model.n": 100, "run.seed": 1}, workers=2)
     text = path.read_text()
     assert "numpy:" in text
-    assert ("eigensolver: dsytrd + dsterf; dstebz + dstein + dormtr per eigenvector used "
-            "(dstedc + dormtr for all where repeated or a call fails; "
-            "eigh where LAPACK unavailable)\n") in text
+    assert ("eigensolver: dsytrd; Sturm count + dstebz window for selection (no dsterf); "
+            "dstebz + dstein + dormtr per eigenvector used (dstedc + dormtr for all where "
+            "repeated or a call fails; eigh where LAPACK unavailable)\n") in text
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -27,6 +27,8 @@ kernel_in.r = 0.2
 kernel_out.kind = indicator
 kernel_out.r = 0.05
 """
+# what cluster reads besides run.* when it clusters a graph file
+KERNEL_CONFIG = GBM_CONFIG[GBM_CONFIG.index("kernel_in"):]
 
 SCIPY_LOADED = 'any(m.split(".")[0] == "scipy" for m in sys.modules)'
 
@@ -46,9 +48,9 @@ def workdir(tmp_path):
     assert cli.main(["generate", "--config", str(tmp_path / "gbm.cfg"),
                      "--out", str(tmp_path / "gen"), "--quiet"]) == 0
     (tmp_path / "cluster.cfg").write_text(
-        GBM_CONFIG + "run.graph = gen/edges.txt\nrun.labels = gen/labels.txt\n"
-                     "run.algorithm = hosc_li\n")
-    (tmp_path / "cluster_unlabelled.cfg").write_text(GBM_CONFIG + "run.graph = gen/edges.txt\n")
+        KERNEL_CONFIG + "run.graph = gen/edges.txt\nrun.labels = gen/labels.txt\n"
+                        "run.algorithm = hosc_li\n")
+    (tmp_path / "cluster_unlabelled.cfg").write_text(KERNEL_CONFIG + "run.graph = gen/edges.txt\n")
     (tmp_path / "sweep.cfg").write_text(
         "run.preset = waxman\nrun.n_list = 200\nrun.seeds = 0:1\n")
     (tmp_path / "sweep_fig3.cfg").write_text(

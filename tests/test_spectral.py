@@ -239,7 +239,7 @@ def composed(graph, algorithm, mu_in, mu_out, solve, iterate):
     spectrum = solve(graph)
     if algorithm == "fiedler":
         labels = spectral.sign_partition(spectrum.eigenvector(2))
-        return labels, 2, float(spectrum.eigenvalues[1]), None
+        return labels, 2, float(spectrum.values(2, 2)[0]), None
     lambda_star = spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)
     report = spectral.select_eigenpair(spectrum, lambda_star)
     labels = spectral.sign_partition(report.eigenvector)
@@ -417,15 +417,20 @@ def assert_matches_full_solve(graph, partial, lambda_star, ranks=(2,)):
         assert np.array_equal(spectral.sign_partition(got), spectral.sign_partition(want))
 
 
+def leading_block(f_in, f_out, d, n):
+    """(graph, labels) of n nodes; seed n."""
+    # the sampler takes even n only: an odd n is the leading block of n + 1
+    params = SgbmParams(n=n + n % 2, d=d, f_in=f_in, f_out=f_out, seed=n)
+    sampled, labels, _ = model.sample_graph(params)
+    return Graph(n=n, adjacency=sampled.adjacency[:n, :n].copy()), labels[:n]
+
+
 @pytest.mark.parametrize("n", [2, 3, 130, 1000])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("kind", ["indicator", "waxman", "constant"])
 def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
     f_in, f_out = kernel_pair(kind, d)
-    # the sampler takes even n only: an odd n is the leading block of n + 1
-    params = SgbmParams(n=n + n % 2, d=d, f_in=f_in, f_out=f_out, seed=n)
-    sampled, labels, _ = model.sample_graph(params)
-    graph = Graph(n=n, adjacency=sampled.adjacency[:n, :n].copy())
+    graph, labels = leading_block(f_in, f_out, d, n)
     partial = spectral.Spectrum(graph)
     eigenvalues = partial.eigenvalues
     assert np.array_equal(eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
@@ -440,9 +445,8 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
     # and so is every vector solved after the eigenvalues, which stay eigvalsh's
     assert np.array_equal(partial.eigenvectors, vectors[:, ::-1])
     assert partial.eigenvalues is eigenvalues and partial._reflectors is None
-    truth = labels[:n]
-    assert (spectral.per_eigenvector_accuracy(partial, truth)
-            == spectral.per_eigenvector_accuracy(full, truth))
+    assert (spectral.per_eigenvector_accuracy(partial, labels)
+            == spectral.per_eigenvector_accuracy(full, labels))
 
 
 def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
@@ -467,6 +471,65 @@ def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
     assert_matches_full_solve(graph, partial, spectral.ideal_eigenvalue(0.4, 0.1, 200),
                               ranks=range(1, 11))
     assert partial._eigenvectors is None and len(blocks) >= 10 and min(blocks) > 1
+
+
+def assert_window_requests_match_eigvalsh(graph):
+    """count_above and values, asked before any full list is read, against
+    eigvalsh; the spectrum reads no full list to answer them."""
+    w = np.linalg.eigvalsh(graph.dense())[::-1]
+    n, tol = graph.n, 1e-12 * spectral._radius(w)
+    spectrum = spectral.Spectrum(graph)
+    for x in np.random.default_rng(n).uniform(w[-1] - 1.0, w[0] + 1.0, 50):
+        assert spectrum.count_above(x) == np.sum(w > x), x
+    # at an eigenvalue of eigvalsh, T's own eigenvalue lies on either side
+    # of it by roundoff, and so may be counted as above or not
+    for x in w:
+        assert np.sum(w > x + tol) <= spectrum.count_above(x) <= np.sum(w > x - tol), x
+    # ranks first bisected by different calls are in order up to roundoff
+    middle = max(1, n // 2 - 1), min(n, n // 2 + 2)
+    for first, last in [(1, 1), (n, n), middle, (1, n)]:
+        got = spectrum.values(first, last)
+        assert len(got) == last - first + 1 and np.all(np.diff(got) <= tol)
+        assert np.abs(got - w[first - 1:last]).max() <= tol, (first, last)
+    assert spectrum._eigenvalues is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 130, 1000])
+@pytest.mark.parametrize("kind", ["indicator", "waxman"])
+def test_window_requests_match_eigvalsh(kind, n):
+    f_in, f_out = kernel_pair(kind, 1)
+    graph, _ = leading_block(f_in, f_out, 1, n)
+    assert_window_requests_match_eigvalsh(graph)
+    # selecting from the window picks what selecting from the full list picks
+    w = np.linalg.eigvalsh(graph.dense())[::-1]
+    full = spectral.eigendecompose(graph)
+    for lambda_star in np.random.default_rng(n + 1).uniform(w[-1] - 1.0, w[0] + 1.0, 5):
+        got, want = (spectral.select_eigenpair(s, lambda_star)
+                     for s in (spectral.Spectrum(graph), full))
+        assert got.selected_index == want.selected_index
+        assert got.lambda_selected == pytest.approx(want.lambda_selected, rel=1e-12, abs=1e-12)
+        assert got.gap_to_next == pytest.approx(want.gap_to_next, rel=1e-9)
+
+
+def test_sweep_cells_call_no_dsterf(monkeypatch):
+    """hosc, hosc_li and fiedler cells select from bisected windows; only a
+    caller that reads every eigenvalue runs dsterf."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])  # n
+        return real["dsterf"](*args)
+
+    real = patch_lapack(monkeypatch, dsterf=counted)
+    grid = [harness.GridPoint(n=300, d=1, f_in=f_in, f_out=f_out)
+            for f_in, f_out in (kernel_pair("indicator", 1), kernel_pair("waxman", 1))]
+    config = harness.SweepConfig(experiment="cells", grid=grid, seeds=[0, 1],
+                                 algorithms=("hosc", "hosc_li", "fiedler"))
+    rows = harness.run_sweep(config)
+    assert len(rows) == 12 and all(row.accuracy is not None for row in rows)
+    assert calls == []
+    spectral.Spectrum(sampled_graph(300)).eigenvalues
+    assert calls == [300]
 
 
 def test_without_lapack_the_partial_spectrum_is_the_full_solve(monkeypatch):
@@ -564,6 +627,20 @@ def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda
     assert partial._reflectors is None
 
 
+def isolated_vertex_graph():
+    """A sampled 130-node graph whose node 7 has lost its edges: T splits off a 0."""
+    graph, _ = leading_block(kernels.Indicator(0.2), kernels.Indicator(0.05), 1, 130)
+    a = graph.adjacency.copy()
+    a[7, :] = a[:, 7] = 0
+    return Graph(n=130, adjacency=a)
+
+
+@pytest.mark.parametrize("graph", [two_cliques(10)[0], complete_graph(10), isolated_vertex_graph()],
+                         ids=["two_cliques", "K10", "isolated_vertex"])
+def test_window_requests_on_repeated_and_split_spectra(graph):
+    assert_window_requests_match_eigvalsh(graph)
+
+
 def failing_routine(*args):
     return 1  # a LAPACK info > 0: no convergence
 
@@ -581,9 +658,8 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 200)
     reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
 
-    for name, stand_in in [("dsterf", failing_routine), ("dstebz", failing_routine),
-                           ("dstein", failing_routine), ("dormtr", failing_routine),
-                           ("dormtr", nan_dormtr)]:
+    for name, stand_in in [("dstebz", failing_routine), ("dstein", failing_routine),
+                           ("dormtr", failing_routine), ("dormtr", nan_dormtr)]:
         with monkeypatch.context() as patch:
             calls = count_full_solves(patch)
             patch_lapack(patch, **{name: stand_in})
@@ -591,6 +667,18 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         assert calls == [200], (name, stand_in)
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
+    # selection reads no dsterf, so a failing one costs it no full solve;
+    # the eigenvalues, read after, still fall back to dstedc's
+    with monkeypatch.context() as patch:
+        calls = count_full_solves(patch)
+        patch_lapack(patch, dsterf=failing_routine)
+        partial = spectral.Spectrum(graph)
+        report = spectral.select_eigenpair(partial, lambda_star)
+        assert calls == []
+        assert report.selected_index == reference.selected_index
+        assert np.abs(report.eigenvector - reference.eigenvector).max() <= 1e-10
+        assert np.array_equal(partial.eigenvalues, reference.spectrum.eigenvalues)
+        assert calls == [200]
     # without the reduction there is nothing to fall back on
     patch_lapack(monkeypatch, dsytrd=failing_routine)
     with pytest.raises(EigendecompositionError, match="dsytrd failed"):
