@@ -197,13 +197,14 @@ def cmd_cluster(args, config):
 def cmd_spectrum(args, config):
     params = build_params(config, args.seed)
     run = config["run"]
-    report, measure = harness.spectrum_experiment(
-        params,
-        K=_int("run", "K", run.get("K", "64")),
-        threshold=_float("run", "threshold", run.get("threshold", "0.02")),
-        window=_float("run", "window", run.get("window", "0.02")),
-        out=args.out,
-    )
+    K = _int("run", "K", run.get("K", "64"))
+    threshold = _float("run", "threshold", run.get("threshold", "0.02"))
+    window = _float("run", "window", run.get("window", "0.02"))
+    try:
+        report, measure = harness.spectrum_experiment(params, K=K, threshold=threshold,
+                                                      window=window, out=args.out)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     _say(args, f"eigenvalues above threshold: {len(report.entries)}, "
                f"outliers beyond window: {report.outlier_count}, "
                f"max distance: {report.max_distance:.5f}, "

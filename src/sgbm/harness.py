@@ -457,8 +457,16 @@ def spectrum_experiment(params, K=64, threshold=0.02, window=0.02, out=None):
     """Sample, solve for the eigenvalues, and match them against the predicted atoms.
 
     Optionally writes three CSVs under out: the scaled eigenvalues, the
-    predicted atoms, and the per-eigenvalue match report.
+    predicted atoms, and the per-eigenvalue match report.  K, threshold
+    and window are checked before anything is sampled.
     """
+    # written as `not ...` so that NaN fails too
+    if not K >= 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    if not 0 <= window < np.inf:
+        raise ValueError(f"window must be finite and >= 0, got {window}")
     graph, _, _ = sample_graph(params)
     spectrum = Spectrum(graph)  # eigenvalues only: no eigenvector is asked for
     measure = limiting_atoms(params.f_in, params.f_out, K=K)

@@ -240,7 +240,8 @@ def read_graph(path):
 
     The header must be three ASCII integers.  Blank lines are skipped;
     anything else that is not an 'i j' pair of ASCII integers with
-    0 <= i < j < n raises ValueError naming the path.
+    0 <= i < j < n raises ValueError naming the path, and so does an n
+    whose n x n adjacency cannot be allocated.
     """
     try:
         with open(path) as fh:
@@ -262,7 +263,10 @@ def read_graph(path):
         if len(bad):
             k = bad[0]
             raise ValueError(f"edge {k + 1}: need 0 <= i < j < n, got {i[k]} {j[k]}")
-        adjacency = np.zeros((n, n), dtype=np.uint8)
+        try:
+            adjacency = np.zeros((n, n), dtype=np.uint8)
+        except MemoryError:
+            raise ValueError(f"header has n = {n}: no memory for the n x n adjacency") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     adjacency[i, j] = 1

@@ -8,9 +8,10 @@ second largest: geometric graphs park several spatial harmonics above
 it, which is the whole reason selection is by value rather than by rank.
 
 One class, Spectrum, gives the spectrum from one kept tridiagonal
-reduction: clustering reads a Sturm count at lambda*, the eigenvalues of
-four ranks around it by bisection, and one eigenvector; the
-per-eigenvector accuracy profile reads every eigenvector.
+reduction: clustering reads dstebz's count of the eigenvalues above
+lambda*, the eigenvalues of four ranks around it by bisection, and one
+eigenvector; the per-eigenvector accuracy profile reads every
+eigenvector.
 
 A one-pass neighbor-majority relabelling serves as local improvement.
 """
@@ -104,33 +105,35 @@ class Spectrum:
     the reflectors (LAPACK Users' Guide, section 2.4.4; Parlett, The
     Symmetric Eigenvalue Problem, ch. 4):
 
-    - count_above(x): how many eigenvalues exceed x, by one Sturm count
-      on T, O(n) (Parlett, section 3.3).
+    - count_above(x): how many eigenvalues exceed x, dstebz's count of
+      the eigenvalues of T in (x, inf]: a few Sturm counts, O(n) each
+      (Parlett, section 3.3), and no bisection.
     - values(first, last): the eigenvalues of ranks first..last by
-      bisection on T (dstebz), O(n) per eigenvalue, cached by rank.
-      Selection, the residual check's radius and the repeated-eigenvalue
-      guard read these, so clustering runs no dsterf.
+      bisection on T (dstebz), O(n) per eigenvalue, cached by rank with
+      the block of T each lies in.  Selection, the residual check's
+      radius and the repeated-eigenvalue guard read these, so
+      clustering runs no dsterf.
     - eigenvalues: every eigenvalue of T by dsterf, sorted descending,
       for callers that print or scan the whole spectrum.  eigvalsh's
       dsyevd makes the same two calls, so they equal its bit for bit.
-    - eigenvector(rank): the eigenvalue isolated by bisection on T
-      (dstebz), its eigenvector by inverse iteration on T (dstein, O(n)),
-      mapped back through the reflectors (dormtr, O(n^2)): the dsyevx
-      pipeline.  Vectors are cached by rank.
+    - eigenvector(rank): inverse iteration on T (dstein, O(n)) at the
+      value and block that values bisected for that rank, mapped back
+      through the reflectors (dormtr, O(n^2)): the dsyevx pipeline.
+      Vectors are cached by rank.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
       reflectors are dropped after it.
 
-    Eigenvalues are fixed at their first read: dstedc's (eigh's) if
-    every vector was solved by then, otherwise dsterf's (eigvalsh's).
-    Once they are, count_above and values read them too.
-    eigenvector(rank) reads its column of eigenvectors once every vector
-    is solved, for a repeated eigenvalue (too close to another for
-    inverse iteration to single out one vector), and when a LAPACK call
-    fails or returns a vector that is not finite; so do the eigenvalues
-    when dsterf fails.  Without these routines in numpy's OpenBLAS, eigh
-    gives every pair.
+    count_above and values read the full list of eigenvalues only when
+    dstebz fails.  That list is fixed at its first read: dstedc's
+    (eigh's) if every vector was solved by then, otherwise dsterf's
+    (eigvalsh's).  eigenvector(rank) reads its column of eigenvectors
+    once every vector is solved, for a repeated eigenvalue (too close to
+    another for inverse iteration to single out one vector), and when a
+    LAPACK call fails or returns a vector that is not finite; so do the
+    eigenvalues when dsterf fails.  Without these routines in numpy's
+    OpenBLAS, eigh gives every pair.
     """
 
     def __init__(self, graph):
@@ -146,64 +149,53 @@ class Spectrum:
         # A is symmetric, so its C-order copy read in Fortran order is A itself
         self._reflectors = graph.dense()
         self._d, self._e, self._tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        # where T splits into blocks: every dstebz call writes the same ends here
+        self._split = np.zeros(n, np.int64)
         _raise_on_failure("dsytrd", self._lapack["dsytrd"](
             _openblas.COL_MAJOR, b"L", n, self._reflectors, n, self._d, self._e, self._tau))
 
     def count_above(self, x):
         """How many eigenvalues are greater than x.
 
-        A Sturm count: n minus the number of non-positive pivots of the
-        LDL^T factorization of T - x I, with dstebz's rules for where T
-        splits and for the smallest pivot (pivmin).
+        dstebz over (x, inf] at an infinite tolerance: it counts by the
+        signs of the LDL^T pivots of T - x I and bisects nothing.
         """
-        if self._eigenvalues is not None or self._lapack is None:
+        found = self._dstebz(b"V", float(x), np.inf, 0, 0, np.inf)
+        if found is None:
             return int(np.sum(self.eigenvalues > x))
-        tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
-        squares = self._e**2
-        # T splits where e_j^2 is within roundoff of d_j d_j+1; the next pivot restarts there
-        split = np.abs(self._d[1:] * self._d[:-1]) * ulp**2 + tiny > squares
-        pivmin = max(1.0, squares.max(initial=0.0, where=~split)) * tiny
-        squares[split] = 0.0
-        pivot, below, x = 1.0, 0, float(x)
-        for diagonal, square in zip(self._d.tolist(), [0.0] + squares.tolist()):
-            pivot = diagonal - square / pivot - x
-            if abs(pivot) < pivmin:
-                pivot = -pivmin
-            below += pivot <= 0
-        return self.n - below
+        return len(found[0])
 
     def values(self, first, last):
         """The eigenvalues of ranks first..last (1 = largest), descending.
 
         One bisection on T (dstebz) gives the ranks not cached yet; each
-        rank keeps the value it is first given.  Once every eigenvalue is
-        known, or when dstebz fails, they are read from eigenvalues.
+        rank keeps the value, and the block of T, it is first given.
+        When dstebz fails they are read from eigenvalues.
         """
         if not 1 <= first <= last <= self.n:
             raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
         ranks = range(first, last + 1)
-        if self._eigenvalues is None and self._lapack is not None:
-            if not self._bisected.keys() >= set(ranks):
-                bisected = self._bisect(first, last)
-                if bisected is not None:
-                    found = bisected[0][:len(ranks)].tolist()[::-1]
-                    self._bisected = {**dict(zip(ranks, found)), **self._bisected}
-            if self._bisected.keys() >= set(ranks):
-                return np.array([self._bisected[rank] for rank in ranks])
-        return self.eigenvalues[first - 1:last]
+        if not self._bisected.keys() >= set(ranks):
+            # dstebz counts from the smallest eigenvalue, from 1
+            found = self._dstebz(b"I", 0.0, 0.0, self.n - last + 1, self.n - first + 1, 0.0)
+            if found is None or len(found[0]) != len(ranks):
+                return self.eigenvalues[first - 1:last]
+            self._bisected = {**dict(zip(reversed(ranks), zip(*found))), **self._bisected}
+        return np.array([self._bisected[rank][0] for rank in ranks])
 
-    def _bisect(self, first, last):
-        """dstebz on T for the eigenvalues of ranks first..last: (values in
-        ascending order, their blocks, the block ends), each n entries long
-        with the first last - first + 1 filled; None when dstebz fails."""
+    def _dstebz(self, kind, vl, vu, il, iu, abstol):
+        """dstebz on T with range kind ("V": the eigenvalues in (vl, vu];
+        "I": those of indices il..iu, counted from the smallest): (values
+        ascending, their blocks), or None without LAPACK or when dstebz
+        fails."""
+        if self._lapack is None:
+            return None
         n = self.n
-        found, blocks = np.zeros(1, np.int64), np.zeros(1, np.int64)
-        # LAPACKE checks all n entries of the values for NaN in dstein
-        value, block, split = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
-        # dstebz counts from the smallest eigenvalue, from 1
-        info = self._lapack["dstebz"](b"I", b"E", n, 0.0, 0.0, n - last + 1, n - first + 1, 0.0,
-                                      self._d, self._e, found, blocks, value, block, split)
-        return (value, block, split) if info == 0 and found[0] == last - first + 1 else None
+        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        value, block = np.zeros(n), np.zeros(n, np.int64)
+        info = self._lapack["dstebz"](kind, b"E", n, vl, vu, il, iu, abstol, self._d, self._e,
+                                      m, nsplit, value, block, self._split)
+        return (value[:m[0]], block[:m[0]]) if info == 0 else None
 
     @property
     def eigenvalues(self):
@@ -239,16 +231,18 @@ class Spectrum:
         return self._vectors[rank]
 
     def _tridiagonal_vector(self, rank):
-        """Unit eigenvector of A at the rank-th largest eigenvalue, or None
-        when a LAPACK call reports failure or the vector is not finite."""
-        lapack, n = self._lapack, self.n
-        bisected = self._bisect(rank, rank)
-        if bisected is None:
+        """Unit eigenvector of A at the value values bisected for rank, or
+        None when it was not bisected, a LAPACK call reports failure or
+        the vector is not finite."""
+        if rank not in self._bisected:
             return None
-        value, block, split = bisected
+        lapack, n = self._lapack, self.n
+        # LAPACKE checks all n entries of the values for NaN
+        value, block = np.zeros(n), np.zeros(1, np.int64)
+        value[0], block[0] = self._bisected[rank]
         vector, failed = np.zeros(n), np.zeros(1, np.int64)
-        info = lapack["dstein"](_openblas.COL_MAJOR, n, self._d, self._e, 1, value, block, split,
-                                vector, n, failed)
+        info = lapack["dstein"](_openblas.COL_MAJOR, n, self._d, self._e, 1, value, block,
+                                self._split, vector, n, failed)
         if info == 0:
             info = lapack["dormtr"](_openblas.COL_MAJOR, b"L", b"L", b"N", n, 1,
                                     self._reflectors, n, self._tau, vector, n)
@@ -304,7 +298,7 @@ def eigendecompose(graph):
     eigenvalues and eigenvectors equal numpy's eigh bit for bit (in
     descending order)."""
     spectrum = Spectrum(graph)
-    spectrum._solve_all()
+    spectrum.eigenvectors
     return spectrum
 
 

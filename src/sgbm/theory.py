@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import coefficients, edge_density
-from .spectral import DegenerateModelError, Spectrum
+from .spectral import DegenerateModelError, Spectrum, select_eigenpair
 
 __all__ = [
     "Atom",
@@ -171,8 +171,10 @@ def spectrum_match(spectrum, measure, threshold, window):
     Every |lambda_i / n| > threshold is matched to its nearest atom
     location; entries farther than window count as outliers.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not window >= 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     locations = measure.locations()
     scaled = spectrum.eigenvalues / spectrum.n
     report = SpectrumMatch(threshold=float(threshold), window=float(window))
@@ -196,8 +198,9 @@ def rayleigh_bound(graph, v, spectrum):
     computed spectrum: the guarantee of an order-n gap is asymptotic and
     the diagnostic must be honest at finite n.  delta = 0 (rho at a
     repeated eigenvalue) is reported as an unbounded (inf) bound.
-    spectrum is graph's Spectrum; of its eigenvectors only the one at
-    the closest eigenvalue is read.
+    spectrum is graph's Spectrum.  select_eigenpair(spectrum, rho) picks
+    the closest eigenvalue and its eigenvector, so only that eigenvalue's
+    neighbours are read, and of the eigenvectors only its own.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.n,):
@@ -208,17 +211,19 @@ def rayleigh_bound(graph, v, spectrum):
     av = graph.matvec(v)
     rho = float(v @ av) / float(v @ v)
     residual = float(np.linalg.norm(av - rho * v))
-    lam = spectrum.eigenvalues
-    closest = int(np.argmin(np.abs(lam - rho)))
-    others = np.abs(np.delete(lam, closest) - rho)
+    closest = select_eigenpair(spectrum, rho)
+    rank = closest.selected_index
+    # the nearest other eigenvalue to rho is a neighbour of the nearest one
+    first = max(1, rank - 1)
+    near = spectrum.values(first, min(spectrum.n, rank + 1))
+    others = np.abs(np.delete(near, rank - first) - rho)
     delta = float(others.min()) if len(others) else np.inf
     sine_bound = residual / (norm * delta) if delta > 0 else np.inf
     unit = v / norm
-    cosine = min(1.0, abs(float(unit @ spectrum.eigenvector(closest + 1))))
+    cosine = min(1.0, abs(float(unit @ closest.eigenvector)))
     actual = float(np.sqrt(max(0.0, 1.0 - cosine**2)))
     return RayleighReport(rho=rho, residual=residual, delta=delta,
-                          sine_bound=sine_bound, actual_sine=actual,
-                          closest_rank=closest + 1)
+                          sine_bound=sine_bound, actual_sine=actual, closest_rank=rank)
 
 
 def trace_lipschitz_check(a, b, m):

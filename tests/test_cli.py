@@ -419,6 +419,26 @@ run.window = 0.05
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("line,key", [
+    ("run.K = 0", "K"),
+    ("run.threshold = 0", "threshold"),
+    ("run.threshold = -1", "threshold"),
+    ("run.threshold = nan", "threshold"),
+    ("run.threshold = inf", "threshold"),
+    ("run.window = nan", "window"),
+    ("run.window = inf", "window"),
+    ("run.window = -1", "window"),
+])
+def test_spectrum_rejects_bad_run_key_before_sampling(tmp_path, capsys, monkeypatch, line, key):
+    sampled = []
+    monkeypatch.setattr(harness, "sample_graph", lambda params: sampled.append(params))
+    cfg = write_config(tmp_path, GBM_CONFIG + line + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+    assert sampled == [] and not out.exists()
+
+
 # --- sweep -------------------------------------------------------------------
 
 SWEEP_CONFIG = """\
@@ -535,6 +555,15 @@ def test_cluster_rejects_graph_file_below_two_nodes(tmp_path, capsys, n):
     cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: bad graph file:" in capsys.readouterr().err
+
+
+def test_cluster_rejects_graph_file_too_large_for_memory(tmp_path, capsys):
+    """n = 10^9 asks for a 10^18-byte adjacency, which is refused at once."""
+    (tmp_path / "edges.txt").write_text("1000000000 1 0\n")
+    cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n")
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad graph file:" in err and "n = 1000000000" in err
 
 
 def test_benchmark_shaped_inputs_still_run(tmp_path):

@@ -369,6 +369,12 @@ def test_read_graph_rejects_malformed(tmp_path):
     with pytest.raises(ValueError):
         model.read_graph(self_loop)
 
+    # a 10^18-byte adjacency: refused at once, with nothing allocated
+    too_large = tmp_path / "e.txt"
+    too_large.write_text("1000000000 1 0\n")
+    with pytest.raises(ValueError, match=r"e\.txt: header has n = 1000000000: no memory"):
+        model.read_graph(too_large)
+
 
 # The per-edge loops that write_graph and read_graph replaced, kept as the
 # reference the array versions are checked against.

@@ -449,15 +449,19 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
             == spectral.per_eigenvector_accuracy(full, labels))
 
 
-def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
-    """Two components of 70 and 130 nodes: the tridiagonal form splits,
-    and dstebz reports more than one block."""
+def split_graph():
+    """Two components of 70 and 130 nodes: the tridiagonal form splits."""
     a = np.zeros((200, 200), dtype=np.uint8)
     for lo, hi, seed in ((0, 70, 0), (70, 200, 1)):
         params = SgbmParams(n=hi - lo, d=1, f_in=kernels.Indicator(0.2),
                             f_out=kernels.Indicator(0.05), seed=seed)
         a[lo:hi, lo:hi] = model.sample_graph(params)[0].adjacency
-    graph = Graph(n=200, adjacency=a)
+    return Graph(n=200, adjacency=a)
+
+
+def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
+    """On split_graph(), dstebz reports more than one block."""
+    graph = split_graph()
     blocks = []
 
     def recording(*args):
@@ -641,6 +645,76 @@ def test_window_requests_on_repeated_and_split_spectra(graph):
     assert_window_requests_match_eigvalsh(graph)
 
 
+def sturm_count(d, e, x):
+    """How many eigenvalues of the tridiagonal (d, e) exceed x: n minus the
+    non-positive pivots of the LDL^T factorization of T - x I, with
+    dstebz's rules for where T splits and for the smallest pivot (pivmin)."""
+    tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
+    squares = e**2
+    # T splits where e_j^2 is within roundoff of d_j d_j+1; the next pivot restarts there
+    split = np.abs(d[1:] * d[:-1]) * ulp**2 + tiny > squares
+    pivmin = max(1.0, squares.max(initial=0.0, where=~split)) * tiny
+    squares[split] = 0.0
+    pivot, below, x = 1.0, 0, float(x)
+    for diagonal, square in zip(d.tolist(), [0.0] + squares.tolist()):
+        pivot = diagonal - square / pivot - x
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        below += pivot <= 0
+    return len(d) - below
+
+
+COUNT_GRAPHS = {
+    **{f"{kind}-{n}": lambda kind=kind, n=n: leading_block(*kernel_pair(kind, 1), 1, n)[0]
+       for kind in ("indicator", "waxman", "constant") for n in (2, 3, 4, 130, 1000)},
+    "K10": lambda: complete_graph(10),
+    "two_cliques": lambda: two_cliques(10)[0],
+    "isolated_vertex": isolated_vertex_graph,
+    "split_70_130": split_graph,
+    "edgeless": lambda: Graph(n=10, adjacency=np.zeros((10, 10), dtype=np.uint8)),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_GRAPHS)
+def test_count_above_is_the_sturm_count(name):
+    """dstebz's count equals the Sturm count on T at random points and at
+    every eigenvalue of eigvalsh, where roundoff decides the side."""
+    graph = COUNT_GRAPHS[name]()
+    w = np.linalg.eigvalsh(graph.dense())[::-1]
+    spectrum = spectral.Spectrum(graph)
+    rng = np.random.default_rng(graph.n)
+    for x in np.concatenate([rng.uniform(w[-1] - 1.0, w[0] + 1.0, 50), w]):
+        assert spectrum.count_above(x) == sturm_count(spectrum._d, spectrum._e, x), x
+    assert spectrum._eigenvalues is None
+
+
+def test_hosc_bisects_each_rank_once(monkeypatch):
+    """One hosc makes one count and bisects its window and ranks 1 and n;
+    a later vector in the window whose neighbours are held bisects
+    nothing, and inverse iteration never bisects again."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args[0], args[5], args[6]))  # range, il, iu
+        return real["dstebz"](*args)
+
+    real = patch_lapack(monkeypatch, dstebz=recording)
+    params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=0)
+    _, report = spectral.hosc(model.sample_graph(params)[0], 0.4, 0.1)
+    # the window is ranks 2..5, counted from the smallest as 996..999
+    assert calls == [(b"V", 0, 0), (b"I", 996, 999), (b"I", 1000, 1000), (b"I", 1, 1)]
+    assert report.selected_index == 4
+    for rank in (2, 3, 4):
+        calls.clear()
+        report.spectrum.eigenvector(rank)
+        assert calls == [], rank
+    # rank 5's gap needs rank 6, outside the window; its own value is held
+    calls.clear()
+    report.spectrum.eigenvector(5)
+    assert calls == [(b"I", 995, 997)]
+
+
 def failing_routine(*args):
     return 1  # a LAPACK info > 0: no convergence
 
@@ -658,7 +732,13 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 200)
     reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
 
-    for name, stand_in in [("dstebz", failing_routine), ("dstein", failing_routine),
+    ranges = []
+
+    def failing_dstebz(*args):
+        ranges.append(args[0])
+        return 1
+
+    for name, stand_in in [("dstebz", failing_dstebz), ("dstein", failing_routine),
                            ("dormtr", failing_routine), ("dormtr", nan_dormtr)]:
         with monkeypatch.context() as patch:
             calls = count_full_solves(patch)
@@ -667,6 +747,8 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         assert calls == [200], (name, stand_in)
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
+    # the count failed first, then the window: both read the full list
+    assert ranges[:2] == [b"V", b"I"]
     # selection reads no dsterf, so a failing one costs it no full solve;
     # the eigenvalues, read after, still fall back to dstedc's
     with monkeypatch.context() as patch:

@@ -193,6 +193,10 @@ def test_spectrum_match_needs_positive_threshold():
     measure = theory.limiting_atoms(Indicator(0.1), Indicator(0.05), K=4)
     with pytest.raises(ValueError):
         theory.spectrum_match(spectrum, measure, threshold=0.0, window=0.02)
+    with pytest.raises(ValueError, match="threshold"):
+        theory.spectrum_match(spectrum, measure, threshold=np.nan, window=0.02)
+    with pytest.raises(ValueError, match="window"):
+        theory.spectrum_match(spectrum, measure, threshold=0.02, window=np.nan)
 
 
 # --- rayleigh_bound ----------------------------------------------------------------------
@@ -254,7 +258,7 @@ def test_rayleigh_bound_reads_one_eigenvector(sbm_instances):
         spectrum = spectral.Spectrum(graph)
         report = theory.rayleigh_bound(graph, planted, spectrum)
         want = theory.rayleigh_bound(graph, planted, inst["spectrum"])
-        assert spectrum._eigenvectors is None
+        assert spectrum._eigenvectors is None and spectrum._eigenvalues is None  # no dsterf
         assert report.closest_rank == want.closest_rank
         for name in ("rho", "residual", "delta", "sine_bound", "actual_sine"):
             assert abs(getattr(report, name) - getattr(want, name)) <= 1e-12, name
