@@ -97,8 +97,6 @@ def build_params(config, seed_override=None):
         raise ConfigError("model.n is required")
     n = _int("model", "n", mdl["n"])
     d = _int("model", "d", mdl.get("d", "1"))
-    if n < 2 or n % 2:
-        raise ConfigError(f"model.n = {n}: balanced blocks need an even n >= 2")
     f_in, f_out = _kernel_pair(config, d, "kernel_in.* and kernel_out.* blocks are required")
     seed = seed_override
     if seed is None:
@@ -170,15 +168,14 @@ def cmd_cluster(args, config):
         graph, truth, _ = model.sample_graph(params)
         f_in, f_out = params.f_in, params.f_out
 
-    # the accuracy profile needs every eigenvector; without truth, only eigenvalues
-    solve = spectral.eigendecompose if truth is not None else spectral.Spectrum
     predicted, report = spectral.cluster(graph, algorithm, kernels.edge_density(f_in),
-                                         kernels.edge_density(f_out), solve=solve,
+                                         kernels.edge_density(f_out),
                                          iterate=li_iterate == "true")
     spectrum = report.spectrum
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
+    # the profile solves every vector before any eigenvalue is printed below
     profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
                if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
     with open(os.path.join(args.out, "selection.csv"), "w") as fh:

@@ -30,7 +30,7 @@ from .spectral import (
     cluster,
     sign_partition,
 )
-from .theory import limiting_atoms, spectrum_match
+from .theory import check_match_range, limiting_atoms, spectrum_match
 
 __all__ = [
     "SweepConfig",
@@ -460,16 +460,10 @@ def spectrum_experiment(params, K=64, threshold=0.02, window=0.02, out=None):
     predicted atoms, and the per-eigenvalue match report.  K, threshold
     and window are checked before anything is sampled.
     """
-    # written as `not ...` so that NaN fails too
-    if not K >= 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if not 0 < threshold < np.inf:
-        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-    if not 0 <= window < np.inf:
-        raise ValueError(f"window must be finite and >= 0, got {window}")
+    measure = limiting_atoms(params.f_in, params.f_out, K=K)
+    check_match_range(threshold, window)
     graph, _, _ = sample_graph(params)
     spectrum = Spectrum(graph)  # eigenvalues only: no eigenvector is asked for
-    measure = limiting_atoms(params.f_in, params.f_out, K=K)
     report = spectrum_match(spectrum, measure, threshold=threshold, window=window)
     if out:
         os.makedirs(out, exist_ok=True)
@@ -532,15 +526,16 @@ def write_meta(path, config_echo, workers=1):
         threads = "not controllable"
     else:
         threads = 1 if workers > 1 else controls[0]()  # as run_sweep runs cells
+    # what spectral.Spectrum calls: the LAPACKE routines, or eigh without them
+    routines = _openblas.lapack()
+    solver = ("LAPACKE " + " ".join(routines) if routines is not None
+              else "numpy.linalg.eigh (the LAPACKE routines are not exported)")
     lines = [
         f"timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
         f"numpy: {np.__version__}",
         f"blas: {_blas_name()}",
         f"blas_threads: {threads}",
-        # how _run_cell solves: spectral.Spectrum
-        "eigensolver: dsytrd; Sturm count + dstebz window for selection (no dsterf); "
-        "dstebz + dstein + dormtr per eigenvector used (dstedc + dormtr for all where "
-        "repeated or a call fails; eigh where LAPACK unavailable)",
+        f"eigensolver: {solver}",
         "config:",
     ]
     lines += [f"  {key} = {value}" for key, value in sorted(config_echo.items())]

@@ -49,7 +49,8 @@ class DegenerateModelError(ValueError):
     """mu_in = mu_out: the target eigenvalue is undefined."""
 
 
-# Both tolerances are relative to the spectral radius max(|lambda_1|, |lambda_n|, 1).
+# Both tolerances are relative to the spectral radius max(lambda_1, 1); A >= 0, so
+# lambda_1 >= |lambda_n| (Perron-Frobenius; Horn and Johnson, Matrix Analysis, 8.3.1).
 # A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * radius;
 # divide-and-conquer eigenvectors and those from inverse iteration on the
 # tridiagonal form both reach about 1e-15 * radius * sqrt(n).
@@ -61,16 +62,13 @@ _GAP_RTOL = 1e-8
 _LI_MAX_ROUNDS = 100
 
 
-def _radius(eigenvalues):
-    return max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
-
-
-def _gap_at(spectrum, rank):
-    """Distance from the rank-th eigenvalue to the nearest other one, which
-    has rank - 1 or rank + 1; inf if there is none."""
+def _gap_at(spectrum, rank, point=None):
+    """Distance from point, whose nearest eigenvalue is the rank-th (default: that
+    one), to the nearest other eigenvalue, rank - 1 or rank + 1; inf if none."""
     first = max(1, rank - 1)
     near = spectrum.values(first, min(spectrum.n, rank + 1))
-    others = np.abs(np.delete(near, rank - first) - near[rank - first])
+    point = near[rank - first] if point is None else point
+    others = np.abs(np.delete(near, rank - first) - point)
     return float(others.min()) if len(others) else np.inf
 
 
@@ -110,16 +108,16 @@ class Spectrum:
       (Parlett, section 3.3), and no bisection.
     - values(first, last): the eigenvalues of ranks first..last by
       bisection on T (dstebz), O(n) per eigenvalue, cached by rank with
-      the block of T each lies in.  Selection, the residual check's
-      radius and the repeated-eigenvalue guard read these, so
-      clustering runs no dsterf.
+      the block of T each lies in.  Selection and eigenvector(rank)
+      read these, so clustering runs no dsterf.
     - eigenvalues: every eigenvalue of T by dsterf, sorted descending,
       for callers that print or scan the whole spectrum.  eigvalsh's
       dsyevd makes the same two calls, so they equal its bit for bit.
     - eigenvector(rank): inverse iteration on T (dstein, O(n)) at the
       value and block that values bisected for that rank, mapped back
       through the reflectors (dormtr, O(n^2)): the dsyevx pipeline.
-      Vectors are cached by rank.
+      It reads rank 1 for the radius, max(1, lambda_1), and ranks
+      rank +- 1 for the gap.  Vectors are cached by rank.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
@@ -133,7 +131,8 @@ class Spectrum:
     another for inverse iteration to single out one vector), and when a
     LAPACK call fails or returns a vector that is not finite; so do the
     eigenvalues when dsterf fails.  Without these routines in numpy's
-    OpenBLAS, eigh gives every pair.
+    OpenBLAS, eigh gives every pair.  Callers only ask for what they
+    read: how an eigenvector is solved is decided here alone.
     """
 
     def __init__(self, graph):
@@ -168,19 +167,21 @@ class Spectrum:
     def values(self, first, last):
         """The eigenvalues of ranks first..last (1 = largest), descending.
 
-        One bisection on T (dstebz) gives the ranks not cached yet; each
-        rank keeps the value, and the block of T, it is first given.
-        When dstebz fails they are read from eigenvalues.
+        One bisection on T (dstebz) over the span of the ranks not cached
+        yet; each rank keeps the value, and the block of T, it is first
+        given.  When dstebz fails they are read from eigenvalues.
         """
         if not 1 <= first <= last <= self.n:
             raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
         ranks = range(first, last + 1)
-        if not self._bisected.keys() >= set(ranks):
+        missing = [rank for rank in ranks if rank not in self._bisected]
+        if missing:
+            span = range(missing[0], missing[-1] + 1)
             # dstebz counts from the smallest eigenvalue, from 1
-            found = self._dstebz(b"I", 0.0, 0.0, self.n - last + 1, self.n - first + 1, 0.0)
-            if found is None or len(found[0]) != len(ranks):
+            found = self._dstebz(b"I", 0.0, 0.0, self.n + 1 - span[-1], self.n + 1 - span[0], 0.0)
+            if found is None or len(found[0]) != len(span):
                 return self.eigenvalues[first - 1:last]
-            self._bisected = {**dict(zip(reversed(ranks), zip(*found))), **self._bisected}
+            self._bisected = {**dict(zip(reversed(span), zip(*found))), **self._bisected}
         return np.array([self._bisected[rank][0] for rank in ranks])
 
     def _dstebz(self, kind, vl, vu, il, iu, abstol):
@@ -220,8 +221,7 @@ class Spectrum:
         """Eigenvector of rank (1 = largest eigenvalue), residual-checked,
         under the sign rule."""
         if rank not in self._vectors:
-            # ranks 1 and n are bisected once, then read from the cache
-            radius = _radius([self.values(1, 1)[0], self.values(self.n, self.n)[0]])
+            radius = max(1.0, float(self.values(1, 1)[0]))
             value = float(self.values(rank, rank)[0])
             pinned = self._eigenvectors is None and _gap_at(self, rank) > _GAP_RTOL * radius
             vector = self._tridiagonal_vector(rank) if pinned else None

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import coefficients, edge_density
-from .spectral import DegenerateModelError, Spectrum, select_eigenpair
+from .spectral import DegenerateModelError, Spectrum, _gap_at, select_eigenpair
 
 __all__ = [
     "Atom",
@@ -31,6 +31,7 @@ __all__ = [
     "limiting_moment",
     "empirical_moment",
     "isolation_check",
+    "check_match_range",
     "spectrum_match",
     "rayleigh_bound",
     "trace_lipschitz_check",
@@ -109,8 +110,8 @@ def limiting_atoms(f_in, f_out, K=DEFAULT_LATTICE_CUTOFF):
     Grouping is at 12 decimals: coefficients of mirrored lattice indices
     are equal in exact arithmetic and agree to roundoff here.
     """
-    if K < 1:
-        raise ValueError("cutoff K must be >= 1")
+    if not K >= 1:  # NaN fails too
+        raise ValueError(f"K must be >= 1, got {K}")
     _, sums, diffs, _, _, tail = _families(f_in, f_out, K)
     atoms = []
     for family, values in (("sum", sums), ("difference", diffs)):
@@ -165,16 +166,21 @@ def isolation_check(f_in, f_out, K=DEFAULT_LATTICE_CUTOFF):
                            epsilon=epsilon, satisfied=satisfied, tail_bound=tail)
 
 
+def check_match_range(threshold, window):
+    """ValueError unless 0 < threshold < inf and 0 <= window < inf (NaN fails both)."""
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    if not 0 <= window < np.inf:
+        raise ValueError(f"window must be finite and >= 0, got {window}")
+
+
 def spectrum_match(spectrum, measure, threshold, window):
     """Compare eigenvalues of A/n above a bulk threshold to the atoms.
 
     Every |lambda_i / n| > threshold is matched to its nearest atom
     location; entries farther than window count as outliers.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if not window >= 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    check_match_range(threshold, window)
     locations = measure.locations()
     scaled = spectrum.eigenvalues / spectrum.n
     report = SpectrumMatch(threshold=float(threshold), window=float(window))
@@ -199,8 +205,8 @@ def rayleigh_bound(graph, v, spectrum):
     the diagnostic must be honest at finite n.  delta = 0 (rho at a
     repeated eigenvalue) is reported as an unbounded (inf) bound.
     spectrum is graph's Spectrum.  select_eigenpair(spectrum, rho) picks
-    the closest eigenvalue and its eigenvector, so only that eigenvalue's
-    neighbours are read, and of the eigenvectors only its own.
+    the closest eigenvalue and its eigenvector, and _gap_at its neighbours,
+    so only those are read, and of the eigenvectors only its own.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.n,):
@@ -213,11 +219,7 @@ def rayleigh_bound(graph, v, spectrum):
     residual = float(np.linalg.norm(av - rho * v))
     closest = select_eigenpair(spectrum, rho)
     rank = closest.selected_index
-    # the nearest other eigenvalue to rho is a neighbour of the nearest one
-    first = max(1, rank - 1)
-    near = spectrum.values(first, min(spectrum.n, rank + 1))
-    others = np.abs(np.delete(near, rank - first) - rho)
-    delta = float(others.min()) if len(others) else np.inf
+    delta = _gap_at(spectrum, rank, rho)
     sine_bound = residual / (norm * delta) if delta > 0 else np.inf
     unit = v / norm
     cosine = min(1.0, abs(float(unit @ closest.eigenvector)))

@@ -396,6 +396,41 @@ def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch,
         assert (out / name).read_bytes() == (reference / name).read_bytes()
 
 
+WAXMAN_CONFIG = """\
+kernel_in.kind = waxman
+kernel_in.q = 0.5
+kernel_in.s = 1.0
+kernel_out.kind = waxman
+kernel_out.q = 0.25
+kernel_out.s = 1.0
+"""
+
+
+@pytest.mark.parametrize("kernel_config,f_in,f_out", [
+    (KERNEL_CONFIG, kernels.Indicator(0.2), kernels.Indicator(0.05)),
+    (WAXMAN_CONFIG, kernels.Waxman(0.5, 1.0), kernels.Waxman(0.25, 1.0)),
+], ids=["indicator", "waxman"])
+def test_cluster_labels_do_not_depend_on_truth(tmp_path, monkeypatch, kernel_config,
+                                               f_in, f_out):
+    """run.labels only adds the accuracy profile: predicted.labels is the
+    same file with and without it, and no run solves through eigendecompose."""
+    params = model.SgbmParams(n=400, d=1, f_in=f_in, f_out=f_out, seed=3)
+    graph, truth, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
+    model.write_labels(tmp_path / "truth.txt", truth)
+    full_solves = []
+    monkeypatch.setattr(spectral, "eigendecompose", full_solves.append)
+    base = kernel_config + f"run.graph = {tmp_path / 'edges.txt'}\n"
+    truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
+    for name, text in [("plain", base), ("truth", base + truth_key)]:
+        cfg = write_config(tmp_path, text, f"{name}.cfg")
+        assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
+                         "--quiet"]) == 0
+    assert ((tmp_path / "plain" / "predicted.labels").read_bytes()
+            == (tmp_path / "truth" / "predicted.labels").read_bytes())
+    assert full_solves == []
+
+
 # --- spectrum ----------------------------------------------------------------
 
 def test_spectrum_sbm_two_spikes(tmp_path, capsys):

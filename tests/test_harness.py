@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sgbm
-from sgbm import harness, kernels, model, spectral
+from sgbm import _openblas, harness, kernels, model, spectral
 from sgbm.harness import GridPoint, ResultRow, SweepConfig
 from sgbm.model import Graph
 
@@ -621,14 +621,19 @@ def test_results_csv_format(tmp_path):
         assert float(tcells[7]) > 0.0
 
 
-def test_meta_sidecar(tmp_path):
+def test_meta_sidecar(tmp_path, monkeypatch):
     path = tmp_path / "meta.txt"
     harness.write_meta(path, {"model.n": 100, "run.seed": 1}, workers=2)
     text = path.read_text()
     assert "numpy:" in text
-    assert ("eigensolver: dsytrd; Sturm count + dstebz window for selection (no dsterf); "
-            "dstebz + dstein + dormtr per eigenvector used (dstedc + dormtr for all where "
-            "repeated or a call fails; eigh where LAPACK unavailable)\n") in text
+    if _openblas.lapack() is not None:
+        assert ("eigensolver: LAPACKE dsytrd dsterf dstebz dstein dormtr dstedc "
+                "dormtr_work\n") in text
+    with monkeypatch.context() as patch:
+        patch.setattr(_openblas, "lapack", lambda: None)
+        harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)
+    assert ("eigensolver: numpy.linalg.eigh (the LAPACKE routines are not exported)\n"
+            in (tmp_path / "eigh.txt").read_text())
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

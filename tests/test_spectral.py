@@ -128,7 +128,7 @@ def test_residual_check_allocates_by_row_block():
         assert peak < 1e6
     assert partial._eigenvectors is None  # the tridiagonal path was measured
     vector = full.eigenvectors[:, 2]
-    radius = spectral._radius(full.eigenvalues)
+    radius = max(1.0, float(full.eigenvalues[0]))
     value = float(full.eigenvalues[2])
     assert np.array_equal(spectral._checked(graph, value, vector, radius),
                           full.eigenvector(3))
@@ -481,7 +481,7 @@ def assert_window_requests_match_eigvalsh(graph):
     """count_above and values, asked before any full list is read, against
     eigvalsh; the spectrum reads no full list to answer them."""
     w = np.linalg.eigvalsh(graph.dense())[::-1]
-    n, tol = graph.n, 1e-12 * spectral._radius(w)
+    n, tol = graph.n, 1e-12 * max(1.0, w[0])
     spectrum = spectral.Spectrum(graph)
     for x in np.random.default_rng(n).uniform(w[-1] - 1.0, w[0] + 1.0, 50):
         assert spectrum.count_above(x) == np.sum(w > x), x
@@ -625,7 +625,7 @@ def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda
     assert np.array_equal(spectral.sign_partition(report.eigenvector),
                           spectral.sign_partition(reference.eigenvector))
     # a roundoff-level gap: what sent the rank to the full solve
-    assert report.gap_to_next <= spectral._GAP_RTOL * spectral._radius(eigenvalues)
+    assert report.gap_to_next <= spectral._GAP_RTOL * max(1.0, eigenvalues[0])
     partial.eigenvector(1)
     assert calls == [graph.n]  # the full solve is kept, not repeated
     assert partial._reflectors is None
@@ -689,9 +689,10 @@ def test_count_above_is_the_sturm_count(name):
 
 
 def test_hosc_bisects_each_rank_once(monkeypatch):
-    """One hosc makes one count and bisects its window and ranks 1 and n;
-    a later vector in the window whose neighbours are held bisects
-    nothing, and inverse iteration never bisects again."""
+    """One hosc makes one count and bisects its window and rank 1, never
+    rank n; a later vector in the window whose neighbours are held
+    bisects nothing, and inverse iteration never bisects again.  fiedler
+    bisects rank 2, then rank 1 for the radius and only rank 3 for the gap."""
     calls = []
 
     def recording(*args):
@@ -701,18 +702,22 @@ def test_hosc_bisects_each_rank_once(monkeypatch):
     real = patch_lapack(monkeypatch, dstebz=recording)
     params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=0)
-    _, report = spectral.hosc(model.sample_graph(params)[0], 0.4, 0.1)
+    graph = model.sample_graph(params)[0]
+    _, report = spectral.hosc(graph, 0.4, 0.1)
     # the window is ranks 2..5, counted from the smallest as 996..999
-    assert calls == [(b"V", 0, 0), (b"I", 996, 999), (b"I", 1000, 1000), (b"I", 1, 1)]
+    assert calls == [(b"V", 0, 0), (b"I", 996, 999), (b"I", 1000, 1000)]
     assert report.selected_index == 4
     for rank in (2, 3, 4):
         calls.clear()
         report.spectrum.eigenvector(rank)
         assert calls == [], rank
-    # rank 5's gap needs rank 6, outside the window; its own value is held
+    # rank 5's gap needs rank 6, outside the window; only rank 6 is bisected
     calls.clear()
     report.spectrum.eigenvector(5)
-    assert calls == [(b"I", 995, 997)]
+    assert calls == [(b"I", 995, 995)]
+    calls.clear()
+    spectral.cluster(graph, "fiedler", 0.4, 0.1)
+    assert calls == [(b"I", 999, 999), (b"I", 1000, 1000), (b"I", 998, 998)]
 
 
 def failing_routine(*args):

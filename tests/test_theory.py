@@ -197,6 +197,10 @@ def test_spectrum_match_needs_positive_threshold():
         theory.spectrum_match(spectrum, measure, threshold=np.nan, window=0.02)
     with pytest.raises(ValueError, match="window"):
         theory.spectrum_match(spectrum, measure, threshold=0.02, window=np.nan)
+    with pytest.raises(ValueError, match="threshold"):
+        theory.spectrum_match(spectrum, measure, threshold=np.inf, window=0.02)
+    with pytest.raises(ValueError, match="window"):
+        theory.spectrum_match(spectrum, measure, threshold=0.02, window=np.inf)
 
 
 # --- rayleigh_bound ----------------------------------------------------------------------
