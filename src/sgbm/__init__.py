@@ -8,7 +8,6 @@ from .kernels import (
     coefficients,
     convolution_at_zero,
     edge_density,
-    eval_kernel,
     fourier_coeff,
     fourier_coeff_grid,
     kernel_from_config,
@@ -25,8 +24,6 @@ from .model import (
     sample_graph,
     sample_labelling,
     sample_positions,
-    torus_displacement,
-    torus_norm,
     write_graph,
     write_labels,
     write_positions,

@@ -168,10 +168,10 @@ def cmd_cluster(args, config):
         graph, truth, _ = model.sample_graph(params)
         f_in, f_out = params.f_in, params.f_out
 
-    predicted, report = spectral.cluster(graph, algorithm, kernels.edge_density(f_in),
+    spectrum = spectral.Spectrum(graph)
+    predicted, report = spectral.cluster(spectrum, algorithm, kernels.edge_density(f_in),
                                          kernels.edge_density(f_out),
                                          iterate=li_iterate == "true")
-    spectrum = report.spectrum
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)

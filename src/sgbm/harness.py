@@ -182,8 +182,8 @@ def _components(adjacent):
     return assignment
 
 
-def motif_baseline(graph):
-    """Common-neighbor clustering: a transparent, simplified baseline.
+def motif_baseline(spectrum):
+    """Common-neighbor clustering of spectrum.graph: a transparent, simplified baseline.
 
     Counts common neighbors over every edge, splits the counts with an
     exact 1-d 2-means threshold into intra-like and inter-like edges,
@@ -191,10 +191,11 @@ def motif_baseline(graph):
     components by synchronous neighbor majority (ties to label 2).
 
     Returns (labels, note); note is empty normally and names the
-    fallback (sign partition of the second-ranked eigenvector) when the
+    fallback (sign partition of spectrum's rank-2 eigenvector) when the
     filtered graph does not leave two usable components.  Raises
     MotifInputError for n < 4 or a graph with no edges.
     """
+    graph = spectrum.graph
     if graph.n < 4:
         raise MotifInputError("baseline needs n >= 4")
     a = graph.adjacency
@@ -226,7 +227,7 @@ def motif_baseline(graph):
     comp_sizes = np.bincount(assignment)
     big = np.argsort(comp_sizes)[::-1]
     if len(comp_sizes) < 2 or comp_sizes[big[1]] < 2:
-        return sign_partition(Spectrum(graph).eigenvector(2)), "fallback: fiedler_sign"
+        return sign_partition(spectrum.eigenvector(2)), "fallback: fiedler_sign"
 
     labels = np.zeros(graph.n, dtype=np.int8)
     labels[assignment == big[0]] = 1
@@ -248,29 +249,20 @@ def _run_cell(config, grid_index, point, seed):
     graph, truth, _ = sample_graph(params)
     sample_ms = (time.perf_counter() - t0) * 1000.0
 
-    # hosc, hosc_li and fiedler share one spectrum and its cached eigenvectors
-    spectrum = None
-    spectrum_ms = 0.0
-
-    def solve(graph):
-        nonlocal spectrum, spectrum_ms
-        if spectrum is None:
-            t = time.perf_counter()
-            spectrum = Spectrum(graph)
-            spectrum_ms = (time.perf_counter() - t) * 1000.0
-        return spectrum
-
+    # every algorithm reads this one Spectrum, so the cell reduces A at most once
+    spectrum = Spectrum(graph)
     for algorithm in config.algorithms:
         row = ResultRow(algorithm=algorithm, **base)
+        # a spectral row counts the reduction once: in its own time if it ran it,
+        # else as the time an earlier row spent on it
+        shared_ms = spectrum.reduction_s * 1000.0 if algorithm != "motif_baseline" else 0.0
         t0 = time.perf_counter()
-        # a spectral row counts the shared solve once: here, or in its own time
-        shared_ms = spectrum_ms if algorithm != "motif_baseline" else 0.0
         try:
             if algorithm == "motif_baseline":
-                predicted, row.note = motif_baseline(graph)
+                predicted, row.note = motif_baseline(spectrum)
             else:
-                predicted, report = cluster(graph, algorithm, edge_density(point.f_in),
-                                            edge_density(point.f_out), solve=solve)
+                predicted, report = cluster(spectrum, algorithm, edge_density(point.f_in),
+                                            edge_density(point.f_out))
                 row.selected_rank = report.selected_index
                 row.lambda_star = report.lambda_star
                 row.lambda_selected = report.lambda_selected

@@ -49,7 +49,6 @@ __all__ = [
     "Constant",
     "Indicator",
     "Waxman",
-    "eval_kernel",
     "coefficients",
     "fourier_coeff",
     "fourier_coeff_grid",
@@ -135,14 +134,6 @@ class Waxman:
 
 
 _KINDS = {cls.kind: cls for cls in (Constant, Indicator, Waxman)}
-
-
-def eval_kernel(kernel, displacement):
-    """Edge probability for one displacement vector in [-1/2, 1/2)^d."""
-    x = np.atleast_1d(np.asarray(displacement, dtype=float))
-    if x.shape != (kernel.d,):
-        raise ValueError(f"displacement has shape {x.shape}, kernel dimension is {kernel.d}")
-    return float(kernel.profile(np.max(np.abs(x))))
 
 
 def _sinc(x):

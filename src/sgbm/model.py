@@ -20,8 +20,6 @@ __all__ = [
     "SgbmParams",
     "Graph",
     "DegreeStats",
-    "torus_displacement",
-    "torus_norm",
     "sample_labelling",
     "sample_positions",
     "sample_graph",
@@ -88,21 +86,6 @@ class Graph:
 class DegreeStats:
     z_in: np.ndarray  # same-label neighbor counts
     z_out: np.ndarray  # different-label neighbor counts
-
-
-def torus_displacement(x, y):
-    """Coordinate-wise x - y wrapped into [-1/2, 1/2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return np.mod(x - y + 0.5, 1.0) - 0.5
-
-
-def torus_norm(x):
-    """l-infinity norm of a wrapped displacement (or a batch of them)."""
-    x = np.asarray(x, dtype=float)
-    return np.max(np.abs(x), axis=-1)
 
 
 # --- counter-based pair randomness --------------------------------------
@@ -207,11 +190,14 @@ def degree_stats(graph, labels):
     labels = np.asarray(labels)
     if labels.shape != (graph.n,):
         raise ValueError(f"labels have shape {labels.shape}, graph has n = {graph.n}")
+    if not np.all((labels == 1) | (labels == 2)):
+        raise ValueError("labels must be 1 or 2")
     a = graph.adjacency
-    same = (labels[:, None] == labels[None, :]).astype(np.uint8)
-    z_in = (a * same).sum(axis=1).astype(np.int64)
-    z_out = a.sum(axis=1).astype(np.int64) - z_in
-    return DegreeStats(z_in=z_in, z_out=z_out)
+    # integer counts on the uint8 matrix, as local_improvement votes: no n x n temporary
+    degree = a.sum(axis=1, dtype=np.int64)
+    ones = a[:, labels == 1].sum(axis=1, dtype=np.int64)  # neighbours labelled 1
+    z_in = np.where(labels == 1, ones, degree - ones)
+    return DegreeStats(z_in=z_in, z_out=degree - z_in)
 
 
 # --- file formats --------------------------------------------------------
@@ -281,10 +267,24 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    labels = np.loadtxt(path, dtype=np.int8, ndmin=1)
-    if not np.all((labels == 1) | (labels == 2)):
-        raise ValueError(f"{path}: labels must be 1 or 2")
-    return labels
+    """Labels from a file of one 1 or 2 per line.
+
+    Blank lines are skipped, as in read_graph.  An empty file, a comment
+    line ('#') or any other line raises ValueError naming the path.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if not text.strip():
+            raise ValueError("no labels")
+        labels = np.loadtxt(io.StringIO(text), dtype=np.int8, ndmin=2, comments=None)
+        if labels.shape[1] != 1:
+            raise ValueError("expected one label per line")
+        if not np.all((labels == 1) | (labels == 2)):
+            raise ValueError("labels must be 1 or 2")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return labels[:, 0]
 
 
 def write_positions(path, positions):

@@ -83,9 +83,8 @@ def rayleigh_angle_bound():
         params = model.SgbmParams(n=500, d=1, f_in=kernels.Constant(0.9),
                                   f_out=kernels.Constant(0.1), seed=seed)
         graph, labels, _ = model.sample_graph(params)
-        spectrum = spectral.Spectrum(graph)
         planted = np.where(np.asarray(labels) == 1, 1.0, -1.0) / np.sqrt(graph.n)
-        report = theory.rayleigh_bound(graph, planted, spectrum)
+        report = theory.rayleigh_bound(planted, spectral.Spectrum(graph))
         if report.actual_sine > report.sine_bound + 1e-12:
             violations += 1
     return violations == 0, f"{10 - violations}/10 instances satisfied the bound"

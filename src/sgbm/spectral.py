@@ -8,14 +8,17 @@ second largest: geometric graphs park several spatial harmonics above
 it, which is the whole reason selection is by value rather than by rank.
 
 One class, Spectrum, gives the spectrum from one kept tridiagonal
-reduction: clustering reads dstebz's count of the eigenvalues above
-lambda*, the eigenvalues of four ranks around it by bisection, and one
-eigenvector; the per-eigenvector accuracy profile reads every
-eigenvector.
+reduction, made on the first request: clustering reads dstebz's count of
+the eigenvalues above lambda*, the eigenvalues of four ranks around it by
+bisection, and one eigenvector; the per-eigenvector accuracy profile
+reads every eigenvector.  Every reader of a graph's spectrum (cluster,
+the motif baseline's fallback, rayleigh_bound) is handed one Spectrum and
+reads its graph from it, so the reduction runs once per graph.
 
 A one-pass neighbor-majority relabelling serves as local improvement.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +100,12 @@ def _checked(graph, value, vector, radius):
 class Spectrum:
     """Every eigenpair of a graph's adjacency matrix A, each solved on first use.
 
-    The constructor reduces one float64 copy of A to tridiagonal form,
-    T = Q^T A Q (LAPACK dsytrd, in place: the copy then holds the
-    Householder reflectors of Q).  Every request is answered from T and
-    the reflectors (LAPACK Users' Guide, section 2.4.4; Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4):
+    The constructor does no work.  The first request reduces one float64
+    copy of A to tridiagonal form, T = Q^T A Q (LAPACK dsytrd, in place:
+    the copy then holds the Householder reflectors of Q), and
+    reduction_s records how long that took.  Every request is answered
+    from T and the reflectors (LAPACK Users' Guide, section 2.4.4;
+    Parlett, The Symmetric Eigenvalue Problem, ch. 4):
 
     - count_above(x): how many eigenvalues exceed x, dstebz's count of
       the eigenvalues of T in (x, inf]: a few Sturm counts, O(n) each
@@ -139,19 +143,31 @@ class Spectrum:
         if graph.n < 2:
             raise ValueError("need at least two nodes")
         self.graph, self.n = graph, graph.n
-        self._eigenvalues = self._eigenvectors = None
+        self.reduction_s = 0.0  # wall time of the reduction, once it has run
+        self._eigenvalues = self._eigenvectors = self._d = None
         self._vectors, self._bisected = {}, {}
         self._lapack = _openblas.lapack()
+
+    def _reduced(self):
+        """Whether T and the reflectors are at hand: False without LAPACK,
+        else True, after dsytrd on the first call.  Every request that reads
+        them asks this first.  A failed reduction raises and keeps nothing,
+        so the next request tries again."""
         if self._lapack is None:
-            return
-        n = graph.n
+            return False
+        if self._d is not None:
+            return True
+        start, n = time.perf_counter(), self.n
         # A is symmetric, so its C-order copy read in Fortran order is A itself
-        self._reflectors = graph.dense()
-        self._d, self._e, self._tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        reflectors = self.graph.dense()
+        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        _raise_on_failure("dsytrd", self._lapack["dsytrd"](
+            _openblas.COL_MAJOR, b"L", n, reflectors, n, d, e, tau))
+        self._reflectors, self._d, self._e, self._tau = reflectors, d, e, tau
         # where T splits into blocks: every dstebz call writes the same ends here
         self._split = np.zeros(n, np.int64)
-        _raise_on_failure("dsytrd", self._lapack["dsytrd"](
-            _openblas.COL_MAJOR, b"L", n, self._reflectors, n, self._d, self._e, self._tau))
+        self.reduction_s = time.perf_counter() - start
+        return True
 
     def count_above(self, x):
         """How many eigenvalues are greater than x.
@@ -189,7 +205,7 @@ class Spectrum:
         "I": those of indices il..iu, counted from the smallest): (values
         ascending, their blocks), or None without LAPACK or when dstebz
         fails."""
-        if self._lapack is None:
+        if not self._reduced():
             return None
         n = self.n
         m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
@@ -202,7 +218,7 @@ class Spectrum:
     def eigenvalues(self):
         """Every eigenvalue, sorted descending."""
         if self._eigenvalues is None:
-            if self._lapack is not None:
+            if self._reduced():
                 values = self._d.copy()
                 if self._lapack["dsterf"](self.n, values, self._e.copy()) == 0:
                     self._eigenvalues = values[::-1]
@@ -250,7 +266,7 @@ class Spectrum:
 
     def _solve_all(self):
         """Every eigenpair, as dsyevd computes them; eigh without LAPACK."""
-        if self._lapack is None:
+        if not self._reduced():
             try:
                 values, vectors = np.linalg.eigh(self.graph.dense())
             except np.linalg.LinAlgError as exc:
@@ -290,7 +306,6 @@ class SelectionReport:
     lambda_selected: float
     gap_to_next: float  # distance to the nearest other eigenvalue
     eigenvector: np.ndarray
-    spectrum: object  # the Spectrum selected from
 
 
 def eigendecompose(graph):
@@ -337,7 +352,6 @@ def select_eigenpair(spectrum, lambda_star):
         lambda_selected=float(window[rank - first]),
         gap_to_next=_gap_at(spectrum, rank),
         eigenvector=spectrum.eigenvector(rank),
-        spectrum=spectrum,
     )
 
 
@@ -347,33 +361,32 @@ def sign_partition(eigenvector):
     return np.where(v > 0, 1, 2).astype(np.int8)
 
 
-def cluster(graph, algorithm, mu_in, mu_out, solve=None, iterate=False):
-    """(labels, SelectionReport) for algorithm hosc, hosc_li or fiedler.
+def cluster(spectrum, algorithm, mu_in, mu_out, iterate=False):
+    """(labels, SelectionReport) for algorithm hosc, hosc_li or fiedler on
+    spectrum.graph.
 
     hosc splits by the sign of the eigenvector nearest lambda*, and
     hosc_li then runs local_improvement(iterate=iterate); fiedler splits
-    by rank 2 and leaves lambda_star and gap_to_next None.  solve(graph)
-    (default Spectrum) runs after lambda* is computed, so a
-    degenerate model raises before any solve.
+    by rank 2 and leaves lambda_star and gap_to_next None.  lambda* is
+    computed before spectrum is read, so a degenerate model raises before
+    any reduction.
     """
     if algorithm == "fiedler":
-        spectrum = (solve or Spectrum)(graph)
         report = SelectionReport(None, 2, float(spectrum.values(2, 2)[0]), None,
-                                 spectrum.eigenvector(2), spectrum)
+                                 spectrum.eigenvector(2))
     elif algorithm in ("hosc", "hosc_li"):
-        lambda_star = ideal_eigenvalue(mu_in, mu_out, graph.n)
-        report = select_eigenpair((solve or Spectrum)(graph), lambda_star)
+        report = select_eigenpair(spectrum, ideal_eigenvalue(mu_in, mu_out, spectrum.n))
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     labels = sign_partition(report.eigenvector)
     if algorithm == "hosc_li":
-        labels = local_improvement(graph, labels, iterate=iterate)
+        labels = local_improvement(spectrum.graph, labels, iterate=iterate)
     return labels, report
 
 
 def hosc(graph, mu_in, mu_out):
     """Spectral clustering through the eigenvalue nearest lambda*."""
-    return cluster(graph, "hosc", mu_in, mu_out)
+    return cluster(Spectrum(graph), "hosc", mu_in, mu_out)
 
 
 def local_improvement(graph, labels, iterate=False):

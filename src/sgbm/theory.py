@@ -194,7 +194,7 @@ def spectrum_match(spectrum, measure, threshold, window):
     return report
 
 
-def rayleigh_bound(graph, v, spectrum):
+def rayleigh_bound(v, spectrum):
     """Sine-angle bound for a test vector against its nearest eigenvector.
 
     rho is the Rayleigh quotient of v; the bound says the angle between v
@@ -204,10 +204,11 @@ def rayleigh_bound(graph, v, spectrum):
     computed spectrum: the guarantee of an order-n gap is asymptotic and
     the diagnostic must be honest at finite n.  delta = 0 (rho at a
     repeated eigenvalue) is reported as an unbounded (inf) bound.
-    spectrum is graph's Spectrum.  select_eigenpair(spectrum, rho) picks
+    A is the adjacency of spectrum.graph.  select_eigenpair(spectrum, rho) picks
     the closest eigenvalue and its eigenvector, and _gap_at its neighbours,
     so only those are read, and of the eigenvectors only its own.
     """
+    graph = spectrum.graph
     v = np.asarray(v, dtype=float)
     if v.shape != (graph.n,):
         raise ValueError(f"test vector has shape {v.shape}, graph has n = {graph.n}")

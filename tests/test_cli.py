@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgbm import cli, harness, kernels, model, spectral
+from sgbm import _openblas, cli, harness, kernels, model, spectral
 from sgbm.model import Graph
 
 
@@ -24,15 +24,15 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 
 def count_solves(monkeypatch):
-    """Record graph.n for every Spectrum built, by eigendecompose or directly."""
+    """Record n for every reduction (dsytrd call) of the Spectrum objects built from now on."""
     calls = []
-    solve = spectral.Spectrum
+    real = _openblas.lapack()
 
-    def counted(graph):
-        calls.append(graph.n)
-        return solve(graph)
+    def counted(*args):
+        calls.append(args[2])  # n
+        return real["dsytrd"](*args)
 
-    monkeypatch.setattr(spectral, "Spectrum", counted)
+    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dsytrd": counted})
     return calls
 
 
@@ -590,6 +590,22 @@ def test_cluster_rejects_graph_file_below_two_nodes(tmp_path, capsys, n):
     cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: bad graph file:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# truth\n" + "1\n2\n" * 2, "1\n2\n257\n1\n"],
+                         ids=["empty", "comment", "beyond_int8"])
+def test_cluster_rejects_bad_labels_file(tmp_path, capsys, monkeypatch, text):
+    """A labels file read_labels rejects exits 2 naming the file, before any reduction."""
+    graph = model.sample_graph(model.SgbmParams(n=4, d=1, f_in=kernels.Indicator(0.2),
+                                                f_out=kernels.Indicator(0.05), seed=0))[0]
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
+    (tmp_path / "labels.txt").write_text(text)
+    cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
+                                                 f"run.labels = {tmp_path / 'labels.txt'}\n")
+    calls = count_solves(monkeypatch)
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: bad labels file: {tmp_path / 'labels.txt'}:" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cluster_rejects_graph_file_too_large_for_memory(tmp_path, capsys):

@@ -170,16 +170,17 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
 
 
 def count_partial_solves(monkeypatch, delay=0.0):
-    """Record graph.n for every Spectrum a sweep cell builds, after a sleep."""
+    """Record n for every reduction (dsytrd call) of the Spectrum objects built
+    from now on, each after a sleep."""
     calls = []
-    solve = spectral.Spectrum
+    real = _openblas.lapack()
 
-    def counted(graph):
-        calls.append(graph.n)
+    def counted(*args):
+        calls.append(args[2])  # n
         time.sleep(delay)
-        return solve(graph)
+        return real["dsytrd"](*args)
 
-    monkeypatch.setattr(harness, "Spectrum", counted)
+    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dsytrd": counted})
     return calls
 
 
@@ -198,6 +199,24 @@ def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch):
     config = SweepConfig(experiment="none", grid=[degenerate], seeds=[0])
     assert harness.run_sweep(config)[0].note.startswith("error: mu_in equals mu_out")
     assert calls == []
+
+
+def test_every_algorithm_of_a_cell_shares_one_reduction(tmp_path, monkeypatch):
+    """At the fig3 radii and n = 1000 motif_baseline falls back to the rank-2
+    vector.  It reads that from the cell's one Spectrum, so the cell reduces
+    A once (a Spectrum of its own made it twice), and its labels are fiedler's."""
+    calls = count_partial_solves(monkeypatch)
+    point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
+                      f_out=kernels.Indicator(0.05))
+    config = SweepConfig(experiment="fig3", grid=[point], seeds=[0],
+                         algorithms=harness.ALGORITHMS, labels_dir=str(tmp_path))
+    rows = harness.run_sweep(config)
+    assert calls == [1000]
+    fiedler, motif = rows[2], rows[3]
+    assert motif.note == "fallback: fiedler_sign"
+    assert motif.accuracy == fiedler.accuracy
+    assert ((tmp_path / "fig3_g0_s0_motif_baseline.predicted").read_bytes()
+            == (tmp_path / "fig3_g0_s0_fiedler.predicted").read_bytes())
 
 
 def test_shared_solve_counts_once_per_row(monkeypatch):
@@ -277,16 +296,16 @@ def test_aggregate_means_and_errors():
 
 def test_motif_recovers_cliques():
     graph, truth = two_cliques(10)
-    labels, note = harness.motif_baseline(graph)
+    labels, note = harness.motif_baseline(spectral.Spectrum(graph))
     assert note == ""
     assert spectral.accuracy(truth, labels) == 1.0
 
 
 def test_motif_small_and_empty_graphs():
     with pytest.raises(harness.MotifInputError, match="n >= 4"):
-        harness.motif_baseline(Graph(n=3, adjacency=np.zeros((3, 3), dtype=np.uint8)))
+        harness.motif_baseline(spectral.Spectrum(Graph(n=3, adjacency=np.zeros((3, 3), np.uint8))))
     with pytest.raises(harness.MotifInputError, match="no edges"):
-        harness.motif_baseline(Graph(n=6, adjacency=np.zeros((6, 6), dtype=np.uint8)))
+        harness.motif_baseline(spectral.Spectrum(Graph(n=6, adjacency=np.zeros((6, 6), np.uint8))))
     assert issubclass(harness.MotifInputError, ValueError)
 
 
@@ -328,7 +347,7 @@ def test_motif_votes_match_float_reference(monkeypatch):
     params = model.SgbmParams(n=600, d=1, f_in=kernels.Indicator(0.08),
                               f_out=kernels.Indicator(0.05), seed=0)
     graphs = [cliques, Graph(n=26, adjacency=a), model.sample_graph(params)[0]]
-    got = [harness.motif_baseline(g) for g in graphs]
+    got = [harness.motif_baseline(spectral.Spectrum(g)) for g in graphs]
 
     seen = []
 
@@ -338,7 +357,7 @@ def test_motif_votes_match_float_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "_grow_by_majority", reference)
     for graph, (labels, note) in zip(graphs, got):
-        want_labels, want_note = harness.motif_baseline(graph)
+        want_labels, want_note = harness.motif_baseline(spectral.Spectrum(graph))
         assert note == want_note == ""
         assert labels.dtype == want_labels.dtype
         assert np.array_equal(labels, want_labels)
@@ -350,7 +369,7 @@ def test_motif_votes_match_float_reference(monkeypatch):
 
 def test_motif_falls_back_on_complete_graph():
     a = np.ones((8, 8), dtype=np.uint8) - np.eye(8, dtype=np.uint8)
-    labels, note = harness.motif_baseline(Graph(n=8, adjacency=a))
+    labels, note = harness.motif_baseline(spectral.Spectrum(Graph(n=8, adjacency=a)))
     assert note == "fallback: fiedler_sign"
     assert set(np.unique(labels)) <= {1, 2}
 
@@ -386,7 +405,7 @@ def test_components_match_scipy_on_motif_kept_edges(monkeypatch):
     for seed, r_in in ((0, 0.2), (1, 0.2), (2, 0.08), (3, 0.08), (4, 0.12)):
         params = model.SgbmParams(n=600, d=1, f_in=kernels.Indicator(r_in),
                                   f_out=kernels.Indicator(0.05), seed=seed)
-        harness.motif_baseline(model.sample_graph(params)[0])
+        harness.motif_baseline(spectral.Spectrum(model.sample_graph(params)[0]))
     monkeypatch.undo()
     assert len(seen) == 5
     assert max(components(kept).max() for kept in seen) > 1  # more than two components
@@ -420,7 +439,7 @@ def test_motif_on_separated_gbm():
         params = model.SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
                                   f_out=kernels.Indicator(0.05), seed=seed)
         graph, truth, _ = model.sample_graph(params)
-        labels, _ = harness.motif_baseline(graph)
+        labels, _ = harness.motif_baseline(spectral.Spectrum(graph))
         accs.append(spectral.accuracy(truth, labels))
     assert float(np.mean(accs)) >= 0.8
 

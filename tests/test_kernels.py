@@ -40,28 +40,23 @@ def test_constructor_rejects_non_finite(cls, name, bad):
         cls(**VALID_PARAMS[cls] | {name: bad})
 
 
-# --- eval_kernel ----------------------------------------------------------
+# --- profile --------------------------------------------------------------
 
 def test_eval_constant_anywhere():
     kern = Constant(0.3)
     for x in (0.0, 0.1, -0.49, 0.25):
-        assert kernels.eval_kernel(kern, [x]) == 0.3
+        assert kern.profile(abs(x)) == 0.3
 
 
 def test_eval_indicator_inside_outside():
     kern = Indicator(0.2)
-    assert kernels.eval_kernel(kern, [0.1]) == 1.0
-    assert kernels.eval_kernel(kern, [0.3]) == 0.0
+    assert kern.profile(0.1) == 1.0
+    assert kern.profile(0.3) == 0.0
 
 
 def test_eval_waxman_at_half():
     kern = Waxman(1.0, 2.0)
-    assert kernels.eval_kernel(kern, [-0.5]) == pytest.approx(np.exp(-1.0), abs=1e-12)
-
-
-def test_eval_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kernels.eval_kernel(Indicator(0.2, d=2), [0.1])
+    assert kern.profile(0.5) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,13 +66,9 @@ def test_eval_dimension_mismatch():
     s=st.floats(0.0, 10.0),
 )
 def test_eval_is_even_radial_and_bounded(x, q, s):
-    x = np.array(x)
+    dist = np.max(np.abs(x))
     for kern in (Constant(0.4, d=2), Indicator(0.3, d=2), Waxman(q, s, d=2)):
-        val = kernels.eval_kernel(kern, x)
-        assert 0.0 <= val <= 1.0
-        assert kernels.eval_kernel(kern, -x) == pytest.approx(val, abs=1e-12)
-        # swap coordinates: same l-infinity norm, same value
-        assert kernels.eval_kernel(kern, x[::-1]) == pytest.approx(val, abs=1e-12)
+        assert 0.0 <= kern.profile(dist) <= 1.0
 
 
 # --- fourier_coeff --------------------------------------------------------

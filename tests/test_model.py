@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,25 +11,37 @@ from sgbm.model import Graph, SgbmParams
 
 # --- torus geometry --------------------------------------------------------
 
+class RecordingKernel:
+    """Draws no edge, and records every distance the sampler evaluates it at."""
+
+    def __init__(self, d):
+        self.d, self.seen = d, []
+
+    def profile(self, dist):
+        self.seen.append(np.array(dist))
+        return np.zeros_like(dist)
+
+
+def sampled_distance(x, y):
+    """The torus distance sample_graph hands its kernels for two nodes at x and y."""
+    kernel = RecordingKernel(len(x))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "sample_positions", lambda n, d, rng: np.array([x, y], float))
+        model.sample_graph(SgbmParams(n=2, d=len(x), f_in=kernel, f_out=kernel, seed=0))
+    assert all(seen.shape == (1, 1) for seen in kernel.seen)
+    return float(kernel.seen[0][0, 0])
+
+
 def test_displacement_wraps_around():
-    disp = model.torus_displacement([0.4], [-0.4])
-    assert model.torus_norm(disp) == pytest.approx(0.2, abs=1e-12)
+    assert sampled_distance([0.4], [-0.4]) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_displacement_zero():
-    disp = model.torus_displacement([0.1, -0.3], [0.1, -0.3])
-    assert np.all(disp == 0.0)
-    assert model.torus_norm(disp) == 0.0
+    assert sampled_distance([0.1, -0.3], [0.1, -0.3]) == 0.0
 
 
 def test_displacement_linf():
-    disp = model.torus_displacement([0.25, 0.0], [-0.25, 0.1])
-    assert model.torus_norm(disp) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_displacement_dimension_mismatch():
-    with pytest.raises(ValueError):
-        model.torus_displacement([0.1], [0.1, 0.2])
+    assert sampled_distance([0.25, 0.0], [-0.25, 0.1]) == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -37,12 +50,12 @@ def test_displacement_dimension_mismatch():
     y=st.lists(st.floats(-0.5, 0.499), min_size=3, max_size=3),
 )
 def test_displacement_stays_in_fundamental_domain(x, y):
-    disp = model.torus_displacement(x, y)
-    assert np.all(disp >= -0.5) and np.all(disp < 0.5)
-    assert model.torus_norm(disp) <= 0.5
-    # antisymmetry holds modulo the lattice
-    total = disp + model.torus_displacement(y, x)
-    assert np.all(np.minimum(np.abs(total), np.abs(np.abs(total) - 1.0)) < 1e-9)
+    dist = sampled_distance(x, y)
+    assert 0.0 <= dist <= 0.5
+    # the wrapped difference of each coordinate, against the plain one
+    plain = np.abs(np.subtract(x, y))
+    assert dist == pytest.approx(np.max(np.minimum(plain, 1.0 - plain)), abs=1e-12)
+    assert sampled_distance(y, x) == pytest.approx(dist, abs=1e-12)
 
 
 # --- parameter validation --------------------------------------------------
@@ -311,6 +324,33 @@ def test_degree_stats_sum_identities():
     assert int(stats.z_out.sum()) == 2 * (graph.edge_count() - intra_edges)
 
 
+def same_label_product_degree_stats(graph, labels):
+    """The n x n same-label mask times A that degree_stats replaced: the reference."""
+    a = graph.adjacency
+    same = (labels[:, None] == labels[None, :]).astype(np.uint8)
+    z_in = (a * same).sum(axis=1).astype(np.int64)
+    return z_in, a.sum(axis=1).astype(np.int64) - z_in
+
+
+def test_degree_stats_matches_same_label_product():
+    cases = [(Graph(n=4, adjacency=np.zeros((4, 4), dtype=np.uint8)), [1, 2, 2, 1]),
+             (Graph(n=4, adjacency=np.ones((4, 4), dtype=np.uint8) - np.eye(4, dtype=np.uint8)),
+              [2, 2, 2, 2])]
+    for seed, (f_in, f_out) in enumerate([(kernels.Indicator(0.15), kernels.Indicator(0.05)),
+                                          (kernels.Waxman(0.5, 1.0), kernels.Waxman(0.9, 1.0)),
+                                          (kernels.Constant(0.9), kernels.Constant(0.1))]):
+        params = SgbmParams(n=300, d=1, f_in=f_in, f_out=f_out, seed=seed)
+        graph, labels, _ = model.sample_graph(params)
+        cases += [(graph, labels), (graph, labels.astype(np.int64))]
+    for graph, labels in cases:
+        stats = model.degree_stats(graph, labels)
+        z_in, z_out = same_label_product_degree_stats(graph, np.asarray(labels))
+        assert stats.z_in.dtype == stats.z_out.dtype == np.int64
+        assert np.array_equal(stats.z_in, z_in) and np.array_equal(stats.z_out, z_out)
+    with pytest.raises(ValueError, match="1 or 2"):
+        model.degree_stats(cases[0][0], [0, 1, 1, 0])
+
+
 def test_degree_margin_rarely_below_floor(degree_margin_ensemble):
     """Runs where some node has z_in - z_out under sqrt(2 (mu_in+mu_out) n log n).
 
@@ -505,3 +545,33 @@ def test_read_labels_rejects_bad_values(tmp_path):
     path.write_text("1\n3\n2\n")
     with pytest.raises(ValueError):
         model.read_labels(path)
+
+
+@pytest.mark.parametrize("text", [
+    "",                  # empty file
+    "\n \n",             # blank lines only
+    "1\n3\n2\n",         # a label other than 1 or 2
+    "1\n257\n",          # beyond int8
+    "# truth\n1\n2\n",   # comment line
+    "1\n2 # node 1\n",   # trailing comment
+    "1 2\n",             # two labels on a line
+    "1\n2\n1 2\n",        # a ragged line
+    "1\none\n",          # word
+    "1\n1.5\n",          # non-integer
+])
+def test_read_labels_rejects_what_read_graph_would(tmp_path, text):
+    """Every rejection is a ValueError that names the path, with no numpy warning."""
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            model.read_labels(path)
+
+
+def test_read_labels_skips_blank_lines(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("1\n\n2\n  \n2\n")
+    labels = model.read_labels(path)
+    assert labels.dtype == np.int8 and labels.shape == (3,)
+    assert np.array_equal(labels, [1, 2, 2])

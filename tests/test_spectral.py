@@ -118,6 +118,7 @@ def test_residual_check_allocates_by_row_block():
     block at a time, never to one n x n float64 temporary (8 MB here)."""
     graph = sampled_graph(1000)
     full, partial = spectral.eigendecompose(graph), spectral.Spectrum(graph)
+    partial._reduced()  # the n x n copy it reduces is not the residual check's
     for spectrum in (full, partial):
         tracemalloc.start()
         try:
@@ -260,28 +261,28 @@ def test_cluster_matches_step_by_step_composition(solve, algorithm, iterate):
         graph, _, _ = model.sample_graph(params)
         mu_in = kernels.edge_density(params.f_in)
         mu_out = kernels.edge_density(params.f_out)
-        labels, report = spectral.cluster(graph, algorithm, mu_in, mu_out,
-                                          solve=solve, iterate=iterate)
+        spectrum = solve(graph)
+        labels, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out, iterate=iterate)
         reference = composed(graph, algorithm, mu_in, mu_out, solve, iterate)
         assert np.array_equal(labels, reference[0])
         assert (report.selected_index, report.lambda_selected, report.lambda_star) \
             == reference[1:]
-        assert type(report.spectrum) is spectral.Spectrum
         # only eigendecompose solves every vector
-        assert (report.spectrum._eigenvectors is None) == (solve is spectral.Spectrum)
+        assert (spectrum._eigenvectors is None) == (solve is spectral.Spectrum)
         if algorithm == "fiedler":
             assert report.gap_to_next is None
 
 
 def test_cluster_defaults_to_partial_spectrum_and_hosc_is_cluster():
     graph, _ = two_cliques(10)
-    labels, report = spectral.cluster(graph, "hosc", 0.9, 0.1)
-    assert type(report.spectrum) is spectral.Spectrum
+    spectrum = spectral.Spectrum(graph)
+    labels, report = spectral.cluster(spectrum, "hosc", 0.9, 0.1)
+    assert report.eigenvector is spectrum.eigenvector(report.selected_index)  # read from it
     hosc_labels, hosc_report = spectral.hosc(graph, 0.9, 0.1)
     assert np.array_equal(labels, hosc_labels)
     assert hosc_report.selected_index == report.selected_index
     with pytest.raises(ValueError, match="unknown algorithm"):
-        spectral.cluster(graph, "motif_baseline", 0.9, 0.1)
+        spectral.cluster(spectrum, "motif_baseline", 0.9, 0.1)
 
 
 def test_hosc_degenerate_model_rejected():
@@ -703,20 +704,21 @@ def test_hosc_bisects_each_rank_once(monkeypatch):
     params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=0)
     graph = model.sample_graph(params)[0]
-    _, report = spectral.hosc(graph, 0.4, 0.1)
+    spectrum = spectral.Spectrum(graph)
+    _, report = spectral.cluster(spectrum, "hosc", 0.4, 0.1)
     # the window is ranks 2..5, counted from the smallest as 996..999
     assert calls == [(b"V", 0, 0), (b"I", 996, 999), (b"I", 1000, 1000)]
     assert report.selected_index == 4
     for rank in (2, 3, 4):
         calls.clear()
-        report.spectrum.eigenvector(rank)
+        spectrum.eigenvector(rank)
         assert calls == [], rank
     # rank 5's gap needs rank 6, outside the window; only rank 6 is bisected
     calls.clear()
-    report.spectrum.eigenvector(5)
+    spectrum.eigenvector(5)
     assert calls == [(b"I", 995, 995)]
     calls.clear()
-    spectral.cluster(graph, "fiedler", 0.4, 0.1)
+    spectral.cluster(spectral.Spectrum(graph), "fiedler", 0.4, 0.1)
     assert calls == [(b"I", 999, 999), (b"I", 1000, 1000), (b"I", 998, 998)]
 
 
@@ -735,7 +737,8 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
                         f_out=kernels.Indicator(0.05), seed=1)
     graph, _, _ = model.sample_graph(params)
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 200)
-    reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
+    full = spectral.eigendecompose(graph)
+    reference = spectral.select_eigenpair(full, lambda_star)
 
     ranges = []
 
@@ -764,12 +767,42 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         assert calls == []
         assert report.selected_index == reference.selected_index
         assert np.abs(report.eigenvector - reference.eigenvector).max() <= 1e-10
-        assert np.array_equal(partial.eigenvalues, reference.spectrum.eigenvalues)
+        assert np.array_equal(partial.eigenvalues, full.eigenvalues)
         assert calls == [200]
-    # without the reduction there is nothing to fall back on
+    # without the reduction there is nothing to fall back on: each request that
+    # reads T or the reflectors raises, and a later one tries again
     patch_lapack(monkeypatch, dsytrd=failing_routine)
-    with pytest.raises(EigendecompositionError, match="dsytrd failed"):
-        spectral.Spectrum(graph)
+    failed = spectral.Spectrum(graph)  # reduces nothing yet
+    for request in (lambda: failed.count_above(0.0), lambda: failed.values(1, 1),
+                    lambda: failed.eigenvalues, lambda: failed.eigenvector(2),
+                    lambda: failed.eigenvectors):
+        with pytest.raises(EigendecompositionError, match="dsytrd failed"):
+            request()
+    assert failed.reduction_s == 0.0 and failed._d is None
+
+
+def test_spectrum_reduces_on_its_first_request(monkeypatch):
+    """The constructor reduces nothing; the first request reduces A once,
+    records how long that took, and every later request reuses it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])  # n
+        return real["dsytrd"](*args)
+
+    real = patch_lapack(monkeypatch, dsytrd=counted)
+    graph = sampled_graph(200)
+    spectrum = spectral.Spectrum(graph)
+    assert calls == [] and spectrum.reduction_s == 0.0
+    spectrum.count_above(0.0)
+    assert calls == [200] and spectrum.reduction_s > 0.0
+    spectrum.eigenvector(2)
+    spectrum.eigenvalues
+    spectrum.eigenvectors
+    assert calls == [200]
+    with pytest.raises(DegenerateModelError):
+        spectral.hosc(graph, 0.3, 0.3)
+    assert calls == [200]
 
 
 def test_partial_spectrum_solves_each_rank_once(monkeypatch):
@@ -784,6 +817,7 @@ def test_partial_spectrum_solves_each_rank_once(monkeypatch):
 
     real = patch_lapack(monkeypatch, dstein=counted)
     partial = spectral.Spectrum(graph)
+    partial._reduced()
     before = partial._reflectors.copy()
     first = partial.eigenvector(4)
     assert partial.eigenvector(4) is first

@@ -209,7 +209,7 @@ def test_rayleigh_exact_eigenvector():
     params = SgbmParams(n=200, d=1, f_in=Indicator(0.2), f_out=Indicator(0.05), seed=1)
     graph, _, _ = model.sample_graph(params)
     spectrum = spectral.eigendecompose(graph)
-    report = theory.rayleigh_bound(graph, spectrum.eigenvectors[:, 0], spectrum)
+    report = theory.rayleigh_bound(spectrum.eigenvectors[:, 0], spectrum)
     assert report.closest_rank == 1
     assert report.residual <= 1e-10 * graph.n
     assert report.sine_bound <= 1e-8
@@ -224,14 +224,14 @@ def test_rayleigh_planted_on_cliques():
     graph = two_cliques(10)
     planted = np.array([1.0] * 10 + [-1.0] * 10) / np.sqrt(20)
     spectrum = spectral.eigendecompose(graph)
-    report = theory.rayleigh_bound(graph, planted, spectrum)
+    report = theory.rayleigh_bound(planted, spectrum)
     assert report.rho == pytest.approx(9.0, abs=1e-12)
     assert report.residual <= 1e-12
 
 
 def test_rayleigh_bound_dominates_on_sbm(sbm_instances):
     for inst in sbm_instances:
-        report = theory.rayleigh_bound(inst["graph"], inst["planted"], inst["spectrum"])
+        report = theory.rayleigh_bound(inst["planted"], inst["spectrum"])
         assert report.actual_sine <= report.sine_bound
 
 
@@ -244,7 +244,7 @@ def rayleigh_instance(n, seed):
 
 def test_rayleigh_report_matches_the_dense_product():
     graph, v, spectrum = rayleigh_instance(300, 4)
-    report = theory.rayleigh_bound(graph, v, spectrum)
+    report = theory.rayleigh_bound(v, spectrum)
     av = graph.dense() @ v
     rho = float(v @ av) / float(v @ v)
     residual = float(np.linalg.norm(av - rho * v))
@@ -260,8 +260,8 @@ def test_rayleigh_bound_reads_one_eigenvector(sbm_instances):
     for inst in sbm_instances[:3]:
         graph, planted = inst["graph"], inst["planted"]
         spectrum = spectral.Spectrum(graph)
-        report = theory.rayleigh_bound(graph, planted, spectrum)
-        want = theory.rayleigh_bound(graph, planted, inst["spectrum"])
+        report = theory.rayleigh_bound(planted, spectrum)
+        want = theory.rayleigh_bound(planted, inst["spectrum"])
         assert spectrum._eigenvectors is None and spectrum._eigenvalues is None  # no dsterf
         assert report.closest_rank == want.closest_rank
         for name in ("rho", "residual", "delta", "sine_bound", "actual_sine"):
@@ -271,10 +271,10 @@ def test_rayleigh_bound_reads_one_eigenvector(sbm_instances):
 def test_rayleigh_bound_allocates_by_row_block():
     """A v comes from row blocks of the uint8 adjacency, never from one
     n x n float64 copy (8 MB here)."""
-    graph, v, spectrum = rayleigh_instance(1000, 5)
+    _, v, spectrum = rayleigh_instance(1000, 5)
     tracemalloc.start()
     try:
-        theory.rayleigh_bound(graph, v, spectrum)
+        theory.rayleigh_bound(v, spectrum)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,9 +285,9 @@ def test_rayleigh_validation():
     graph = two_cliques(4)
     spectrum = spectral.eigendecompose(graph)
     with pytest.raises(ValueError):
-        theory.rayleigh_bound(graph, np.zeros(8), spectrum)
+        theory.rayleigh_bound(np.zeros(8), spectrum)
     with pytest.raises(ValueError):
-        theory.rayleigh_bound(graph, np.ones(5), spectrum)
+        theory.rayleigh_bound(np.ones(5), spectrum)
 
 
 # --- trace_lipschitz_check ---------------------------------------------------------------
