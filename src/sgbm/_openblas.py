@@ -22,7 +22,7 @@ COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 # the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
 MEMORY_ERRORS = (-1010, -1011)
 
-_LAPACK = ("dsytrd", "dsterf", "dstebz", "dstein", "dormtr", "dstedc", "dormtr_work")
+_LAPACK = ("dsytrd", "dstebz", "dstein", "dstedc", "dormtr_work")
 
 
 @cache
@@ -43,8 +43,6 @@ def _signatures():
         # layout, uplo, n, a, lda, d, e, tau
         "LAPACKE_dsytrd": ([layout, char, lapack_int, doubles, lapack_int, doubles, doubles,
                             doubles], lapack_int),
-        # n, d, e
-        "LAPACKE_dsterf": ([lapack_int, doubles, doubles], lapack_int),
         # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
         "LAPACKE_dstebz": ([char, char, lapack_int, double, double, lapack_int, lapack_int,
                             double, doubles, doubles, ints, ints, doubles, ints, ints],
@@ -52,9 +50,6 @@ def _signatures():
         # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
         "LAPACKE_dstein": ([layout, lapack_int, doubles, doubles, lapack_int, doubles, ints,
                             ints, doubles, lapack_int, ints], lapack_int),
-        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
-        "LAPACKE_dormtr": ([layout, char, char, char, lapack_int, lapack_int, doubles,
-                            lapack_int, doubles, doubles, lapack_int], lapack_int),
         # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
         "LAPACKE_dormtr_work": ([layout, char, char, char, lapack_int, lapack_int, doubles,
                                  lapack_int, doubles, doubles, lapack_int, doubles, lapack_int],

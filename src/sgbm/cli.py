@@ -178,12 +178,11 @@ def cmd_cluster(args, config):
     # the profile solves every vector before any eigenvalue is printed below
     profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
                if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
-    with open(os.path.join(args.out, "selection.csv"), "w") as fh:
-        fh.write("rank,eigenvalue,accuracy,selected\n")
-        for rank, acc in profile:
-            acc_cell = f"{acc:.6f}" if acc is not None else ""
-            sel = 1 if rank == report.selected_index else 0
-            fh.write(f"{rank},{spectrum.eigenvalues[rank - 1]:.9g},{acc_cell},{sel}\n")
+    model.write_csv(os.path.join(args.out, "selection.csv"),
+                    ["rank", "eigenvalue", "accuracy", "selected"],
+                    ([str(rank), f"{spectrum.eigenvalues[rank - 1]:.9g}",
+                      f"{acc:.6f}" if acc is not None else "",
+                      "1" if rank == report.selected_index else "0"] for rank, acc in profile))
     _say(args, f"selected rank {report.selected_index} "
                f"(lambda*={report.lambda_star:.4f}, lambda={report.lambda_selected:.4f})")
     if truth is not None:
@@ -191,15 +190,17 @@ def cmd_cluster(args, config):
     return EXIT_OK
 
 
+# run key -> parser for the keys sgbm spectrum reads; a key left out takes
+# harness.spectrum_experiment's default
+_SPECTRUM_KEYS = {"K": _int, "threshold": _float, "window": _float}
+
+
 def cmd_spectrum(args, config):
     params = build_params(config, args.seed)
     run = config["run"]
-    K = _int("run", "K", run.get("K", "64"))
-    threshold = _float("run", "threshold", run.get("threshold", "0.02"))
-    window = _float("run", "window", run.get("window", "0.02"))
+    kw = {key: parse("run", key, run[key]) for key, parse in _SPECTRUM_KEYS.items() if key in run}
     try:
-        report, measure = harness.spectrum_experiment(params, K=K, threshold=threshold,
-                                                      window=window, out=args.out)
+        report, measure = harness.spectrum_experiment(params, out=args.out, **kw)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _say(args, f"eigenvalues above threshold: {len(report.entries)}, "
@@ -228,7 +229,7 @@ _SWEEP_KEYS = {"run.preset", "run.seeds", "run.seed", "run.workers"}
 KEYS = {
     "generate": _MODEL_KEYS,
     "cluster": _MODEL_KEYS | {"run.algorithm", "run.li_iterate", "run.graph", "run.labels"},
-    "spectrum": _MODEL_KEYS | {"run.K", "run.threshold", "run.window"},
+    "spectrum": _MODEL_KEYS | {f"run.{key}" for key in _SPECTRUM_KEYS},
     "sweep": _SWEEP_KEYS | {f"run.{key}" for _, parsers in _PRESETS.values() for key in parsers},
     "validate": set(),
 }

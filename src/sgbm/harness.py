@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _openblas
 from .kernels import Indicator, Waxman, edge_density, kernel_to_config
-from .model import SgbmParams, _mix64, sample_graph, write_labels
+from .model import SgbmParams, _mix64, sample_graph, write_csv, write_labels
 from .spectral import (
     DegenerateModelError,
     EigendecompositionError,
@@ -36,6 +36,8 @@ __all__ = [
     "SweepConfig",
     "ResultRow",
     "ALGORITHMS",
+    "GridPoint",
+    "cell_seed",
     "run_sweep",
     "motif_baseline",
     "MotifInputError",
@@ -253,9 +255,7 @@ def _run_cell(config, grid_index, point, seed):
     spectrum = Spectrum(graph)
     for algorithm in config.algorithms:
         row = ResultRow(algorithm=algorithm, **base)
-        # a spectral row counts the reduction once: in its own time if it ran it,
-        # else as the time an earlier row spent on it
-        shared_ms = spectrum.reduction_s * 1000.0 if algorithm != "motif_baseline" else 0.0
+        reduced_s = spectrum.reduction_s
         t0 = time.perf_counter()
         try:
             if algorithm == "motif_baseline":
@@ -271,7 +271,13 @@ def _run_cell(config, grid_index, point, seed):
         except (DegenerateModelError, EigendecompositionError, MotifInputError) as exc:
             row.note = f"error: {exc}"
             predicted = None
-        row.runtime_ms = sample_ms + shared_ms + (time.perf_counter() - t0) * 1000.0
+        # the row's own time, less a reduction it ran; every row that reads the
+        # spectrum (every spectral row, and motif's fallback) then counts the one
+        # reduction, whichever row ran it
+        own_s = time.perf_counter() - t0 - (spectrum.reduction_s - reduced_s)
+        if algorithm != "motif_baseline" or row.note.startswith("fallback"):
+            own_s += spectrum.reduction_s
+        row.runtime_ms = sample_ms + own_s * 1000.0
         rows.append(row)
         if config.labels_dir and predicted is not None:
             stem = f"{config.experiment}_g{grid_index}_s{seed}_{algorithm}"
@@ -459,18 +465,15 @@ def spectrum_experiment(params, K=64, threshold=0.02, window=0.02, out=None):
     report = spectrum_match(spectrum, measure, threshold=threshold, window=window)
     if out:
         os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "eigenvalues.csv"), "w") as fh:
-            fh.write("eigenvalue_over_n\n")
-            for value in spectrum.eigenvalues / spectrum.n:
-                fh.write(f"{value:.9g}\n")
-        with open(os.path.join(out, "atoms.csv"), "w") as fh:
-            fh.write("location,lattice_count,family\n")
-            for atom in measure.atoms:
-                fh.write(f"{atom.location:.9g},{atom.lattice_count},{atom.family}\n")
-        with open(os.path.join(out, "match.csv"), "w") as fh:
-            fh.write("eigenvalue_over_n,nearest_atom,distance\n")
-            for value, atom, dist in report.entries:
-                fh.write(f"{value:.9g},{atom:.9g},{dist:.9g}\n")
+        write_csv(os.path.join(out, "eigenvalues.csv"), ["eigenvalue_over_n"],
+                  ([f"{value:.9g}"] for value in spectrum.eigenvalues / spectrum.n))
+        write_csv(os.path.join(out, "atoms.csv"), ["location", "lattice_count", "family"],
+                  ([f"{atom.location:.9g}", str(atom.lattice_count), atom.family]
+                   for atom in measure.atoms))
+        write_csv(os.path.join(out, "match.csv"),
+                  ["eigenvalue_over_n", "nearest_atom", "distance"],
+                  ([f"{value:.9g}", f"{atom:.9g}", f"{dist:.9g}"]
+                   for value, atom, dist in report.entries))
     return report, measure
 
 
@@ -489,18 +492,13 @@ def _row_cells(row):
 
 
 def write_results(path, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_row_cells(row)) + "\n")
+    write_csv(path, RESULT_COLUMNS, map(_row_cells, rows))
 
 
 def write_timings(path, rows):
     """timings.csv: results.csv's first seven columns, then runtime_ms."""
-    with open(path, "w") as fh:
-        fh.write(",".join(RESULT_COLUMNS[:7] + ("runtime_ms",)) + "\n")
-        for row in rows:
-            fh.write(",".join(_row_cells(row)[:7] + (f"{row.runtime_ms:.3f}",)) + "\n")
+    write_csv(path, RESULT_COLUMNS[:7] + ("runtime_ms",),
+              (_row_cells(row)[:7] + (f"{row.runtime_ms:.3f}",) for row in rows))
 
 
 def _blas_name():

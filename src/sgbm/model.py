@@ -8,6 +8,9 @@ probability F_in(X_i - X_j) when the labels agree and F_out otherwise.
 Edge draws come from a counter-based generator keyed on
 (seed, min(i, j), max(i, j)), so the adjacency matrix is bit-identical
 no matter how sampling work is scheduled or chunked.
+
+This module owns two rules the rest of the package shares: check_labels,
+the one check on a labelling, and write_csv, which writes every CSV file.
 """
 
 import io
@@ -23,12 +26,15 @@ __all__ = [
     "sample_labelling",
     "sample_positions",
     "sample_graph",
+    "pair_uniform",
+    "check_labels",
     "degree_stats",
     "write_graph",
     "read_graph",
     "write_labels",
     "read_labels",
     "write_positions",
+    "write_csv",
 ]
 
 
@@ -185,15 +191,27 @@ def sample_graph(params):
     return Graph(n=n, adjacency=adjacency), labels, positions
 
 
-def degree_stats(graph, labels):
-    """Per-node counts of same-label and different-label neighbors."""
+def check_labels(labels, n):
+    """labels as an array, once it has shape (n,) and every entry is 1 or 2:
+    the one label rule, checked before any cast."""
     labels = np.asarray(labels)
-    if labels.shape != (graph.n,):
-        raise ValueError(f"labels have shape {labels.shape}, graph has n = {graph.n}")
+    if labels.shape != (n,):
+        raise ValueError(f"labels have shape {labels.shape}, graph has n = {n}")
     if not np.all((labels == 1) | (labels == 2)):
         raise ValueError("labels must be 1 or 2")
+    return labels
+
+
+def degree_stats(graph, labels):
+    """Per-node counts of same-label and different-label neighbors.
+
+    z_in - z_out is the degree margin: a node whose margin is negative has
+    more neighbours with the other label, which is what
+    spectral.local_improvement switches on.
+    """
+    labels = check_labels(labels, graph.n)
     a = graph.adjacency
-    # integer counts on the uint8 matrix, as local_improvement votes: no n x n temporary
+    # integer counts on the uint8 matrix: no n x n temporary
     degree = a.sum(axis=1, dtype=np.int64)
     ones = a[:, labels == 1].sum(axis=1, dtype=np.int64)  # neighbours labelled 1
     z_in = np.where(labels == 1, ones, degree - ones)
@@ -204,7 +222,7 @@ def degree_stats(graph, labels):
 #
 # Edge list: header "n d seed", then one "i j" line per edge, 0-indexed,
 # i < j, in row-major order.  Labels: one of {1, 2} per line.  Positions:
-# CSV with d coordinate columns.
+# CSV with d coordinate columns, written like every CSV by write_csv.
 
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")  # the integers np.loadtxt takes on edge lines
 _WRITE_CHUNK = 1 << 12  # edge lines joined per write, so few line strings live at once
@@ -277,20 +295,23 @@ def read_labels(path):
             text = fh.read()
         if not text.strip():
             raise ValueError("no labels")
-        labels = np.loadtxt(io.StringIO(text), dtype=np.int8, ndmin=2, comments=None)
+        labels = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
         if labels.shape[1] != 1:
             raise ValueError("expected one label per line")
-        if not np.all((labels == 1) | (labels == 2)):
-            raise ValueError("labels must be 1 or 2")
+        labels = check_labels(labels[:, 0], len(labels))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return labels[:, 0]
+    return labels.astype(np.int8)
 
 
 def write_positions(path, positions):
-    n, d = positions.shape
-    header = ",".join(f"x{axis}" for axis in range(d))
+    write_csv(path, [f"x{axis}" for axis in range(positions.shape[1])],
+              ((repr(float(c)) for c in row) for row in positions))
+
+
+def write_csv(path, header, rows):
+    """A CSV file: the header's names, then each row's cells, already
+    formatted as strings, joined by commas as they are."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in positions:
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)

@@ -15,7 +15,9 @@ reads every eigenvector.  Every reader of a graph's spectrum (cluster,
 the motif baseline's fallback, rayleigh_bound) is handed one Spectrum and
 reads its graph from it, so the reduction runs once per graph.
 
-A one-pass neighbor-majority relabelling serves as local improvement.
+Local improvement, the paper's small adjustment for strong consistency,
+switches every node whose degree margin z_in - z_out (model.degree_stats)
+is negative.  Labels are checked by model.check_labels alone.
 """
 
 import time
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _openblas
+from .model import check_labels, degree_stats
 
 __all__ = [
     "Spectrum",
@@ -113,15 +116,17 @@ class Spectrum:
     - values(first, last): the eigenvalues of ranks first..last by
       bisection on T (dstebz), O(n) per eigenvalue, cached by rank with
       the block of T each lies in.  Selection and eigenvector(rank)
-      read these, so clustering runs no dsterf.
-    - eigenvalues: every eigenvalue of T by dsterf, sorted descending,
-      for callers that print or scan the whole spectrum.  eigvalsh's
-      dsyevd makes the same two calls, so they equal its bit for bit.
+      read these, so clustering never solves every eigenvalue.
+    - eigenvalues: every eigenvalue of T by dstedc without vectors,
+      sorted descending, for callers that print or scan the whole
+      spectrum.  Without vectors dstedc runs dsterf, as eigvalsh's dsyevd
+      does, so they equal eigvalsh's bit for bit.
     - eigenvector(rank): inverse iteration on T (dstein, O(n)) at the
       value and block that values bisected for that rank, mapped back
-      through the reflectors (dormtr, O(n^2)): the dsyevx pipeline.
-      It reads rank 1 for the radius, max(1, lambda_1), and ranks
-      rank +- 1 for the gap.  Vectors are cached by rank.
+      through the reflectors (dormtr, O(n^2), unblocked on one column):
+      the dsyevx pipeline.  It reads rank 1 for the radius,
+      max(1, lambda_1), and ranks rank +- 1 for the gap.  Vectors are
+      cached by rank.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
@@ -129,14 +134,15 @@ class Spectrum:
 
     count_above and values read the full list of eigenvalues only when
     dstebz fails.  That list is fixed at its first read: dstedc's
-    (eigh's) if every vector was solved by then, otherwise dsterf's
-    (eigvalsh's).  eigenvector(rank) reads its column of eigenvectors
-    once every vector is solved, for a repeated eigenvalue (too close to
-    another for inverse iteration to single out one vector), and when a
-    LAPACK call fails or returns a vector that is not finite; so do the
-    eigenvalues when dsterf fails.  Without these routines in numpy's
-    OpenBLAS, eigh gives every pair.  Callers only ask for what they
-    read: how an eigenvector is solved is decided here alone.
+    (eigh's) if every vector was solved by then, otherwise those of
+    dstedc without vectors (eigvalsh's).  eigenvector(rank) reads its
+    column of eigenvectors once every vector is solved, for a repeated
+    eigenvalue (too close to another for inverse iteration to single out
+    one vector), and when a LAPACK call fails or returns a vector that
+    is not finite; so do the eigenvalues when dstedc without vectors
+    fails.  Without these routines in numpy's OpenBLAS, eigh gives every
+    pair.  Callers only ask for what they read: how an eigenvector is
+    solved is decided here alone.
     """
 
     def __init__(self, graph):
@@ -219,8 +225,10 @@ class Spectrum:
         """Every eigenvalue, sorted descending."""
         if self._eigenvalues is None:
             if self._reduced():
+                # compz N: dstedc runs dsterf and references no vectors
                 values = self._d.copy()
-                if self._lapack["dsterf"](self.n, values, self._e.copy()) == 0:
+                if self._lapack["dstedc"](_openblas.COL_MAJOR, b"N", self.n, values,
+                                          self._e.copy(), np.empty(1), 1) == 0:
                     self._eigenvalues = values[::-1]
             if self._eigenvalues is None:
                 self._solve_all()
@@ -260,8 +268,11 @@ class Spectrum:
         info = lapack["dstein"](_openblas.COL_MAJOR, n, self._d, self._e, 1, value, block,
                                 self._split, vector, n, failed)
         if info == 0:
-            info = lapack["dormtr"](_openblas.COL_MAJOR, b"L", b"L", b"N", n, 1,
-                                    self._reflectors, n, self._tau, vector, n)
+            # a one-double workspace, below dormqr's blocked size, takes its
+            # unblocked path (dorm2r), as LAPACKE_dormtr's allocation does
+            info = lapack["dormtr_work"](_openblas.COL_MAJOR, b"L", b"L", b"N", n, 1,
+                                         self._reflectors, n, self._tau, vector, n,
+                                         np.empty(1), 1)
         return vector if info == 0 and np.all(np.isfinite(vector)) else None
 
     def _solve_all(self):
@@ -390,28 +401,19 @@ def hosc(graph, mu_in, mu_out):
 
 
 def local_improvement(graph, labels, iterate=False):
-    """Reassign every node to its neighbors' majority label, one synchronous pass.
+    """Switch every node that more neighbours outvote, one synchronous pass.
 
-    Labels must be 1 or 2.  All counts are taken against the input
-    labelling, so the result does not depend on node order.  Ties (equal
-    counts, including isolated nodes) keep the input label.  iterate=True
-    repeats the pass until a fixed point, capped at _LI_MAX_ROUNDS; the
-    default single pass is the canonical algorithm.
+    A node moves to 3 - label where model.degree_stats gives z_out > z_in,
+    a negative degree margin; a tie, isolated nodes included, keeps its
+    label.  Labels must be 1 or 2 (model.check_labels).  All margins are
+    taken against the input labelling, so the result does not depend on
+    node order.  iterate=True repeats the pass until a fixed point, capped
+    at _LI_MAX_ROUNDS; the default single pass is the canonical algorithm.
     """
-    labels = np.asarray(labels, dtype=np.int8)
-    if labels.shape != (graph.n,):
-        raise ValueError(f"labels have shape {labels.shape}, graph has n = {graph.n}")
-    if not np.all((labels == 1) | (labels == 2)):
-        raise ValueError("labels must be 1 or 2")
-    a = graph.adjacency
-    # integer vote counts on the uint8 matrix: exact, and no float64 n x n copy
-    degree = a.sum(axis=1, dtype=np.int64)
-    current = labels
+    current = check_labels(labels, graph.n).astype(np.int8)
     for _ in range(_LI_MAX_ROUNDS if iterate else 1):
-        votes_1 = a[:, current == 1].sum(axis=1, dtype=np.int64)
-        votes_2 = degree - votes_1
-        updated = np.where(votes_1 > votes_2, 1, np.where(votes_2 > votes_1, 2, current))
-        updated = updated.astype(np.int8)
+        stats = degree_stats(graph, current)
+        updated = np.where(stats.z_out > stats.z_in, 3 - current, current)
         if np.array_equal(updated, current):
             break
         current = updated
@@ -437,14 +439,10 @@ def per_eigenvector_accuracy(spectrum, truth):
 
     Returns a list of (rank, accuracy) with rank 1 = largest eigenvalue.
     This is the profile that shows which harmonic carries the communities.
-    Truth labels must be 1 or 2.
+    Truth labels must be 1 or 2 (model.check_labels).
     """
-    truth = np.asarray(truth)
     n = spectrum.n
-    if truth.shape != (n,):
-        raise ValueError(f"truth has shape {truth.shape}, spectrum has n = {n}")
-    if not np.all((truth == 1) | (truth == 2)):
-        raise ValueError("truth labels must be 1 or 2")
+    truth = check_labels(truth, n)
     # positive entries predict label 1: a mismatch per node and rank, on booleans
     mism = ((spectrum.eigenvectors > 0) != (truth == 1)[:, None]).sum(axis=0)
     losses = np.minimum(mism, n - mism) / n

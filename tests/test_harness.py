@@ -234,6 +234,24 @@ def test_shared_solve_counts_once_per_row(monkeypatch):
     assert abs(hosc.runtime_ms - fiedler.runtime_ms) < delay * 1000.0 / 3
 
 
+def test_motif_fallback_row_time_does_not_depend_on_order(monkeypatch):
+    """A motif_baseline row that falls back reads the cell's Spectrum, so, like
+    every spectral row, it counts the one reduction whichever row ran it."""
+    delay = 0.3
+    count_partial_solves(monkeypatch, delay)
+    point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
+                      f_out=kernels.Indicator(0.05))
+    motif_ms = []
+    for order in (("motif_baseline", "fiedler"), ("fiedler", "motif_baseline")):
+        config = SweepConfig(experiment="fig3", grid=[point], seeds=[0], algorithms=order)
+        motif = next(row for row in harness.run_sweep(config)
+                     if row.algorithm == "motif_baseline")
+        assert motif.note == "fallback: fiedler_sign"
+        motif_ms.append(motif.runtime_ms)
+    assert min(motif_ms) >= delay * 1000.0
+    assert abs(motif_ms[0] - motif_ms[1]) < delay * 1000.0 / 3
+
+
 def test_edgeless_model_gives_error_rows():
     point = GridPoint(n=100, d=1, f_in=kernels.Constant(0.0), f_out=kernels.Constant(0.0))
     config = SweepConfig(experiment="empty", grid=[point], seeds=[0],
@@ -646,8 +664,7 @@ def test_meta_sidecar(tmp_path, monkeypatch):
     text = path.read_text()
     assert "numpy:" in text
     if _openblas.lapack() is not None:
-        assert ("eigensolver: LAPACKE dsytrd dsterf dstebz dstein dormtr dstedc "
-                "dormtr_work\n") in text
+        assert "eigensolver: LAPACKE dsytrd dstebz dstein dstedc dormtr_work\n" in text
     with monkeypatch.context() as patch:
         patch.setattr(_openblas, "lapack", lambda: None)
         harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)

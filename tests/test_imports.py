@@ -95,3 +95,35 @@ def test_import_opens_no_lapack(tmp_path):
     run_fresh("import sgbm\nfrom sgbm import _openblas\n"
               "assert _openblas._library.cache_info().currsize == 0\n"
               "assert 'numpy.ctypeslib' not in sys.modules\n", tmp_path)
+
+
+# every name `import sgbm` gave before the package took its names from the
+# modules' __all__
+PACKAGE_NAMES = {
+    "Atom", "Constant", "DegenerateModelError", "DegreeStats", "EigendecompositionError",
+    "Graph", "GridPoint", "Indicator", "IsolationReport", "LimitingMeasure", "RayleighReport",
+    "ResultRow", "SelectionReport", "SgbmParams", "Spectrum", "SpectrumMatch", "SweepConfig",
+    "Waxman", "accuracy", "aggregate", "cell_seed", "cluster", "coefficients",
+    "convolution_at_zero", "degree_stats", "edge_density", "eigendecompose",
+    "empirical_moment", "fig3_sweep", "fig4_sweep", "fourier_coeff", "fourier_coeff_grid",
+    "harness", "hosc", "ideal_eigenvalue", "isolation_check", "kernel_from_config",
+    "kernel_to_config", "kernels", "limiting_atoms", "limiting_moment", "local_improvement",
+    "loss", "model", "motif_baseline", "pair_uniform", "per_eigenvector_accuracy",
+    "rayleigh_bound", "read_graph", "read_labels", "run_sweep", "sample_graph",
+    "sample_labelling", "sample_positions", "select_eigenpair", "sign_partition", "spectral",
+    "spectrum_experiment", "spectrum_match", "theory", "trace_lipschitz_check",
+    "waxman_sweep", "write_graph", "write_labels", "write_positions", "write_results",
+    "write_timings",
+}
+
+
+def test_package_exports_every_public_name():
+    """sgbm.__all__ holds each module's __all__, bound to the module's own
+    objects, and every name the package exported before."""
+    from sgbm import harness, kernels, model, spectral, theory
+
+    for module in (kernels, model, spectral, theory, harness):
+        assert set(module.__all__) <= set(sgbm.__all__), module.__name__
+        for name in module.__all__:
+            assert getattr(sgbm, name) is getattr(module, name), name
+    assert PACKAGE_NAMES <= set(sgbm.__all__)

@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -450,6 +451,57 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
             == spectral.per_eigenvector_accuracy(full, labels))
 
 
+def dropped_bindings():
+    """(LAPACKE_dsterf, LAPACKE_dormtr), bound here as references for the
+    routines Spectrum calls in their place; skips where they are not exported."""
+    library = _openblas._library()
+    dsterf, dormtr = (getattr(library, f"scipy_LAPACKE_{name}64_", None)
+                      for name in ("dsterf", "dormtr"))
+    if _openblas.lapack() is None or dsterf is None or dormtr is None:
+        pytest.skip("numpy's OpenBLAS does not export LAPACKE_dsterf and LAPACKE_dormtr")
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lapack_int, char = ctypes.c_int64, ctypes.c_char
+    dsterf.argtypes, dsterf.restype = [lapack_int, doubles, doubles], lapack_int
+    dormtr.argtypes = [ctypes.c_int, char, char, char, lapack_int, lapack_int, doubles,
+                       lapack_int, doubles, doubles, lapack_int]
+    dormtr.restype = lapack_int
+    return dsterf, dormtr
+
+
+@pytest.mark.parametrize("n", [2, 3, 130, 1000])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["indicator", "waxman", "constant"])
+def test_dstedc_and_dormtr_work_match_dsterf_and_dormtr(monkeypatch, kind, d, n):
+    """The eigenvalues (dstedc without vectors) are dsterf's, and every
+    one-column back-transform (dormtr_work with a one-double workspace) is
+    LAPACKE_dormtr's, bit for bit."""
+    dsterf, dormtr = dropped_bindings()
+    pairs = []
+
+    def recording(*args):
+        if args[5] != 1:  # the n-column back-transform of the full solve
+            return real["dormtr_work"](*args)
+        column = args[9].copy()
+        info = real["dormtr_work"](*args)
+        assert dormtr(*args[:9], column, args[10]) == 0
+        pairs.append((args[9].copy(), column))
+        return info
+
+    real = patch_lapack(monkeypatch, dormtr_work=recording)
+    f_in, f_out = kernel_pair(kind, d)
+    graph, _ = leading_block(f_in, f_out, d, n)
+    spectrum = spectral.Spectrum(graph)
+    spectrum._reduced()
+    values = spectrum._d.copy()
+    assert dsterf(n, values, spectrum._e.copy()) == 0
+    assert np.array_equal(spectrum.eigenvalues, values[::-1])
+    for rank in range(1, min(n, 4) + 1):
+        spectrum.eigenvector(rank)
+    assert pairs or n < 130  # the smallest graphs may repeat an eigenvalue
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+
+
 def split_graph():
     """Two components of 70 and 130 nodes: the tridiagonal form splits."""
     a = np.zeros((200, 200), dtype=np.uint8)
@@ -518,14 +570,15 @@ def test_window_requests_match_eigvalsh(kind, n):
 
 def test_sweep_cells_call_no_dsterf(monkeypatch):
     """hosc, hosc_li and fiedler cells select from bisected windows; only a
-    caller that reads every eigenvalue runs dsterf."""
+    caller that reads every eigenvalue runs dsterf (dstedc without vectors)."""
     calls = []
 
     def counted(*args):
-        calls.append(args[0])  # n
-        return real["dsterf"](*args)
+        if args[1] == b"N":  # compz
+            calls.append(args[2])  # n
+        return real["dstedc"](*args)
 
-    real = patch_lapack(monkeypatch, dsterf=counted)
+    real = patch_lapack(monkeypatch, dstedc=counted)
     grid = [harness.GridPoint(n=300, d=1, f_in=f_in, f_out=f_out)
             for f_in, f_out in (kernel_pair("indicator", 1), kernel_pair("waxman", 1))]
     config = harness.SweepConfig(experiment="cells", grid=grid, seeds=[0, 1],
@@ -575,15 +628,31 @@ def patch_lapack(monkeypatch, **stand_ins):
 
 
 def count_full_solves(monkeypatch):
-    """Record n for every dstedc call of the Spectrum objects built from now on."""
+    """Record n for every dstedc call with vectors (compz I) of the Spectrum
+    objects built from now on."""
     calls = []
 
     def counted(*args):
-        calls.append(args[2])  # n
+        if args[1] == b"I":  # compz
+            calls.append(args[2])  # n
         return real["dstedc"](*args)
 
     real = patch_lapack(monkeypatch, dstedc=counted)
     return calls
+
+
+def without_vectors(stand_in):
+    """dstedc that calls stand_in when asked for eigenvalues alone (compz N,
+    which runs dsterf) and the routine bound now otherwise."""
+    bound = _openblas.lapack()["dstedc"]
+    return lambda *args: (stand_in if args[1] == b"N" else bound)(*args)
+
+
+def one_column(stand_in):
+    """dormtr_work that calls stand_in to map back one column (eigenvector(rank))
+    and the routine bound now otherwise."""
+    bound = _openblas.lapack()["dormtr_work"]
+    return lambda *args: (stand_in if args[5] == 1 else bound)(*args)
 
 
 def complete_graph(m):
@@ -747,7 +816,8 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         return 1
 
     for name, stand_in in [("dstebz", failing_dstebz), ("dstein", failing_routine),
-                           ("dormtr", failing_routine), ("dormtr", nan_dormtr)]:
+                           ("dormtr_work", one_column(failing_routine)),
+                           ("dormtr_work", one_column(nan_dormtr))]:
         with monkeypatch.context() as patch:
             calls = count_full_solves(patch)
             patch_lapack(patch, **{name: stand_in})
@@ -761,7 +831,7 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     # the eigenvalues, read after, still fall back to dstedc's
     with monkeypatch.context() as patch:
         calls = count_full_solves(patch)
-        patch_lapack(patch, dsterf=failing_routine)
+        patch_lapack(patch, dstedc=without_vectors(failing_routine))
         partial = spectral.Spectrum(graph)
         report = spectral.select_eigenpair(partial, lambda_star)
         assert calls == []
@@ -844,13 +914,13 @@ def test_residual_check_on_both_paths(monkeypatch):
         spec = spectral.eigendecompose(graph)
         with pytest.raises(EigendecompositionError, match="residual"):
             spec.eigenvector(1)
-    patch_lapack(monkeypatch, dormtr=garbage_dormtr)
+    patch_lapack(monkeypatch, dormtr_work=one_column(garbage_dormtr))
     with pytest.raises(EigendecompositionError, match="residual"):
         spectral.hosc(graph, 0.4, 0.1)
 
 
 def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys):
-    patch_lapack(monkeypatch, dormtr=garbage_dormtr)
+    patch_lapack(monkeypatch, dormtr_work=one_column(garbage_dormtr))
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05))
     config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
@@ -963,6 +1033,16 @@ def test_local_improvement_rejects_other_labels():
     bad[0] = 0
     with pytest.raises(ValueError):
         spectral.local_improvement(graph, bad)
+
+
+def test_local_improvement_rejects_labels_beyond_int8():
+    """Labels are checked before any cast: 257 and 258 are not 1 and 2."""
+    graph, truth = two_cliques(2)
+    for bad in (257, 258, 0):
+        labels = truth.astype(np.int64)
+        labels[0] = bad
+        with pytest.raises(ValueError, match="labels must be 1 or 2"):
+            spectral.local_improvement(graph, labels)
 
 
 def test_local_improvement_length_mismatch():
