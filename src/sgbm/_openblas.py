@@ -22,7 +22,7 @@ COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 # the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
 MEMORY_ERRORS = (-1010, -1011)
 
-_LAPACK = ("dsytrd", "dstebz", "dstein", "dstedc", "dormtr_work")
+_LAPACK = ("dsytrd", "dstebz", "dstein", "dstedc", "dormtr_work", "dsbtrd")
 
 
 @cache
@@ -57,6 +57,9 @@ def _signatures():
         # layout, compz, n, d, e, z, ldz
         "LAPACKE_dstedc": ([layout, char, lapack_int, doubles, doubles, doubles, lapack_int],
                            lapack_int),
+        # layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq
+        "LAPACKE_dsbtrd": ([layout, char, char, lapack_int, lapack_int, doubles, lapack_int,
+                            doubles, doubles, doubles, lapack_int], lapack_int),
     }
 
 

@@ -168,9 +168,13 @@ def cmd_cluster(args, config):
         graph, truth, _ = model.sample_graph(params)
         f_in, f_out = params.f_in, params.f_out
 
+    mu_in, mu_out = kernels.edge_density(f_in), kernels.edge_density(f_out)
+    spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)  # a degenerate model solves nothing
     spectrum = spectral.Spectrum(graph)
-    predicted, report = spectral.cluster(spectrum, algorithm, kernels.edge_density(f_in),
-                                         kernels.edge_density(f_out),
+    # selection.csv prints every eigenvalue, so the reduction answers every request,
+    # and the eigenvalues printed are dstedc's without vectors, with run.labels or not
+    spectrum.eigenvalues
+    predicted, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out,
                                          iterate=li_iterate == "true")
 
     os.makedirs(args.out, exist_ok=True)

@@ -251,11 +251,11 @@ def _run_cell(config, grid_index, point, seed):
     graph, truth, _ = sample_graph(params)
     sample_ms = (time.perf_counter() - t0) * 1000.0
 
-    # every algorithm reads this one Spectrum, so the cell reduces A at most once
+    # every algorithm reads this one Spectrum, so the cell solves A once
     spectrum = Spectrum(graph)
     for algorithm in config.algorithms:
         row = ResultRow(algorithm=algorithm, **base)
-        reduced_s = spectrum.reduction_s
+        solved_s = spectrum.solve_s
         t0 = time.perf_counter()
         try:
             if algorithm == "motif_baseline":
@@ -271,12 +271,12 @@ def _run_cell(config, grid_index, point, seed):
         except (DegenerateModelError, EigendecompositionError, MotifInputError) as exc:
             row.note = f"error: {exc}"
             predicted = None
-        # the row's own time, less a reduction it ran; every row that reads the
-        # spectrum (every spectral row, and motif's fallback) then counts the one
-        # reduction, whichever row ran it
-        own_s = time.perf_counter() - t0 - (spectrum.reduction_s - reduced_s)
+        # the row's own time, less the solving it ran; every row that reads the
+        # spectrum (every spectral row, and motif's fallback) then counts the
+        # cell's solve once, whichever row ran it
+        own_s = time.perf_counter() - t0 - (spectrum.solve_s - solved_s)
         if algorithm != "motif_baseline" or row.note.startswith("fallback"):
-            own_s += spectrum.reduction_s
+            own_s += spectrum.solve_s
         row.runtime_ms = sample_ms + own_s * 1000.0
         rows.append(row)
         if config.labels_dir and predicted is not None:
@@ -516,9 +516,11 @@ def write_meta(path, config_echo, workers=1):
         threads = "not controllable"
     else:
         threads = 1 if workers > 1 else controls[0]()  # as run_sweep runs cells
-    # what spectral.Spectrum calls: the LAPACKE routines, or eigh without them
+    # what spectral.Spectrum calls: a Lanczos window, else the reduction, on the
+    # LAPACKE routines, or eigh without them
     routines = _openblas.lapack()
-    solver = ("LAPACKE " + " ".join(routines) if routines is not None
+    solver = ("block Lanczos window on Graph.matvec, else reduction; LAPACKE "
+              + " ".join(routines) if routines is not None
               else "numpy.linalg.eigh (the LAPACKE routines are not exported)")
     lines = [
         f"timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",

@@ -75,11 +75,11 @@ class Graph:
         return self.adjacency.astype(np.float64)
 
     def matvec(self, vector):
-        """A v, a block of rows at a time, about 2**16 entries each: the uint8
-        adjacency is cast to float64 half a megabyte at a time, never as one
-        n x n temporary."""
+        """A v for a vector or an (n, k) block of them, a block of rows at a
+        time, about 2**16 entries each: the uint8 adjacency is cast to float64
+        half a megabyte at a time, never as one n x n temporary."""
         rows = max(1, 2**16 // self.n)
-        out = np.empty(self.n)
+        out = np.empty((self.n,) + np.shape(vector)[1:])
         for start in range(0, self.n, rows):
             out[start:start + rows] = self.adjacency[start:start + rows] @ vector
         return out
@@ -119,11 +119,12 @@ def _mix64(z):
 
 
 def pair_uniform(seed, i, j):
-    """Uniform[0,1) draw for unordered pair {i, j}, independent of order.
+    """Uniform[0, 1] draw for unordered pair {i, j}, independent of order.
 
     Vectorized over i, j arrays.  The counter packs (min, max) into one
     word (node ids fit easily in 32 bits at this scale) and is whitened
-    twice against the seed.
+    twice against the seed.  The uint64 -> float64 cast rounds every word
+    at or above 2**64 - 2048 up to 2**64, so a draw can be exactly 1.0.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)

@@ -7,13 +7,14 @@ matching eigenvector.  The informative eigenvalue is generally NOT the
 second largest: geometric graphs park several spatial harmonics above
 it, which is the whole reason selection is by value rather than by rank.
 
-One class, Spectrum, gives the spectrum from one kept tridiagonal
-reduction, made on the first request: clustering reads dstebz's count of
-the eigenvalues above lambda*, the eigenvalues of four ranks around it by
-bisection, and one eigenvector; the per-eigenvector accuracy profile
+One class, Spectrum, gives the spectrum, each part solved on first use:
+clustering reads the count of the eigenvalues above lambda*, the
+eigenvalues of four ranks around it and one eigenvector, from a Lanczos
+window where lambda* lies outside the noise bulk and from one kept
+tridiagonal reduction otherwise; the per-eigenvector accuracy profile
 reads every eigenvector.  Every reader of a graph's spectrum (cluster,
 the motif baseline's fallback, rayleigh_bound) is handed one Spectrum and
-reads its graph from it, so the reduction runs once per graph.
+reads its graph from it, so each graph is solved once.
 
 Local improvement, the paper's small adjustment for strong consistency,
 switches every node whose degree margin z_in - z_out (model.degree_stats)
@@ -22,11 +23,12 @@ is negative.  Labels are checked by model.check_labels alone.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _openblas
-from .model import check_labels, degree_stats
+from .model import check_labels, degree_stats, pair_uniform
 
 __all__ = [
     "Spectrum",
@@ -67,6 +69,25 @@ _GAP_RTOL = 1e-8
 # local_improvement(iterate=True) stops here if the majority vote has not settled
 _LI_MAX_ROUNDS = 100
 
+# The Lanczos window starts from _BLOCK vectors at once.  From one start vector a
+# Krylov space holds one vector of each eigenspace, so a repeated eigenvalue would
+# show once and shift every rank below it; from two it shows at least twice, and
+# the _GAP_RTOL test sends it to the reduction.
+_BLOCK = 2
+# the window is solved at _WINDOW_FIRST basis vectors, then every _WINDOW_STEP more
+_WINDOW_FIRST, _WINDOW_STEP = 40, 20
+# count_above(x) tries the window where |x| >= _BULK_MARGIN * 2 sqrt(n p (1 - p)),
+# the edge of the noise bulk of a graph of edge density p (Furedi and Komlos,
+# Combinatorica 1981); nearer the bulk the window would converge too slowly
+_BULK_MARGIN = 1.5
+# values(first, last) without a count tries the window within _END_RANKS of an end
+_END_RANKS = 3
+
+
+def _window_cap(n):
+    """Most basis vectors the window grows to before the reduction answers."""
+    return min(n, max(_WINDOW_FIRST, n // 4))
+
 
 def _gap_at(spectrum, rank, point=None):
     """Distance from point, whose nearest eigenvalue is the rank-th (default: that
@@ -103,12 +124,34 @@ def _checked(graph, value, vector, radius):
 class Spectrum:
     """Every eigenpair of a graph's adjacency matrix A, each solved on first use.
 
-    The constructor does no work.  The first request reduces one float64
-    copy of A to tridiagonal form, T = Q^T A Q (LAPACK dsytrd, in place:
-    the copy then holds the Householder reflectors of Q), and
-    reduction_s records how long that took.  Every request is answered
-    from T and the reflectors (LAPACK Users' Guide, section 2.4.4;
-    Parlett, The Symmetric Eigenvalue Problem, ch. 4):
+    The constructor does no work.  A request is answered in one of two
+    ways, and solve_s adds up the wall time of the solves behind them.
+
+    The Lanczos window answers count_above(x) where |x| lies outside the
+    noise bulk (_BULK_MARGIN), and values and eigenvector requests for
+    ranks near an end (_END_RANKS) or already held, as long as A has not
+    been reduced.  It is a block Lanczos run (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13) on Graph.matvec from _BLOCK fixed start
+    vectors, with two classical Gram-Schmidt passes against every basis
+    vector.  The projection of A on the basis is banded; dsbtrd makes it
+    tridiagonal and dstebz and dstein give its Ritz pairs.  A Ritz pair
+    has converged when its residual, read off the band, is at most
+    _RESIDUAL_RTOL times max(1, the top Ritz value).  The basis grows by
+    _WINDOW_STEP vectors until every rank the request reads has converged,
+    in one run of ranks from an end: count_above(x) reads the ranks
+    through two past x.  The window hands out nothing else: when the
+    basis reaches _window_cap(n) first, a rank read lies within _GAP_RTOL
+    of a neighbour (a repeated eigenvalue, whose copies the window may
+    not all hold), or a rank yet to converge lies inside the noise bulk,
+    the reduction answers.  Every sum over n is taken by einsum, which no
+    BLAS thread splits, so the window's bits do not depend on the BLAS
+    thread count.
+
+    Every other request reduces one float64 copy of A to tridiagonal form,
+    T = Q^T A Q (LAPACK dsytrd, in place: the copy then holds the
+    Householder reflectors of Q), drops the window, and is answered from
+    T and the reflectors from then on (LAPACK Users' Guide, section 2.4.4;
+    Parlett, ch. 4):
 
     - count_above(x): how many eigenvalues exceed x, dstebz's count of
       the eigenvalues of T in (x, inf]: a few Sturm counts, O(n) each
@@ -126,7 +169,7 @@ class Spectrum:
       through the reflectors (dormtr, O(n^2), unblocked on one column):
       the dsyevx pipeline.  It reads rank 1 for the radius,
       max(1, lambda_1), and ranks rank +- 1 for the gap.  Vectors are
-      cached by rank.
+      cached by rank, whichever way they were solved.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
@@ -141,7 +184,7 @@ class Spectrum:
     one vector), and when a LAPACK call fails or returns a vector that
     is not finite; so do the eigenvalues when dstedc without vectors
     fails.  Without these routines in numpy's OpenBLAS, eigh gives every
-    pair.  Callers only ask for what they read: how an eigenvector is
+    pair.  Callers only ask for what they read: how an eigenpair is
     solved is decided here alone.
     """
 
@@ -149,21 +192,24 @@ class Spectrum:
         if graph.n < 2:
             raise ValueError("need at least two nodes")
         self.graph, self.n = graph, graph.n
-        self.reduction_s = 0.0  # wall time of the reduction, once it has run
+        self.solve_s = 0.0  # wall time of the window and the reduction, once run
         self._eigenvalues = self._eigenvectors = self._d = None
         self._vectors, self._bisected = {}, {}
+        self._basis = None  # the window's Lanczos vectors, as rows
+        self._ritz = {}  # rank: (value, coordinates in the basis) of a converged Ritz pair
         self._lapack = _openblas.lapack()
 
     def _reduced(self):
         """Whether T and the reflectors are at hand: False without LAPACK,
         else True, after dsytrd on the first call.  Every request that reads
-        them asks this first.  A failed reduction raises and keeps nothing,
-        so the next request tries again."""
+        them asks this first.  The reduction drops the window; a failed one
+        raises and keeps nothing, so the next request tries again."""
         if self._lapack is None:
             return False
         if self._d is not None:
             return True
         start, n = time.perf_counter(), self.n
+        self._basis, self._ritz = None, {}
         # A is symmetric, so its C-order copy read in Fortran order is A itself
         reflectors = self.graph.dense()
         d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
@@ -172,39 +218,213 @@ class Spectrum:
         self._reflectors, self._d, self._e, self._tau = reflectors, d, e, tau
         # where T splits into blocks: every dstebz call writes the same ends here
         self._split = np.zeros(n, np.int64)
-        self.reduction_s = time.perf_counter() - start
+        self.solve_s += time.perf_counter() - start
         return True
 
     def count_above(self, x):
         """How many eigenvalues are greater than x.
 
-        dstebz over (x, inf] at an infinite tolerance: it counts by the
-        signs of the LDL^T pivots of T - x I and bisects nothing.
+        From the window, the converged Ritz values: every rank above x and
+        two past it, counted from the end x is nearer.  On T, dstebz over
+        (x, inf] at an infinite tolerance: it counts by the signs of the
+        LDL^T pivots of T - x I and bisects nothing.
         """
-        found = self._dstebz(b"V", float(x), np.inf, 0, 0, np.inf)
+        x = float(x)
+        if self._d is None and abs(x) >= _BULK_MARGIN * self._bulk_edge:
+            top = x > 0
+            ranks = self._window(lambda theta: (min(self.n, int(np.sum(theta > x)) + 2), 0)
+                                 if top else (0, min(self.n, int(np.sum(theta <= x)) + 2)))
+            if ranks is not None:
+                values = np.array([self._ritz[rank][0] for rank in ranks])
+                return int(np.sum(values > x)) if top else self.n - int(np.sum(values <= x))
+        found = self._dstebz(b"V", x, np.inf, 0, 0, np.inf)
         if found is None:
             return int(np.sum(self.eigenvalues > x))
         return len(found[0])
 
+    @cached_property
+    def _bulk_edge(self):
+        """2 sqrt(n p (1 - p)) at the graph's edge density p: the edge of the
+        noise bulk of a random graph with A's degrees on average."""
+        n = self.n
+        p = self.graph.edge_count() / (n * (n - 1) / 2)
+        return 2.0 * np.sqrt(n * p * (1.0 - p))
+
     def values(self, first, last):
         """The eigenvalues of ranks first..last (1 = largest), descending.
 
-        One bisection on T (dstebz) over the span of the ranks not cached
-        yet; each rank keeps the value, and the block of T, it is first
-        given.  When dstebz fails they are read from eigenvalues.
+        Ranks the window holds, or can solve within _END_RANKS of an end
+        together with the next rank inward (which the gap reads), are
+        answered from it.  Otherwise one bisection on T (dstebz) over the
+        span of the ranks not cached yet; each rank keeps the value, and
+        the block of T, it is first given.  When dstebz fails they are
+        read from eigenvalues.
         """
         if not 1 <= first <= last <= self.n:
             raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
-        ranks = range(first, last + 1)
+        n, ranks = self.n, range(first, last + 1)
+        if any(rank not in self._ritz for rank in ranks):
+            if last <= _END_RANKS:
+                self._window(lambda theta: (min(n, last + 1), 0))
+            elif first > n - _END_RANKS:
+                self._window(lambda theta: (0, min(n, n + 2 - first)))
+        if all(rank in self._ritz for rank in ranks):
+            return np.array([self._ritz[rank][0] for rank in ranks])
         missing = [rank for rank in ranks if rank not in self._bisected]
         if missing:
             span = range(missing[0], missing[-1] + 1)
             # dstebz counts from the smallest eigenvalue, from 1
-            found = self._dstebz(b"I", 0.0, 0.0, self.n + 1 - span[-1], self.n + 1 - span[0], 0.0)
+            found = self._dstebz(b"I", 0.0, 0.0, n + 1 - span[-1], n + 1 - span[0], 0.0)
             if found is None or len(found[0]) != len(span):
                 return self.eigenvalues[first - 1:last]
             self._bisected = {**dict(zip(reversed(span), zip(*found))), **self._bisected}
         return np.array([self._bisected[rank][0] for rank in ranks])
+
+    def _window(self, needed):
+        """The ranks 1..top and n + 1 - bottom..n, for (top, bottom) =
+        needed(Ritz values, descending), in order, once every one has
+        converged in the window; they are then cached in _ritz.  The basis
+        grows until they have.  None, and the reduction answers, once A is
+        reduced, without LAPACK, at the cap, when the basis holds no new
+        direction, or when _converged gives up."""
+        if self._d is not None or self._lapack is None:
+            return None
+        start, n = time.perf_counter(), self.n
+        try:
+            if self._basis is None and not self._grow(min(_window_cap(n), _WINDOW_FIRST)):
+                return None
+            while True:
+                found = self._converged(*needed(self._theta))
+                if found is not None:
+                    for rank, pair in found.items():
+                        self._ritz.setdefault(rank, pair)
+                    return sorted(found) or None
+                if (self._length == self._done or self._done >= _window_cap(n)
+                        or not self._grow(min(_window_cap(n), self._done + _WINDOW_STEP))):
+                    return None
+        finally:
+            self.solve_s += time.perf_counter() - start
+
+    def _grow(self, size):
+        """Extend the window's Lanczos basis block by block until the first
+        `size` columns of H = Q^T A Q are complete (or no new direction is
+        left), then solve for the Ritz values; False when LAPACK fails."""
+        n, b = self.n, _BLOCK
+        if self._basis is None:
+            self._basis, self._band = np.empty((0, n)), np.empty((0, b + 1))
+            self._length = self._done = 0
+        # a step appends at most b vectors past the b pending ones
+        capacity = max(size + 2 * b, len(self._basis))
+        if capacity > len(self._basis):
+            self._basis = np.concatenate([self._basis[:self._length],
+                                          np.empty((capacity - self._length, n))])
+            self._band = np.concatenate([self._band, np.zeros((capacity - len(self._band), b + 1))])
+        if self._length == 0:
+            starts = np.stack([pair_uniform(0, np.arange(n), n + j) - 0.5 for j in range(b)])
+            self._extend(starts, None)
+        while self._done < size and self._length > self._done:
+            first = self._done
+            self._done = self._length
+            block = np.ascontiguousarray(self._basis[first:self._done].T)
+            self._extend(self.graph.matvec(block).T, first)
+        return self._solve_window()
+
+    def _extend(self, rows, first):
+        """Append each row to the basis, orthogonalized against every basis
+        vector by two classical Gram-Schmidt passes and normalized, unless
+        what is left is roundoff.  With first, row c is A q_j, j = first + c,
+        and its coefficients fill column j of the lower band of H."""
+        for c, w in enumerate(rows):
+            scale = max(1.0, np.sqrt(np.einsum("i,i->", w, w)))
+            coefficients = 0.0
+            for _ in range(2):
+                basis = self._basis[:self._length]
+                h = np.einsum("kn,n->k", basis, w)
+                w = w - np.einsum("kn,k->n", basis, h)
+                coefficients = coefficients + h
+            norm = np.sqrt(np.einsum("i,i->", w, w))
+            if first is not None:
+                j = first + c
+                self._band[j, :self._length - j] = coefficients[j:]
+            if norm <= self.n * np.finfo(float).eps * scale:
+                continue
+            if first is not None:
+                self._band[j, self._length - j] = norm
+            self._basis[self._length] = w / norm
+            self._length += 1
+
+    def _solve_window(self):
+        """Ritz values of H's leading block of complete columns, descending:
+        dsbtrd makes the band tridiagonal, keeping its rotations, and dstebz
+        bisects every eigenvalue; False when either fails."""
+        size = self._done
+        width = min(_BLOCK, size - 1)
+        band = self._band[:size, :width + 1].copy()
+        for offset in range(1, width + 1):
+            band[size - offset:, offset] = 0.0  # rows past size couple to the next block
+        # LAPACKE checks the rotations for NaN on entry
+        d, e, rotations = np.empty(size), np.empty(max(1, size - 1)), np.zeros((size, size))
+        if self._lapack["dsbtrd"](_openblas.COL_MAJOR, b"V", b"L", size, width, band,
+                                  width + 1, d, e, rotations, size) != 0:
+            return False
+        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        theta, blocks, split = np.zeros(size), np.zeros(size, np.int64), np.zeros(size, np.int64)
+        if self._lapack["dstebz"](b"A", b"E", size, 0.0, 0.0, 0, 0, 0.0, d, e, m, nsplit,
+                                  theta, blocks, split) != 0 or m[0] != size:
+            return False
+        self._tridiagonal = d, e, rotations, blocks[::-1], split
+        self._theta = theta[::-1]
+        return True
+
+    def _converged(self, top, bottom):
+        """{rank: (value, coordinates in the basis)} for the Ritz pairs of
+        ranks 1..top and n + 1 - bottom..n, once every one has converged;
+        None before.  {} (give up) when one lies within _GAP_RTOL of a
+        neighbouring Ritz value, when LAPACK fails, or when one yet to
+        converge lies inside the noise bulk, where eigenvalues crowd and the
+        window would converge on it slowly."""
+        n, size, b = self.n, self._done, _BLOCK
+        theta, radius = self._theta, max(1.0, float(self._theta[0]))
+        if top + bottom > size and size < n:
+            return None
+        # rank r is Ritz value r - 1 from the top, or n - r from the bottom
+        index = {**{rank: rank - 1 for rank in range(1, top + 1)},
+                 **{rank: size - 1 - (n - rank) for rank in range(n + 1 - bottom, n + 1)}}
+        if any(np.sum(np.abs(theta[max(0, i - 1):i + 2] - theta[i]) <= _GAP_RTOL * radius) > 1
+               for i in index.values()):
+            return {}
+        # H's rows past the leading block, on its last b columns: what the residual reads
+        tail = range(max(0, size - b), size)
+        coupling = np.array([[self._band[j, i - j] if i - j <= b else 0.0 for j in tail]
+                             for i in range(size, self._length)]).reshape(-1, len(tail))
+        found, pending = {}, []
+        for rank, i in index.items():
+            coordinates = self._ritz_coordinates(i)
+            if coordinates is None:
+                return {}
+            residual = np.sqrt(np.sum((coupling @ coordinates[tail.start:]) ** 2))
+            if residual <= _RESIDUAL_RTOL * radius:
+                found[rank] = float(theta[i]), coordinates
+            else:
+                pending.append(abs(theta[i]))
+        if not pending:
+            return found
+        return {} if min(pending) < self._bulk_edge else None
+
+    def _ritz_coordinates(self, i):
+        """Unit eigenvector of H's leading block for its (i + 1)-th largest
+        eigenvalue, in the window's basis: dstein on the tridiagonal form,
+        turned back by dsbtrd's rotations; None when dstein fails."""
+        d, e, rotations, blocks, split = self._tridiagonal
+        size = len(d)
+        value, block = np.zeros(size), np.zeros(1, np.int64)
+        value[0], block[0] = self._theta[i], blocks[i]
+        vector, failed = np.zeros(size), np.zeros(1, np.int64)
+        if self._lapack["dstein"](_openblas.COL_MAJOR, size, d, e, 1, value, block, split,
+                                  vector, size, failed) != 0:
+            return None
+        # rotations holds Q column-major, so Q z is a sum over its rows
+        return np.einsum("ji,j->i", rotations, vector)
 
     def _dstebz(self, kind, vl, vu, il, iu, abstol):
         """dstebz on T with range kind ("V": the eigenvalues in (vl, vu];
@@ -248,16 +468,23 @@ class Spectrum:
             radius = max(1.0, float(self.values(1, 1)[0]))
             value = float(self.values(rank, rank)[0])
             pinned = self._eigenvectors is None and _gap_at(self, rank) > _GAP_RTOL * radius
-            vector = self._tridiagonal_vector(rank) if pinned else None
+            vector = self._pinned_vector(rank) if pinned else None
             if vector is None:
                 vector = self.eigenvectors[:, rank - 1]
             self._vectors[rank] = _checked(self.graph, value, vector, radius)
         return self._vectors[rank]
 
-    def _tridiagonal_vector(self, rank):
-        """Unit eigenvector of A at the value values bisected for rank, or
-        None when it was not bisected, a LAPACK call reports failure or
-        the vector is not finite."""
+    def _pinned_vector(self, rank):
+        """Unit eigenvector of A for rank: the window's Ritz vector when the
+        window holds the rank, else inverse iteration at the value values
+        bisected for it.  None without LAPACK, when dstebz fails, a LAPACK
+        call reports failure or the vector is not finite."""
+        if rank in self._ritz:
+            coordinates = self._ritz[rank][1]
+            return np.einsum("kn,k->n", self._basis[:len(coordinates)], coordinates)
+        if self._lapack is None:
+            return None
+        self.values(rank, rank)  # bisects a rank whose value came from a dropped window
         if rank not in self._bisected:
             return None
         lapack, n = self._lapack, self.n
@@ -380,7 +607,7 @@ def cluster(spectrum, algorithm, mu_in, mu_out, iterate=False):
     hosc_li then runs local_improvement(iterate=iterate); fiedler splits
     by rank 2 and leaves lambda_star and gap_to_next None.  lambda* is
     computed before spectrum is read, so a degenerate model raises before
-    any reduction.
+    any solve.
     """
     if algorithm == "fiedler":
         report = SelectionReport(None, 2, float(spectrum.values(2, 2)[0]), None,

@@ -24,15 +24,23 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 
 def count_solves(monkeypatch):
-    """Record n for every reduction (dsytrd call) of the Spectrum objects built from now on."""
+    """Record n for every solve of the Spectrum objects built from now on: a
+    reduction (dsytrd call) or the start of a Lanczos window."""
     calls = []
     real = _openblas.lapack()
+    grow = spectral.Spectrum._grow
 
     def counted(*args):
         calls.append(args[2])  # n
         return real["dsytrd"](*args)
 
+    def counted_grow(spectrum, size):
+        if spectrum._basis is None:
+            calls.append(spectrum.n)
+        return grow(spectrum, size)
+
     monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dsytrd": counted})
+    monkeypatch.setattr(spectral.Spectrum, "_grow", counted_grow)
     return calls
 
 
@@ -429,6 +437,31 @@ def test_cluster_labels_do_not_depend_on_truth(tmp_path, monkeypatch, kernel_con
     assert ((tmp_path / "plain" / "predicted.labels").read_bytes()
             == (tmp_path / "truth" / "predicted.labels").read_bytes())
     assert full_solves == []
+
+
+def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch):
+    """selection.csv's rank, eigenvalue and selected columns are the same bytes
+    with and without run.labels: both print dstedc's eigenvalues without
+    vectors, read before any eigenvector is solved, and one reduction answers
+    every request."""
+    params = model.SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=3)
+    graph, truth, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
+    model.write_labels(tmp_path / "truth.txt", truth)
+    calls = count_solves(monkeypatch)
+    base = KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
+    truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
+    columns = []
+    for name, text in [("plain", base), ("truth", base + truth_key)]:
+        cfg = write_config(tmp_path, text, f"{name}.cfg")
+        assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
+                         "--quiet"]) == 0
+        lines = (tmp_path / name / "selection.csv").read_text().splitlines()
+        columns.append([(cells[0], cells[1], cells[3]) for cells in
+                        (line.split(",") for line in lines)])
+    assert len(columns[0]) == 401 and columns[0] == columns[1]
+    assert calls == [400, 400]  # one reduction per run, no window
 
 
 # --- spectrum ----------------------------------------------------------------

@@ -170,17 +170,25 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
 
 
 def count_partial_solves(monkeypatch, delay=0.0):
-    """Record n for every reduction (dsytrd call) of the Spectrum objects built
-    from now on, each after a sleep."""
+    """Record n for every solve of the Spectrum objects built from now on, each
+    after a sleep: a reduction (dsytrd call) or the start of a Lanczos window."""
     calls = []
     real = _openblas.lapack()
+    grow = spectral.Spectrum._grow
 
     def counted(*args):
         calls.append(args[2])  # n
         time.sleep(delay)
         return real["dsytrd"](*args)
 
+    def counted_grow(spectrum, size):
+        if spectrum._basis is None:
+            calls.append(spectrum.n)
+            time.sleep(delay)
+        return grow(spectrum, size)
+
     monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dsytrd": counted})
+    monkeypatch.setattr(spectral.Spectrum, "_grow", counted_grow)
     return calls
 
 
@@ -664,7 +672,8 @@ def test_meta_sidecar(tmp_path, monkeypatch):
     text = path.read_text()
     assert "numpy:" in text
     if _openblas.lapack() is not None:
-        assert "eigensolver: LAPACKE dsytrd dstebz dstein dstedc dormtr_work\n" in text
+        assert ("eigensolver: block Lanczos window on Graph.matvec, else reduction; "
+                "LAPACKE dsytrd dstebz dstein dstedc dormtr_work dsbtrd\n") in text
     with monkeypatch.context() as patch:
         patch.setattr(_openblas, "lapack", lambda: None)
         harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)

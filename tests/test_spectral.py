@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import tracemalloc
 
@@ -619,6 +620,14 @@ def test_without_lapack_the_partial_spectrum_is_the_full_solve(monkeypatch):
     assert calls == [300, 300]  # one per spectrum
 
 
+def reduced(graph):
+    """A Spectrum sent to the reduction on purpose: A is reduced before any
+    request, so the window answers none."""
+    spectrum = spectral.Spectrum(graph)
+    spectrum._reduced()
+    return spectrum
+
+
 def patch_lapack(monkeypatch, **stand_ins):
     """Spectrum objects built from now on call the stand-ins in place of
     the LAPACK routines of those names; returns the real routines."""
@@ -751,7 +760,7 @@ def test_count_above_is_the_sturm_count(name):
     every eigenvalue of eigvalsh, where roundoff decides the side."""
     graph = COUNT_GRAPHS[name]()
     w = np.linalg.eigvalsh(graph.dense())[::-1]
-    spectrum = spectral.Spectrum(graph)
+    spectrum = reduced(graph)
     rng = np.random.default_rng(graph.n)
     for x in np.concatenate([rng.uniform(w[-1] - 1.0, w[0] + 1.0, 50), w]):
         assert spectrum.count_above(x) == sturm_count(spectrum._d, spectrum._e, x), x
@@ -773,7 +782,7 @@ def test_hosc_bisects_each_rank_once(monkeypatch):
     params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=0)
     graph = model.sample_graph(params)[0]
-    spectrum = spectral.Spectrum(graph)
+    spectrum = reduced(graph)
     _, report = spectral.cluster(spectrum, "hosc", 0.4, 0.1)
     # the window is ranks 2..5, counted from the smallest as 996..999
     assert calls == [(b"V", 0, 0), (b"I", 996, 999), (b"I", 1000, 1000)]
@@ -787,7 +796,7 @@ def test_hosc_bisects_each_rank_once(monkeypatch):
     spectrum.eigenvector(5)
     assert calls == [(b"I", 995, 995)]
     calls.clear()
-    spectral.cluster(spectral.Spectrum(graph), "fiedler", 0.4, 0.1)
+    spectral.cluster(reduced(graph), "fiedler", 0.4, 0.1)
     assert calls == [(b"I", 999, 999), (b"I", 1000, 1000), (b"I", 998, 998)]
 
 
@@ -821,7 +830,7 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         with monkeypatch.context() as patch:
             calls = count_full_solves(patch)
             patch_lapack(patch, **{name: stand_in})
-            report = spectral.select_eigenpair(spectral.Spectrum(graph), lambda_star)
+            report = spectral.select_eigenpair(reduced(graph), lambda_star)
         assert calls == [200], (name, stand_in)
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
@@ -832,7 +841,7 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     with monkeypatch.context() as patch:
         calls = count_full_solves(patch)
         patch_lapack(patch, dstedc=without_vectors(failing_routine))
-        partial = spectral.Spectrum(graph)
+        partial = reduced(graph)
         report = spectral.select_eigenpair(partial, lambda_star)
         assert calls == []
         assert report.selected_index == reference.selected_index
@@ -840,15 +849,17 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         assert np.array_equal(partial.eigenvalues, full.eigenvalues)
         assert calls == [200]
     # without the reduction there is nothing to fall back on: each request that
-    # reads T or the reflectors raises, and a later one tries again
+    # reads T or the reflectors raises, and a later one tries again; the window,
+    # which would answer ranks 1 and 2 without T, is left out
     patch_lapack(monkeypatch, dsytrd=failing_routine)
+    monkeypatch.setattr(spectral.Spectrum, "_window", lambda spectrum, needed: None)
     failed = spectral.Spectrum(graph)  # reduces nothing yet
     for request in (lambda: failed.count_above(0.0), lambda: failed.values(1, 1),
                     lambda: failed.eigenvalues, lambda: failed.eigenvector(2),
                     lambda: failed.eigenvectors):
         with pytest.raises(EigendecompositionError, match="dsytrd failed"):
             request()
-    assert failed.reduction_s == 0.0 and failed._d is None
+    assert failed.solve_s == 0.0 and failed._d is None
 
 
 def test_spectrum_reduces_on_its_first_request(monkeypatch):
@@ -863,9 +874,9 @@ def test_spectrum_reduces_on_its_first_request(monkeypatch):
     real = patch_lapack(monkeypatch, dsytrd=counted)
     graph = sampled_graph(200)
     spectrum = spectral.Spectrum(graph)
-    assert calls == [] and spectrum.reduction_s == 0.0
-    spectrum.count_above(0.0)
-    assert calls == [200] and spectrum.reduction_s > 0.0
+    assert calls == [] and spectrum.solve_s == 0.0
+    spectrum.count_above(0.0)  # inside the noise bulk: the reduction answers
+    assert calls == [200] and spectrum.solve_s > 0.0
     spectrum.eigenvector(2)
     spectrum.eigenvalues
     spectrum.eigenvectors
@@ -916,11 +927,12 @@ def test_residual_check_on_both_paths(monkeypatch):
             spec.eigenvector(1)
     patch_lapack(monkeypatch, dormtr_work=one_column(garbage_dormtr))
     with pytest.raises(EigendecompositionError, match="residual"):
-        spectral.hosc(graph, 0.4, 0.1)
+        spectral.cluster(reduced(graph), "hosc", 0.4, 0.1)
 
 
 def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys):
     patch_lapack(monkeypatch, dormtr_work=one_column(garbage_dormtr))
+    monkeypatch.setattr(harness, "Spectrum", reduced)  # sgbm cluster reduces A itself
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05))
     config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
@@ -939,6 +951,120 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
                    f"run.graph = {tmp_path / 'edges.txt'}\n")
     assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert "eigensolver failure: eigenvector at eigenvalue" in capsys.readouterr().err
+
+
+# --- the Lanczos window -------------------------------------------------------------
+
+def window_starts(monkeypatch):
+    """Record n for every Lanczos window started by a Spectrum from now on."""
+    calls = []
+    grow = spectral.Spectrum._grow
+
+    def counted(spectrum, size):
+        if spectrum._basis is None:
+            calls.append(spectrum.n)
+        return grow(spectrum, size)
+
+    monkeypatch.setattr(spectral.Spectrum, "_grow", counted)
+    return calls
+
+
+def garbled_ritz_vectors(monkeypatch):
+    """Windows from now on hand out converged Ritz values with coordinates
+    that make no eigenvector."""
+    converged = spectral.Spectrum._converged
+    rng = np.random.default_rng(1)
+
+    def garbled(spectrum, top, bottom):
+        found = converged(spectrum, top, bottom)
+        return found and {rank: (value, rng.standard_normal(len(coordinates)))
+                          for rank, (value, coordinates) in found.items()}
+
+    monkeypatch.setattr(spectral.Spectrum, "_converged", garbled)
+
+
+def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys):
+    """The window's vectors pass the same residual check as the reduction's."""
+    starts = window_starts(monkeypatch)
+    garbled_ritz_vectors(monkeypatch)
+    point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05))
+    config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
+                                 algorithms=("hosc", "fiedler"))
+    rows = harness.run_sweep(config)
+    assert starts == [200]
+    assert [row.accuracy for row in rows] == [None, None]
+    assert all(row.note.startswith("error: eigenvector at eigenvalue") for row in rows)
+    # the command line reports it as any eigensolver failure: exit 4
+    from sgbm import oracles
+    graph = sampled_graph(200)
+    monkeypatch.setattr(oracles, "CHECKS", [
+        ("window", lambda: (spectral.hosc(graph, 0.4, 0.1) is not None, ""))])
+    assert cli.main(["validate", "--quiet"]) == 4
+    assert "eigensolver failure: eigenvector at eigenvalue" in capsys.readouterr().err
+    assert starts[1:] == [200]
+
+
+@pytest.mark.parametrize("algorithm", ["hosc", "fiedler"])
+def test_window_at_its_cap_falls_back_to_the_reduction(monkeypatch, algorithm):
+    """A window that reaches its cap hands out nothing: every answer is the
+    reduction's, bit for bit."""
+    graph = sampled_graph(1000)
+    want_labels, want = spectral.cluster(reduced(graph), algorithm, 0.4, 0.1)
+    starts = window_starts(monkeypatch)
+    monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
+    spectrum = spectral.Spectrum(graph)
+    labels, got = spectral.cluster(spectrum, algorithm, 0.4, 0.1)
+    assert starts == [1000] and spectrum._d is not None and spectrum._ritz == {}
+    assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
+        (want.selected_index, want.lambda_selected, want.gap_to_next)
+    assert np.array_equal(got.eigenvector, want.eigenvector)
+    assert np.array_equal(labels, want_labels)
+
+
+def equal_cliques(count, size):
+    """count disjoint cliques of size nodes: the Perron value size - 1, count times."""
+    a = np.zeros((count * size, count * size), dtype=np.uint8)
+    for start in range(0, count * size, size):
+        a[start:start + size, start:start + size] = 1
+    np.fill_diagonal(a, 0)
+    return Graph(n=count * size, adjacency=a)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_window_sees_a_repeated_eigenvalue(monkeypatch, count):
+    """From one start vector the window would hold one copy of the Perron value
+    and answer wrongly; from two it holds two, and the reduction answers."""
+    graph = equal_cliques(count, 150 if count == 2 else 100)
+    perron = graph.n / count - 1.0
+    want = spectral.select_eigenpair(spectral.eigendecompose(graph), perron)
+    starts = window_starts(monkeypatch)
+    spectrum = spectral.Spectrum(graph)
+    got = spectral.select_eigenpair(spectrum, perron)
+    assert starts == [graph.n] and spectrum._d is not None
+    assert (got.selected_index, got.gap_to_next) == (want.selected_index, want.gap_to_next)
+    assert np.array_equal(spectral.sign_partition(got.eigenvector),
+                          spectral.sign_partition(want.eigenvector))
+
+
+@pytest.mark.parametrize("f_in,f_out,n,seed", [
+    (kernels.Indicator(0.08), kernels.Indicator(0.05), 4000, 3),
+    (kernels.Waxman(0.85, 1.0), kernels.Waxman(0.5, 1.0), 2000, 0),
+], ids=["fig3", "waxman"])
+def test_window_bits_do_not_depend_on_blas_threads(f_in, f_out, n, seed):
+    """Every sum over n in the window is einsum's, which no BLAS thread splits,
+    so the Ritz value and vector, and the labels, are the same bits with
+    OpenBLAS at one thread and at its default count."""
+    graph = model.sample_graph(SgbmParams(n=n, d=1, f_in=f_in, f_out=f_out, seed=seed))[0]
+    mu_in, mu_out = kernels.edge_density(f_in), kernels.edge_density(f_out)
+    runs = []
+    for pinned in (False, True):
+        spectrum = spectral.Spectrum(graph)
+        with harness._one_blas_thread() if pinned else contextlib.nullcontext():
+            labels, report = spectral.cluster(spectrum, "hosc", mu_in, mu_out)
+        assert spectrum._d is None  # answered by the window
+        runs.append((report.lambda_selected, report.eigenvector.tobytes(), labels.tobytes()))
+    assert runs[0] == runs[1]
 
 
 # --- local_improvement -----------------------------------------------------------
