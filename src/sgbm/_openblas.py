@@ -22,7 +22,7 @@ COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 # the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
 MEMORY_ERRORS = (-1010, -1011)
 
-_LAPACK = ("dsytrd", "dstebz", "dstein", "dstedc", "dormtr_work", "dsbtrd")
+_LAPACK = ("dsytrd", "dstebz", "dstein", "dstedc", "dormtr_work", "dsbtrd", "dsytrf", "dsytrs")
 
 
 @cache
@@ -60,6 +60,11 @@ def _signatures():
         # layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq
         "LAPACKE_dsbtrd": ([layout, char, char, lapack_int, lapack_int, doubles, lapack_int,
                             doubles, doubles, doubles, lapack_int], lapack_int),
+        # layout, uplo, n, a, lda, ipiv
+        "LAPACKE_dsytrf": ([layout, char, lapack_int, doubles, lapack_int, ints], lapack_int),
+        # layout, uplo, n, nrhs, a, lda, ipiv, b, ldb
+        "LAPACKE_dsytrs": ([layout, char, lapack_int, lapack_int, doubles, lapack_int, ints,
+                            doubles, lapack_int], lapack_int),
     }
 
 

@@ -516,11 +516,12 @@ def write_meta(path, config_echo, workers=1):
         threads = "not controllable"
     else:
         threads = 1 if workers > 1 else controls[0]()  # as run_sweep runs cells
-    # what spectral.Spectrum calls: a Lanczos window, else the reduction, on the
+    # what spectral.Spectrum calls: Lanczos windows, else the reduction, on the
     # LAPACKE routines, or eigh without them
     routines = _openblas.lapack()
-    solver = ("block Lanczos window on Graph.matvec, else reduction; LAPACKE "
-              + " ".join(routines) if routines is not None
+    solver = ("block Lanczos windows on Graph.matvec and on a dsytrf factor of "
+              "A - sigma I, else reduction; LAPACKE " + " ".join(routines)
+              if routines is not None
               else "numpy.linalg.eigh (the LAPACKE routines are not exported)")
     lines = [
         f"timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",

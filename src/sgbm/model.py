@@ -186,9 +186,12 @@ def sample_graph(params):
         prob = np.where(same, params.f_in.profile(dist), params.f_out.profile(dist))
         edge = pair_uniform(params.seed, ids[rows, None], ids[None, cols]) < prob
         edge &= ids[None, cols] > ids[rows, None]  # strict upper triangle only
-        adjacency[rows, cols] = edge
+        # each pair is in one block; its mirror is written with it, so no
+        # strided n x n pass is left to symmetrize.  |=, as the two writes
+        # overlap on the block's diagonal square
+        adjacency[rows, cols] |= edge
+        adjacency[cols, rows] |= edge.T
         start = stop
-    adjacency |= adjacency.T
     return Graph(n=n, adjacency=adjacency), labels, positions
 
 
@@ -211,10 +214,11 @@ def degree_stats(graph, labels):
     spectral.local_improvement switches on.
     """
     labels = check_labels(labels, graph.n)
-    a = graph.adjacency
-    # integer counts on the uint8 matrix: no n x n temporary
-    degree = a.sum(axis=1, dtype=np.int64)
-    ones = a[:, labels == 1].sum(axis=1, dtype=np.int64)  # neighbours labelled 1
+    # the degrees and the neighbours labelled 1 in one pass over A: A times
+    # the all-ones vector and the label-1 indicator, with no copy of A's
+    # columns; integer sums far below 2**53 are exact in float64
+    counts = graph.matvec(np.stack([np.ones(graph.n), labels == 1], axis=1)).astype(np.int64)
+    degree, ones = counts[:, 0], counts[:, 1]
     z_in = np.where(labels == 1, ones, degree - ones)
     return DegreeStats(z_in=z_in, z_out=degree - z_in)
 

@@ -10,11 +10,15 @@ it, which is the whole reason selection is by value rather than by rank.
 One class, Spectrum, gives the spectrum, each part solved on first use:
 clustering reads the count of the eigenvalues above lambda*, the
 eigenvalues of four ranks around it and one eigenvector, from a Lanczos
-window where lambda* lies outside the noise bulk and from one kept
-tridiagonal reduction otherwise; the per-eigenvector accuracy profile
-reads every eigenvector.  Every reader of a graph's spectrum (cluster,
-the motif baseline's fallback, rayleigh_bound) is handed one Spectrum and
-reads its graph from it, so each graph is solved once.
+window on A where lambda* lies outside the noise bulk.  Where that window
+stops at a rank inside the bulk, a shift-invert Lanczos window on
+(A - sigma I)^-1 takes over, its count certified by the inertia of a
+Bunch-Kaufman factorization.  One kept tridiagonal reduction answers
+lambda* inside the bulk, what neither window can, and the per-eigenvector
+accuracy profile, which reads every eigenvector.  Every reader of a
+graph's spectrum (cluster, the motif baseline's fallback, rayleigh_bound)
+is handed one Spectrum and reads its graph from it, so each graph is
+solved once.
 
 Local improvement, the paper's small adjustment for strong consistency,
 switches every node whose degree margin z_in - z_out (model.degree_stats)
@@ -57,11 +61,15 @@ class DegenerateModelError(ValueError):
     """mu_in = mu_out: the target eigenvalue is undefined."""
 
 
-# Both tolerances are relative to the spectral radius max(lambda_1, 1); A >= 0, so
-# lambda_1 >= |lambda_n| (Perron-Frobenius; Horn and Johnson, Matrix Analysis, 8.3.1).
-# A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * radius;
+# Both tolerances are relative to the scale max(1, sqrt(max_i (A d)_i)), d the
+# degree vector (_tolerance_scale).  It bounds the spectral radius: lambda_1^2 is
+# the spectral radius of A^2 >= 0, at most its largest row sum, max_i (A d)_i; and
+# A >= 0, so lambda_1 >= |lambda_n| (Perron-Frobenius; Horn and Johnson, Matrix
+# Analysis, ch. 8).  It is exact on regular graphs and stars, and no solve runs
+# to learn it.
+# A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * scale;
 # divide-and-conquer eigenvectors and those from inverse iteration on the
-# tridiagonal form both reach about 1e-15 * radius * sqrt(n).
+# tridiagonal form both reach about 1e-15 * scale * sqrt(n).
 _RESIDUAL_RTOL = 1e-9
 # Below this distance to the nearest other eigenvalue, inverse iteration
 # cannot single out one eigenvector (a repeated eigenvalue).
@@ -69,24 +77,36 @@ _GAP_RTOL = 1e-8
 # local_improvement(iterate=True) stops here if the majority vote has not settled
 _LI_MAX_ROUNDS = 100
 
-# The Lanczos window starts from _BLOCK vectors at once.  From one start vector a
+# A Lanczos window starts from _BLOCK vectors at once.  From one start vector a
 # Krylov space holds one vector of each eigenspace, so a repeated eigenvalue would
-# show once and shift every rank below it; from two it shows at least twice, and
+# show once and shift every rank past it; from two it shows at least twice, and
 # the _GAP_RTOL test sends it to the reduction.
 _BLOCK = 2
-# the window is solved at _WINDOW_FIRST basis vectors, then every _WINDOW_STEP more
+# the window on A is solved at _WINDOW_FIRST basis vectors, then every _WINDOW_STEP
+# more; the shifted window at _SHIFT_FIRST, then every _SHIFT_STEP more: the ranks
+# nearest a shift mostly converge in 20-30 vectors, and a solve of the band costs
+# far less than the dsytrs calls that grow the basis
 _WINDOW_FIRST, _WINDOW_STEP = 40, 20
-# count_above(x) tries the window where |x| >= _BULK_MARGIN * 2 sqrt(n p (1 - p)),
+_SHIFT_FIRST, _SHIFT_STEP = 20, 10
+# count_above(x) tries the window on A where |x| >= _BULK_MARGIN * 2 sqrt(n p (1 - p)),
 # the edge of the noise bulk of a graph of edge density p (Furedi and Komlos,
-# Combinatorica 1981); nearer the bulk the window would converge too slowly
+# Combinatorica 1981); nearer the bulk it would converge too slowly, and the
+# reduction answers
 _BULK_MARGIN = 1.5
-# values(first, last) without a count tries the window within _END_RANKS of an end
+# values(first, last) without a count tries the window on A within _END_RANKS of an end
 _END_RANKS = 3
 
 
 def _window_cap(n):
-    """Most basis vectors the window grows to before the reduction answers."""
+    """Most basis vectors a window grows to before the reduction answers."""
     return min(n, max(_WINDOW_FIRST, n // 4))
+
+
+def _tolerance_scale(graph):
+    """max(1, sqrt(max_i (A d)_i)) for the degree vector d = A 1: an upper
+    bound on lambda_1, and the scale of every tolerance here.  The sums are
+    integers far below 2**53, so they are exact in float64."""
+    return max(1.0, float(np.sqrt(graph.matvec(graph.matvec(np.ones(graph.n))).max())))
 
 
 def _gap_at(spectrum, rank, point=None):
@@ -97,6 +117,42 @@ def _gap_at(spectrum, rank, point=None):
     point = near[rank - first] if point is None else point
     others = np.abs(np.delete(near, rank - first) - point)
     return float(others.min()) if len(others) else np.inf
+
+
+def _count_past(values, n, count, x, down):
+    """(how many eigenvalues exceed x, whether that is exact), walked from
+    count, how many exceed a point s above x (down) or at or below it, past
+    every rank whose value in values ({rank: eigenvalue}) lies between s and
+    x.  The walk stops at the first rank past x or missing from values; the
+    count is exact when that rank is in values, or there is none."""
+    if down:
+        while count < n and values.get(count + 1, -np.inf) > x:
+            count += 1
+    else:
+        while count > 0 and values.get(count, np.inf) <= x:
+            count -= 1
+    stop = count + 1 if down else count
+    return count, not 1 <= stop <= n or stop in values
+
+
+def _positive_inertia(factor, pivots):
+    """How many eigenvalues of a symmetric matrix are positive, from its
+    Bunch-Kaufman factorization L D L^T (dsytrf, lower, column-major): by
+    Sylvester's law of inertia, those of D.  A 1 x 1 block counts by its sign;
+    a 2 x 2 block (pivots[k] = pivots[k + 1] < 0) by its determinant, one
+    positive eigenvalue when it is negative, else two or none by its trace."""
+    diagonal, pivots = factor.diagonal().tolist(), pivots.tolist()
+    positive, k = 0, 0
+    while k < len(pivots):
+        if pivots[k] > 0:
+            positive += diagonal[k] > 0
+            k += 1
+        else:
+            # D(k + 1, k) in column-major order is row k, column k + 1 of the C array
+            det = diagonal[k] * diagonal[k + 1] - factor[k, k + 1] ** 2
+            positive += 1 if det < 0 else 2 * (diagonal[k] + diagonal[k + 1] > 0)
+            k += 2
+    return positive
 
 
 def _oriented(vector):
@@ -110,48 +166,241 @@ def _oriented(vector):
     return vector if vector[first] > 0 else -vector
 
 
-def _checked(graph, value, vector, radius):
+def _checked(graph, value, vector, scale):
     """vector under the sign rule, once ||A v - value v|| passes; else raise."""
     difference = graph.matvec(vector) - value * vector
     residual = float(np.linalg.norm(difference))
-    if not residual <= _RESIDUAL_RTOL * radius:
+    if not residual <= _RESIDUAL_RTOL * scale:
         raise EigendecompositionError(
             f"eigenvector at eigenvalue {value:.6g} has residual {residual:.3g}, "
-            f"above {_RESIDUAL_RTOL * radius:.3g}")
+            f"above {_RESIDUAL_RTOL * scale:.3g}")
     return _oriented(vector)
+
+
+class _Window:
+    """One block Lanczos run (Parlett, The Symmetric Eigenvalue Problem, ch. 13)
+    from _BLOCK fixed start vectors, with two classical Gram-Schmidt passes
+    against every basis vector: on A through Graph.matvec, or, with a shift
+    sigma, on (A - sigma I)^-1 through the Bunch-Kaufman factorization of
+    A - sigma I (dsytrf, solved by dsytrs; Ericsson and Ruhe, Math. Comp.
+    1980).  The projection of the operator on the basis is banded; dsbtrd makes
+    it tridiagonal and dstebz and dstein give its Ritz pairs.  values holds the
+    eigenvalues of A they stand for, descending: the Ritz value theta on A,
+    sigma + 1 / theta on the inverse.  Ranks are counted from two anchors: on
+    A from rank 1 at the top and rank n at the bottom, on the inverse from
+    count, the inertia's number of eigenvalues above sigma, just above sigma
+    and count + 1 just below it.  Every sum over n is taken by einsum, which
+    no BLAS thread splits.
+    """
+
+    def __init__(self, graph, lapack, sigma=None):
+        self.graph, self.n, self._lapack, self.sigma = graph, graph.n, lapack, sigma
+        self.basis = None  # the Lanczos vectors, as rows
+
+    @classmethod
+    def shifted(cls, graph, lapack, sigma):
+        """The window on (A - sigma I)^-1, its count read off the factor's
+        inertia; None when dsytrf fails or A - sigma I is singular (info > 0)."""
+        n = graph.n
+        factor, pivots = graph.dense(), np.zeros(n, np.int64)
+        factor.flat[::n + 1] -= sigma
+        if lapack["dsytrf"](_openblas.COL_MAJOR, b"L", n, factor, n, pivots) != 0:
+            return None
+        window = cls(graph, lapack, sigma)
+        window.factor, window.pivots = factor, pivots
+        window.count = _positive_inertia(factor, pivots)
+        return window
+
+    def grow(self, size):
+        """Extend the basis block by block until the first `size` columns of
+        H = Q^T op Q are complete (or no new direction is left), then solve for
+        the Ritz values; False when LAPACK fails."""
+        n, b = self.n, _BLOCK
+        if self.basis is None:
+            self.basis, self._band = np.empty((0, n)), np.empty((0, b + 1))
+            self.length = self.done = 0
+        # a step appends at most b vectors past the b pending ones
+        capacity = max(size + 2 * b, len(self.basis))
+        if capacity > len(self.basis):
+            self.basis = np.concatenate([self.basis[:self.length],
+                                         np.empty((capacity - self.length, n))])
+            self._band = np.concatenate([self._band, np.zeros((capacity - len(self._band), b + 1))])
+        if self.length == 0:
+            starts = np.stack([pair_uniform(0, np.arange(n), n + j) - 0.5 for j in range(b)])
+            self._extend(starts, None)
+        while self.done < size and self.length > self.done:
+            first = self.done
+            self.done = self.length
+            image = self._apply(self.basis[first:self.done])
+            if image is None:
+                return False
+            self._extend(image, first)
+        return self._solve()
+
+    def _apply(self, rows):
+        """The operator on each row: A q by Graph.matvec, or (A - sigma I)^-1 q
+        by dsytrs on a copy, which it overwrites; None when dsytrs fails."""
+        if self.sigma is None:
+            return self.graph.matvec(np.ascontiguousarray(rows.T)).T
+        solved = rows.copy()
+        info = self._lapack["dsytrs"](_openblas.COL_MAJOR, b"L", self.n, len(solved), self.factor,
+                                      self.n, self.pivots, solved, self.n)
+        return solved if info == 0 else None
+
+    def _extend(self, rows, first):
+        """Append each row to the basis, orthogonalized against every basis
+        vector by two classical Gram-Schmidt passes and normalized, unless
+        what is left is roundoff.  With first, row c is op q_j, j = first + c,
+        and its coefficients fill column j of the lower band of H."""
+        for c, w in enumerate(rows):
+            scale = max(1.0, np.sqrt(np.einsum("i,i->", w, w)))
+            coefficients = 0.0
+            for _ in range(2):
+                basis = self.basis[:self.length]
+                h = np.einsum("kn,n->k", basis, w)
+                w = w - np.einsum("kn,k->n", basis, h)
+                coefficients = coefficients + h
+            norm = np.sqrt(np.einsum("i,i->", w, w))
+            if first is not None:
+                j = first + c
+                self._band[j, :self.length - j] = coefficients[j:]
+            if norm <= self.n * np.finfo(float).eps * scale:
+                continue
+            if first is not None:
+                self._band[j, self.length - j] = norm
+            self.basis[self.length] = w / norm
+            self.length += 1
+
+    def _solve(self):
+        """Ritz values of H's leading block of complete columns: dsbtrd makes
+        the band tridiagonal, keeping its rotations, and dstebz bisects every
+        eigenvalue; then values, and what the residuals read.  False when
+        either fails."""
+        size, b = self.done, _BLOCK
+        width = min(b, size - 1)
+        band = self._band[:size, :width + 1].copy()
+        for offset in range(1, width + 1):
+            band[size - offset:, offset] = 0.0  # rows past size couple to the next block
+        # LAPACKE checks the rotations for NaN on entry
+        d, e, rotations = np.empty(size), np.empty(max(1, size - 1)), np.zeros((size, size))
+        if self._lapack["dsbtrd"](_openblas.COL_MAJOR, b"V", b"L", size, width, band,
+                                  width + 1, d, e, rotations, size) != 0:
+            return False
+        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        theta, blocks, split = np.zeros(size), np.zeros(size, np.int64), np.zeros(size, np.int64)
+        if self._lapack["dstebz"](b"A", b"E", size, 0.0, 0.0, 0, 0, 0.0, d, e, m, nsplit,
+                                  theta, blocks, split) != 0 or m[0] != size:
+            return False
+        self._tridiagonal = d, e, rotations, blocks[::-1], split
+        self._theta = theta = theta[::-1]
+        # H's rows past the leading block, on its last b columns: what the residual reads
+        tail = range(max(0, size - b), size)
+        self._tail = tail.start
+        self._coupling = np.array([[self._band[j, i - j] if i - j <= b else 0.0 for j in tail]
+                                   for i in range(size, self.length)]).reshape(-1, len(tail))
+        if self.sigma is None:
+            self.values, self._order = theta, np.arange(size)
+            return True
+        # sigma + 1 / theta falls as theta rises on either side of 0, so the values
+        # descend over the positive thetas ascending, then the negative ones
+        self.above = above = int(np.sum(theta > 0))
+        self._order = np.concatenate([np.arange(above)[::-1], np.arange(above, size)[::-1]])
+        with np.errstate(divide="ignore"):
+            self.values = self.sigma + 1.0 / theta[self._order]
+        # (A - sigma I) on the pending vectors: the residual on A reads it
+        pending = self.basis[size:self.length]
+        self._image = self.graph.matvec(np.ascontiguousarray(pending.T)).T - self.sigma * pending
+        return True
+
+    def runs(self, top, bottom):
+        """Two lists of (rank, position in values): `top` ranks from the upper
+        anchor up and `bottom` ranks from the lower anchor down, each outward
+        from its anchor; None while the basis is too small to hold them."""
+        size = len(self.values)
+        if self.sigma is None:
+            if top + bottom > size and size < self.n:
+                return None
+            ends = ((1, 0, 1, top), (self.n, size - 1, -1, bottom))
+        else:
+            if top > self.above or bottom > size - self.above:
+                return None
+            ends = ((self.count, self.above - 1, -1, top), (self.count + 1, self.above, 1, bottom))
+        return [[(rank + step * j, position + step * j) for j in range(length)]
+                for rank, position, step, length in ends]
+
+    def ritz(self, position):
+        """(coordinates in the basis, residual on A) of the Ritz pair at position
+        of values; None when dstein fails.  The residual of A y - value y is read
+        off the band: on A it is the coupling to the pending vectors; on the
+        inverse, (A - sigma I)^-1 y = theta y + r with r in their span, so
+        A y - (sigma + 1 / theta) y = -(A - sigma I) r / theta."""
+        d, e, rotations, blocks, split = self._tridiagonal
+        size, i = len(d), self._order[position]
+        value, block = np.zeros(size), np.zeros(1, np.int64)
+        value[0], block[0] = self._theta[i], blocks[i]
+        vector, failed = np.zeros(size), np.zeros(1, np.int64)
+        if self._lapack["dstein"](_openblas.COL_MAJOR, size, d, e, 1, value, block, split,
+                                  vector, size, failed) != 0:
+            return None
+        # rotations holds Q column-major, so Q z is a sum over its rows
+        coordinates = np.einsum("ji,j->i", rotations, vector)
+        r = self._coupling @ coordinates[self._tail:]
+        if self.sigma is None:
+            return coordinates, float(np.sqrt(np.sum(r ** 2)))
+        image = np.einsum("kn,k->n", self._image, r)
+        return coordinates, float(np.sqrt(np.einsum("i,i->", image, image)) / abs(self._theta[i]))
+
+    def vector(self, coordinates):
+        """The Ritz vector of A with these coordinates in the basis."""
+        return np.einsum("kn,k->n", self.basis[:len(coordinates)], coordinates)
 
 
 class Spectrum:
     """Every eigenpair of a graph's adjacency matrix A, each solved on first use.
 
-    The constructor does no work.  A request is answered in one of two
+    The constructor does no work.  A request is answered in one of three
     ways, and solve_s adds up the wall time of the solves behind them.
+    Every tolerance is relative to _tolerance_scale(graph), an upper bound
+    on lambda_1 that costs two Graph.matvec passes over A.
 
-    The Lanczos window answers count_above(x) where |x| lies outside the
-    noise bulk (_BULK_MARGIN), and values and eigenvector requests for
-    ranks near an end (_END_RANKS) or already held, as long as A has not
-    been reduced.  It is a block Lanczos run (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 13) on Graph.matvec from _BLOCK fixed start
-    vectors, with two classical Gram-Schmidt passes against every basis
-    vector.  The projection of A on the basis is banded; dsbtrd makes it
-    tridiagonal and dstebz and dstein give its Ritz pairs.  A Ritz pair
-    has converged when its residual, read off the band, is at most
-    _RESIDUAL_RTOL times max(1, the top Ritz value).  The basis grows by
-    _WINDOW_STEP vectors until every rank the request reads has converged,
-    in one run of ranks from an end: count_above(x) reads the ranks
-    through two past x.  The window hands out nothing else: when the
-    basis reaches _window_cap(n) first, a rank read lies within _GAP_RTOL
-    of a neighbour (a repeated eigenvalue, whose copies the window may
-    not all hold), or a rank yet to converge lies inside the noise bulk,
-    the reduction answers.  Every sum over n is taken by einsum, which no
-    BLAS thread splits, so the window's bits do not depend on the BLAS
-    thread count.
+    Two Lanczos windows (_Window) answer while A has not been reduced.  A
+    Ritz pair has converged when its residual on A, read off the band, is at
+    most _RESIDUAL_RTOL times the scale.  A window grows (by _WINDOW_STEP
+    vectors on A, _SHIFT_STEP shifted) until every rank a request reads has
+    converged, in one run of ranks outward from an anchor, and hands out
+    those ranks' values; each rank's value and coordinates are cached, and
+    its vector is built from the basis when eigenvector asks.
 
-    Every other request reduces one float64 copy of A to tridiagonal form,
-    T = Q^T A Q (LAPACK dsytrd, in place: the copy then holds the
-    Householder reflectors of Q), drops the window, and is answered from
-    T and the reflectors from then on (LAPACK Users' Guide, section 2.4.4;
-    Parlett, ch. 4):
+    - The window on A answers count_above(x) where |x| lies outside the
+      noise bulk (_BULK_MARGIN), reading the ranks through two past x from
+      the end x is nearer, and values and eigenvector requests for ranks
+      near an end (_END_RANKS); count_above(x) inside the margin goes to
+      the reduction.  When a rank it has yet to converge lies inside the
+      noise bulk, it keeps each run up to that rank and the shifted window
+      takes over at that rank's Ritz value.
+    - The shifted window on (A - sigma I)^-1 (Ericsson and Ruhe, Math.
+      Comp. 1980; Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 1994)
+      answers count_above(x) where the window on A stops, at that window's
+      Ritz value for the rank it stopped at.  The inertia of the
+      Bunch-Kaufman factor of A - sigma I counts the eigenvalues above
+      sigma; the k-th largest Ritz value of the inverse is rank
+      count - k + 1, the k-th most negative rank count + k.  A count at x
+      is exact only from that inertia and every eigenvalue between sigma and
+      x held; the window converges those and the two ranks past x on either
+      side, which selection reads.  It then answers values requests for
+      ranks near sigma.  One factor is kept at a time.
+
+    Each window hands out nothing when its basis reaches _window_cap(n), a
+    rank read lies within _GAP_RTOL of a neighbour (a repeated eigenvalue,
+    whose copies the window may not all hold), A - sigma I is singular or
+    has an eigenvalue within _GAP_RTOL of sigma, or a LAPACK call fails;
+    the reduction answers instead.
+
+    Every other request, and every request after one, reduces one float64
+    copy of A to tridiagonal form, T = Q^T A Q (LAPACK dsytrd, in place: the
+    copy then holds the Householder reflectors of Q), drops the windows, and
+    is answered from T and the reflectors from then on (LAPACK Users' Guide,
+    section 2.4.4; Parlett, ch. 4):
 
     - count_above(x): how many eigenvalues exceed x, dstebz's count of
       the eigenvalues of T in (x, inf]: a few Sturm counts, O(n) each
@@ -167,9 +416,8 @@ class Spectrum:
     - eigenvector(rank): inverse iteration on T (dstein, O(n)) at the
       value and block that values bisected for that rank, mapped back
       through the reflectors (dormtr, O(n^2), unblocked on one column):
-      the dsyevx pipeline.  It reads rank 1 for the radius,
-      max(1, lambda_1), and ranks rank +- 1 for the gap.  Vectors are
-      cached by rank, whichever way they were solved.
+      the dsyevx pipeline.  It reads ranks rank +- 1 for the gap.  Vectors
+      are cached by rank, whichever way they were solved.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
@@ -192,24 +440,33 @@ class Spectrum:
         if graph.n < 2:
             raise ValueError("need at least two nodes")
         self.graph, self.n = graph, graph.n
-        self.solve_s = 0.0  # wall time of the window and the reduction, once run
+        self.solve_s = 0.0  # wall time of the windows and the reduction, once run
         self._eigenvalues = self._eigenvectors = self._d = None
         self._vectors, self._bisected = {}, {}
-        self._basis = None  # the window's Lanczos vectors, as rows
-        self._ritz = {}  # rank: (value, coordinates in the basis) of a converged Ritz pair
+        self._ritz = {}  # rank: (value, coordinates, window) of a converged Ritz pair
         self._lapack = _openblas.lapack()
+        # the window on A, and on (A - sigma I)^-1 once a shift is factored; both
+        # are dropped by the reduction, and neither is made without LAPACK
+        self._window = None if self._lapack is None else _Window(graph, self._lapack)
+        self._shifted = None
+
+    @cached_property
+    def _scale(self):
+        return _tolerance_scale(self.graph)
 
     def _reduced(self):
         """Whether T and the reflectors are at hand: False without LAPACK,
         else True, after dsytrd on the first call.  Every request that reads
-        them asks this first.  The reduction drops the window; a failed one
+        them asks this first.  The reduction drops the windows; a failed one
         raises and keeps nothing, so the next request tries again."""
         if self._lapack is None:
             return False
         if self._d is not None:
             return True
         start, n = time.perf_counter(), self.n
-        self._basis, self._ritz = None, {}
+        # the factor goes first: one n x n copy of A is alive at a time
+        self._window = self._shifted = None
+        self._ritz = {}
         # A is symmetric, so its C-order copy read in Fortran order is A itself
         reflectors = self.graph.dense()
         d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
@@ -224,19 +481,27 @@ class Spectrum:
     def count_above(self, x):
         """How many eigenvalues are greater than x.
 
-        From the window, the converged Ritz values: every rank above x and
-        two past it, counted from the end x is nearer.  On T, dstebz over
-        (x, inf] at an infinite tolerance: it counts by the signs of the
-        LDL^T pivots of T - x I and bisects nothing.
+        Outside the bulk margin, from the window on A: the converged Ritz
+        values of every rank above x and two past it, counted from the end x
+        is nearer.  Where that window stops at a rank inside the bulk, from
+        the shifted window: the inertia at sigma and the held eigenvalues
+        between sigma and x.  Inside the margin, and where either window
+        gives up, from T: dstebz over (x, inf] at an infinite tolerance: it
+        counts by the signs of the LDL^T pivots of T - x I and bisects
+        nothing.
         """
-        x = float(x)
-        if self._d is None and abs(x) >= _BULK_MARGIN * self._bulk_edge:
+        x, n = float(x), self.n
+        if self._window is not None and abs(x) >= _BULK_MARGIN * self._bulk_edge:
             top = x > 0
-            ranks = self._window(lambda theta: (min(self.n, int(np.sum(theta > x)) + 2), 0)
-                                 if top else (0, min(self.n, int(np.sum(theta <= x)) + 2)))
-            if ranks is not None:
-                values = np.array([self._ritz[rank][0] for rank in ranks])
-                return int(np.sum(values > x)) if top else self.n - int(np.sum(values <= x))
+            sigma = self._run(self._window, lambda window: (
+                (min(n, int(np.sum(window.values > x)) + 2), 0) if top
+                else (0, min(n, int(np.sum(window.values <= x)) + 2))))
+            if sigma is True:
+                return _count_past(self._held(), n, 0 if top else n, x, top)[0]
+            if sigma is not None:
+                count = self._shifted_count(sigma, x)
+                if count is not None:
+                    return count
         found = self._dstebz(b"V", x, np.inf, 0, 0, np.inf)
         if found is None:
             return int(np.sum(self.eigenvalues > x))
@@ -250,24 +515,68 @@ class Spectrum:
         p = self.graph.edge_count() / (n * (n - 1) / 2)
         return 2.0 * np.sqrt(n * p * (1.0 - p))
 
+    def _held(self):
+        """{rank: eigenvalue} for every rank a window holds."""
+        return {rank: value for rank, (value, *_) in self._ritz.items()}
+
+    def _shifted_count(self, sigma, x):
+        """count_above(x) from the window shifted to sigma: its inertia, walked
+        past the held eigenvalues between sigma and x; None when that window
+        gives up or a rank the walk reads is not held."""
+        window = self._shift_to(sigma)
+        if window is None or self._run(window, lambda window: self._around(window, x)) is not True:
+            return None
+        count, exact = _count_past(self._held(), self.n, window.count, x, x < sigma)
+        return count if exact else None
+
+    def _around(self, window, x):
+        """The runs (top, bottom) of the shifted window that reach every rank
+        from sigma to x and the two past x on either side, by the window's
+        Ritz values where no rank is held yet."""
+        n, sigma = self.n, window.sigma
+        # position k of the window's values stands for rank k + 1 + count - above
+        values = {window.count - window.above + 1 + position: float(value)
+                  for position, value in enumerate(window.values)} | self._held()
+        down = x < sigma
+        count = _count_past(values, n, window.count, x, down)[0]
+        between = range(window.count + 1, count + 1) if down else range(count + 1, window.count + 1)
+        return self._extent(window, [*between, *range(max(1, count - 1), min(n, count + 2) + 1)])
+
+    def _extent(self, window, ranks):
+        """The runs (top, bottom) of the shifted window that reach every one of
+        ranks that no window holds yet."""
+        count = window.count
+        missing = [rank for rank in ranks if rank not in self._ritz]
+        return (max([count + 1 - rank for rank in missing if rank <= count], default=0),
+                max([rank - count for rank in missing if rank > count], default=0))
+
+    def _shift_to(self, sigma):
+        """The window shifted to sigma, factored on first use in place of any
+        other; None when dsytrf fails or A - sigma I is singular."""
+        if self._shifted is None or self._shifted.sigma != sigma:
+            start = time.perf_counter()
+            if self._shifted is not None:
+                # one factor at a time: the ranks it cached read only its basis
+                self._shifted.factor = self._shifted.pivots = None
+            self._shifted = _Window.shifted(self.graph, self._lapack, sigma)
+            self.solve_s += time.perf_counter() - start
+        return self._shifted
+
     def values(self, first, last):
         """The eigenvalues of ranks first..last (1 = largest), descending.
 
-        Ranks the window holds, or can solve within _END_RANKS of an end
-        together with the next rank inward (which the gap reads), are
-        answered from it.  Otherwise one bisection on T (dstebz) over the
-        span of the ranks not cached yet; each rank keeps the value, and
-        the block of T, it is first given.  When dstebz fails they are
-        read from eigenvalues.
+        Ranks a window holds, or the window on A can solve within _END_RANKS
+        of an end together with the next rank inward (which the gap reads),
+        or the shifted window can solve once it is factored, are answered
+        from it.  Otherwise one bisection on T (dstebz) over the span of the
+        ranks not cached yet; each rank keeps the value, and the block of T,
+        it is first given.  When dstebz fails they are read from eigenvalues.
         """
         if not 1 <= first <= last <= self.n:
             raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
         n, ranks = self.n, range(first, last + 1)
-        if any(rank not in self._ritz for rank in ranks):
-            if last <= _END_RANKS:
-                self._window(lambda theta: (min(n, last + 1), 0))
-            elif first > n - _END_RANKS:
-                self._window(lambda theta: (0, min(n, n + 2 - first)))
+        if self._window is not None and any(rank not in self._ritz for rank in ranks):
+            self._hold(ranks)
         if all(rank in self._ritz for rank in ranks):
             return np.array([self._ritz[rank][0] for rank in ranks])
         missing = [rank for rank in ranks if rank not in self._bisected]
@@ -280,151 +589,89 @@ class Spectrum:
             self._bisected = {**dict(zip(reversed(span), zip(*found))), **self._bisected}
         return np.array([self._bisected[rank][0] for rank in ranks])
 
-    def _window(self, needed):
-        """The ranks 1..top and n + 1 - bottom..n, for (top, bottom) =
-        needed(Ritz values, descending), in order, once every one has
-        converged in the window; they are then cached in _ritz.  The basis
-        grows until they have.  None, and the reduction answers, once A is
-        reduced, without LAPACK, at the cap, when the basis holds no new
-        direction, or when _converged gives up."""
-        if self._d is not None or self._lapack is None:
-            return None
+    def _hold(self, ranks):
+        """Converge ranks in a window where one can: near an end, the window on
+        A, and the shifted window at its Ritz value where it gives up inside
+        the bulk; elsewhere the shifted window, once factored, for ranks within
+        _END_RANKS of its shift.  What is left the reduction answers."""
+        n, window = self.n, self._shifted
+        if ranks[-1] <= _END_RANKS or ranks[0] > n - _END_RANKS:
+            top = ranks[-1] <= _END_RANKS
+            sigma = self._run(self._window, lambda window: (
+                (min(n, ranks[-1] + 1), 0) if top else (0, min(n, n + 2 - ranks[0]))))
+            if sigma is None or sigma is True:
+                return
+            window = self._shift_to(sigma)
+        elif window is None or max(self._extent(window, ranks)) > _END_RANKS:
+            return
+        if window is not None:
+            self._run(window, lambda window: self._extent(window, ranks))
+
+    def _run(self, window, needed):
+        """Grow window until every rank of the runs (top, bottom) = needed(window)
+        has converged, cache them in _ritz, and return True.  None, and the
+        reduction answers, at the cap, when the basis holds no new direction,
+        or when _converged gives up.  The window on A also stops when a rank
+        yet to converge lies inside the noise bulk, where it would converge
+        slowly: it caches each run up to its first such rank and returns the
+        Ritz value of the first, where a shifted window converges fast."""
         start, n = time.perf_counter(), self.n
+        first, step = ((_WINDOW_FIRST, _WINDOW_STEP) if window.sigma is None
+                       else (_SHIFT_FIRST, _SHIFT_STEP))
         try:
-            if self._basis is None and not self._grow(min(_window_cap(n), _WINDOW_FIRST)):
+            if window.basis is None and not window.grow(min(_window_cap(n), first)):
                 return None
             while True:
-                found = self._converged(*needed(self._theta))
+                found = self._converged(window, *needed(window))
+                if found is False:
+                    return None
                 if found is not None:
-                    for rank, pair in found.items():
-                        self._ritz.setdefault(rank, pair)
-                    return sorted(found) or None
-                if (self._length == self._done or self._done >= _window_cap(n)
-                        or not self._grow(min(_window_cap(n), self._done + _WINDOW_STEP))):
+                    converged, pending = found
+                    inside = (window.sigma is None and pending
+                              and min(map(abs, pending)) < self._bulk_edge)
+                    if not pending or inside:
+                        for rank, (value, coordinates) in converged.items():
+                            self._ritz.setdefault(rank, (value, coordinates, window))
+                        return pending[0] if inside else True
+                if (window.length == window.done or window.done >= _window_cap(n)
+                        or not window.grow(min(_window_cap(n), window.done + step))):
                     return None
         finally:
             self.solve_s += time.perf_counter() - start
 
-    def _grow(self, size):
-        """Extend the window's Lanczos basis block by block until the first
-        `size` columns of H = Q^T A Q are complete (or no new direction is
-        left), then solve for the Ritz values; False when LAPACK fails."""
-        n, b = self.n, _BLOCK
-        if self._basis is None:
-            self._basis, self._band = np.empty((0, n)), np.empty((0, b + 1))
-            self._length = self._done = 0
-        # a step appends at most b vectors past the b pending ones
-        capacity = max(size + 2 * b, len(self._basis))
-        if capacity > len(self._basis):
-            self._basis = np.concatenate([self._basis[:self._length],
-                                          np.empty((capacity - self._length, n))])
-            self._band = np.concatenate([self._band, np.zeros((capacity - len(self._band), b + 1))])
-        if self._length == 0:
-            starts = np.stack([pair_uniform(0, np.arange(n), n + j) - 0.5 for j in range(b)])
-            self._extend(starts, None)
-        while self._done < size and self._length > self._done:
-            first = self._done
-            self._done = self._length
-            block = np.ascontiguousarray(self._basis[first:self._done].T)
-            self._extend(self.graph.matvec(block).T, first)
-        return self._solve_window()
-
-    def _extend(self, rows, first):
-        """Append each row to the basis, orthogonalized against every basis
-        vector by two classical Gram-Schmidt passes and normalized, unless
-        what is left is roundoff.  With first, row c is A q_j, j = first + c,
-        and its coefficients fill column j of the lower band of H."""
-        for c, w in enumerate(rows):
-            scale = max(1.0, np.sqrt(np.einsum("i,i->", w, w)))
-            coefficients = 0.0
-            for _ in range(2):
-                basis = self._basis[:self._length]
-                h = np.einsum("kn,n->k", basis, w)
-                w = w - np.einsum("kn,k->n", basis, h)
-                coefficients = coefficients + h
-            norm = np.sqrt(np.einsum("i,i->", w, w))
-            if first is not None:
-                j = first + c
-                self._band[j, :self._length - j] = coefficients[j:]
-            if norm <= self.n * np.finfo(float).eps * scale:
-                continue
-            if first is not None:
-                self._band[j, self._length - j] = norm
-            self._basis[self._length] = w / norm
-            self._length += 1
-
-    def _solve_window(self):
-        """Ritz values of H's leading block of complete columns, descending:
-        dsbtrd makes the band tridiagonal, keeping its rotations, and dstebz
-        bisects every eigenvalue; False when either fails."""
-        size = self._done
-        width = min(_BLOCK, size - 1)
-        band = self._band[:size, :width + 1].copy()
-        for offset in range(1, width + 1):
-            band[size - offset:, offset] = 0.0  # rows past size couple to the next block
-        # LAPACKE checks the rotations for NaN on entry
-        d, e, rotations = np.empty(size), np.empty(max(1, size - 1)), np.zeros((size, size))
-        if self._lapack["dsbtrd"](_openblas.COL_MAJOR, b"V", b"L", size, width, band,
-                                  width + 1, d, e, rotations, size) != 0:
-            return False
-        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
-        theta, blocks, split = np.zeros(size), np.zeros(size, np.int64), np.zeros(size, np.int64)
-        if self._lapack["dstebz"](b"A", b"E", size, 0.0, 0.0, 0, 0, 0.0, d, e, m, nsplit,
-                                  theta, blocks, split) != 0 or m[0] != size:
-            return False
-        self._tridiagonal = d, e, rotations, blocks[::-1], split
-        self._theta = theta[::-1]
-        return True
-
-    def _converged(self, top, bottom):
-        """{rank: (value, coordinates in the basis)} for the Ritz pairs of
-        ranks 1..top and n + 1 - bottom..n, once every one has converged;
-        None before.  {} (give up) when one lies within _GAP_RTOL of a
-        neighbouring Ritz value, when LAPACK fails, or when one yet to
-        converge lies inside the noise bulk, where eigenvalues crowd and the
-        window would converge on it slowly."""
-        n, size, b = self.n, self._done, _BLOCK
-        theta, radius = self._theta, max(1.0, float(self._theta[0]))
-        if top + bottom > size and size < n:
+    def _converged(self, window, top, bottom):
+        """For the runs (top, bottom) of window: None while its basis is too
+        small to hold them; False (give up) when one lies within _GAP_RTOL of
+        a neighbouring value or LAPACK fails; else (converged, pending):
+        {rank: (value, coordinates)} for each run up to its first Ritz pair
+        yet to converge, and the values of those yet to converge, in run
+        order."""
+        runs = window.runs(top, bottom)
+        if runs is None:
             return None
-        # rank r is Ritz value r - 1 from the top, or n - r from the bottom
-        index = {**{rank: rank - 1 for rank in range(1, top + 1)},
-                 **{rank: size - 1 - (n - rank) for rank in range(n + 1 - bottom, n + 1)}}
-        if any(np.sum(np.abs(theta[max(0, i - 1):i + 2] - theta[i]) <= _GAP_RTOL * radius) > 1
-               for i in index.values()):
-            return {}
-        # H's rows past the leading block, on its last b columns: what the residual reads
-        tail = range(max(0, size - b), size)
-        coupling = np.array([[self._band[j, i - j] if i - j <= b else 0.0 for j in tail]
-                             for i in range(size, self._length)]).reshape(-1, len(tail))
-        found, pending = {}, []
-        for rank, i in index.items():
-            coordinates = self._ritz_coordinates(i)
-            if coordinates is None:
-                return {}
-            residual = np.sqrt(np.sum((coupling @ coordinates[tail.start:]) ** 2))
-            if residual <= _RESIDUAL_RTOL * radius:
-                found[rank] = float(theta[i]), coordinates
-            else:
-                pending.append(abs(theta[i]))
-        if not pending:
-            return found
-        return {} if min(pending) < self._bulk_edge else None
-
-    def _ritz_coordinates(self, i):
-        """Unit eigenvector of H's leading block for its (i + 1)-th largest
-        eigenvalue, in the window's basis: dstein on the tridiagonal form,
-        turned back by dsbtrd's rotations; None when dstein fails."""
-        d, e, rotations, blocks, split = self._tridiagonal
-        size = len(d)
-        value, block = np.zeros(size), np.zeros(1, np.int64)
-        value[0], block[0] = self._theta[i], blocks[i]
-        vector, failed = np.zeros(size), np.zeros(1, np.int64)
-        if self._lapack["dstein"](_openblas.COL_MAJOR, size, d, e, 1, value, block, split,
-                                  vector, size, failed) != 0:
-            return None
-        # rotations holds Q column-major, so Q z is a sum over its rows
-        return np.einsum("ji,j->i", rotations, vector)
+        values, tolerance = window.values, _GAP_RTOL * self._scale
+        if any(np.sum(np.abs(values[max(0, i - 1):i + 2] - values[i]) <= tolerance) > 1
+               for run in runs for _, i in run):
+            return False
+        # an eigenvalue that near sigma makes A - sigma I singular to roundoff: its
+        # inertia and the other Ritz values are then not to be trusted
+        if window.sigma is not None and np.any(
+                np.abs(values[max(0, window.above - 1):window.above + 1] - window.sigma) <= tolerance):
+            return False
+        converged, pending = {}, []
+        for run in runs:
+            stalled = False
+            for rank, position in run:
+                pair = window.ritz(position)
+                if pair is None:
+                    return False
+                coordinates, residual = pair
+                if residual > _RESIDUAL_RTOL * self._scale:
+                    pending.append(float(values[position]))
+                    stalled = True
+                elif not stalled:
+                    converged[rank] = float(values[position]), coordinates
+        return converged, pending
 
     def _dstebz(self, kind, vl, vu, il, iu, abstol):
         """dstebz on T with range kind ("V": the eigenvalues in (vl, vu];
@@ -465,23 +712,22 @@ class Spectrum:
         """Eigenvector of rank (1 = largest eigenvalue), residual-checked,
         under the sign rule."""
         if rank not in self._vectors:
-            radius = max(1.0, float(self.values(1, 1)[0]))
             value = float(self.values(rank, rank)[0])
-            pinned = self._eigenvectors is None and _gap_at(self, rank) > _GAP_RTOL * radius
+            pinned = self._eigenvectors is None and _gap_at(self, rank) > _GAP_RTOL * self._scale
             vector = self._pinned_vector(rank) if pinned else None
             if vector is None:
                 vector = self.eigenvectors[:, rank - 1]
-            self._vectors[rank] = _checked(self.graph, value, vector, radius)
+            self._vectors[rank] = _checked(self.graph, value, vector, self._scale)
         return self._vectors[rank]
 
     def _pinned_vector(self, rank):
-        """Unit eigenvector of A for rank: the window's Ritz vector when the
-        window holds the rank, else inverse iteration at the value values
-        bisected for it.  None without LAPACK, when dstebz fails, a LAPACK
-        call reports failure or the vector is not finite."""
+        """Unit eigenvector of A for rank: the Ritz vector when a window holds
+        the rank, else inverse iteration at the value values bisected for it.
+        None without LAPACK, when dstebz fails, a LAPACK call reports failure
+        or the vector is not finite."""
         if rank in self._ritz:
-            coordinates = self._ritz[rank][1]
-            return np.einsum("kn,k->n", self._basis[:len(coordinates)], coordinates)
+            _, coordinates, window = self._ritz[rank]
+            return window.vector(coordinates)
         if self._lapack is None:
             return None
         self.values(rank, rank)  # bisects a rank whose value came from a dropped window

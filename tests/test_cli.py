@@ -25,22 +25,26 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 def count_solves(monkeypatch):
     """Record n for every solve of the Spectrum objects built from now on: a
-    reduction (dsytrd call) or the start of a Lanczos window."""
+    reduction (dsytrd call), a factorization (dsytrf call) or the start of a
+    Lanczos window on A."""
     calls = []
     real = _openblas.lapack()
-    grow = spectral.Spectrum._grow
+    grow = spectral._Window.grow
 
-    def counted(*args):
-        calls.append(args[2])  # n
-        return real["dsytrd"](*args)
+    def counted(name):
+        def routine(*args):
+            calls.append(args[2])  # n
+            return real[name](*args)
+        return routine
 
-    def counted_grow(spectrum, size):
-        if spectrum._basis is None:
-            calls.append(spectrum.n)
-        return grow(spectrum, size)
+    def counted_grow(window, size):
+        if window.basis is None and window.sigma is None:
+            calls.append(window.n)
+        return grow(window, size)
 
-    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dsytrd": counted})
-    monkeypatch.setattr(spectral.Spectrum, "_grow", counted_grow)
+    monkeypatch.setattr(_openblas, "lapack", lambda: {
+        **real, "dsytrd": counted("dsytrd"), "dsytrf": counted("dsytrf")})
+    monkeypatch.setattr(spectral._Window, "grow", counted_grow)
     return calls
 
 

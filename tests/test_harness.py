@@ -171,24 +171,28 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
 
 def count_partial_solves(monkeypatch, delay=0.0):
     """Record n for every solve of the Spectrum objects built from now on, each
-    after a sleep: a reduction (dsytrd call) or the start of a Lanczos window."""
+    after a sleep: a reduction (dsytrd call), a factorization (dsytrf call) or
+    the start of a Lanczos window on A."""
     calls = []
     real = _openblas.lapack()
-    grow = spectral.Spectrum._grow
+    grow = spectral._Window.grow
 
-    def counted(*args):
-        calls.append(args[2])  # n
-        time.sleep(delay)
-        return real["dsytrd"](*args)
-
-    def counted_grow(spectrum, size):
-        if spectrum._basis is None:
-            calls.append(spectrum.n)
+    def counted(name):
+        def routine(*args):
+            calls.append(args[2])  # n
             time.sleep(delay)
-        return grow(spectrum, size)
+            return real[name](*args)
+        return routine
 
-    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dsytrd": counted})
-    monkeypatch.setattr(spectral.Spectrum, "_grow", counted_grow)
+    def counted_grow(window, size):
+        if window.basis is None and window.sigma is None:
+            calls.append(window.n)
+            time.sleep(delay)
+        return grow(window, size)
+
+    monkeypatch.setattr(_openblas, "lapack", lambda: {
+        **real, "dsytrd": counted("dsytrd"), "dsytrf": counted("dsytrf")})
+    monkeypatch.setattr(spectral._Window, "grow", counted_grow)
     return calls
 
 
@@ -672,8 +676,9 @@ def test_meta_sidecar(tmp_path, monkeypatch):
     text = path.read_text()
     assert "numpy:" in text
     if _openblas.lapack() is not None:
-        assert ("eigensolver: block Lanczos window on Graph.matvec, else reduction; "
-                "LAPACKE dsytrd dstebz dstein dstedc dormtr_work dsbtrd\n") in text
+        assert ("eigensolver: block Lanczos windows on Graph.matvec and on a dsytrf factor "
+                "of A - sigma I, else reduction; "
+                "LAPACKE dsytrd dstebz dstein dstedc dormtr_work dsbtrd dsytrf dsytrs\n") in text
     with monkeypatch.context() as patch:
         patch.setattr(_openblas, "lapack", lambda: None)
         harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)

@@ -287,6 +287,18 @@ def test_sample_graph_matches_single_block_reference(make_kernels, d):
             assert np.array_equal(positions, ref_positions)
 
 
+def test_sample_graph_writes_each_block_with_its_transpose():
+    """Each block is written into both triangles as it is sampled; the result
+    is the upper triangle symmetrized as a | a.T, at an n that no block's
+    row count divides (1234 = 23 * 53 + 15 for the first block)."""
+    params = SgbmParams(n=1234, d=1, f_in=kernels.Waxman(0.7, 1.0),
+                        f_out=kernels.Waxman(0.4, 2.0), seed=5)
+    graph = model.sample_graph(params)[0]
+    upper = np.triu(graph.adjacency, k=1)
+    assert np.array_equal(graph.adjacency, upper | upper.T)
+    assert np.array_equal(graph.adjacency, single_block_adjacency(params)[0])
+
+
 # --- degree_stats ------------------------------------------------------------
 
 def test_degree_stats_disjoint_edges():

@@ -768,10 +768,10 @@ def test_count_above_is_the_sturm_count(name):
 
 
 def test_hosc_bisects_each_rank_once(monkeypatch):
-    """One hosc makes one count and bisects its window and rank 1, never
+    """One hosc makes one count and bisects its window, never rank 1 or
     rank n; a later vector in the window whose neighbours are held
     bisects nothing, and inverse iteration never bisects again.  fiedler
-    bisects rank 2, then rank 1 for the radius and only rank 3 for the gap."""
+    bisects rank 2, then ranks 1..3 for the gap, keeping rank 2's value."""
     calls = []
 
     def recording(*args):
@@ -785,19 +785,23 @@ def test_hosc_bisects_each_rank_once(monkeypatch):
     spectrum = reduced(graph)
     _, report = spectral.cluster(spectrum, "hosc", 0.4, 0.1)
     # the window is ranks 2..5, counted from the smallest as 996..999
-    assert calls == [(b"V", 0, 0), (b"I", 996, 999), (b"I", 1000, 1000)]
+    assert calls == [(b"V", 0, 0), (b"I", 996, 999)]
     assert report.selected_index == 4
-    for rank in (2, 3, 4):
+    for rank in (3, 4):
         calls.clear()
         spectrum.eigenvector(rank)
         assert calls == [], rank
-    # rank 5's gap needs rank 6, outside the window; only rank 6 is bisected
+    # rank 2's gap needs rank 1 and rank 5's rank 6, outside the window; only
+    # those are bisected
+    calls.clear()
+    spectrum.eigenvector(2)
+    assert calls == [(b"I", 1000, 1000)]
     calls.clear()
     spectrum.eigenvector(5)
     assert calls == [(b"I", 995, 995)]
     calls.clear()
     spectral.cluster(reduced(graph), "fiedler", 0.4, 0.1)
-    assert calls == [(b"I", 999, 999), (b"I", 1000, 1000), (b"I", 998, 998)]
+    assert calls == [(b"I", 999, 999), (b"I", 998, 1000)]
 
 
 def failing_routine(*args):
@@ -852,8 +856,8 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     # reads T or the reflectors raises, and a later one tries again; the window,
     # which would answer ranks 1 and 2 without T, is left out
     patch_lapack(monkeypatch, dsytrd=failing_routine)
-    monkeypatch.setattr(spectral.Spectrum, "_window", lambda spectrum, needed: None)
     failed = spectral.Spectrum(graph)  # reduces nothing yet
+    failed._window = None  # and no window answers
     for request in (lambda: failed.count_above(0.0), lambda: failed.values(1, 1),
                     lambda: failed.eigenvalues, lambda: failed.eigenvector(2),
                     lambda: failed.eigenvectors):
@@ -956,31 +960,25 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
 # --- the Lanczos window -------------------------------------------------------------
 
 def window_starts(monkeypatch):
-    """Record n for every Lanczos window started by a Spectrum from now on."""
+    """Record n for every Lanczos window, on A or shifted, started from now on."""
     calls = []
-    grow = spectral.Spectrum._grow
+    grow = spectral._Window.grow
 
-    def counted(spectrum, size):
-        if spectrum._basis is None:
-            calls.append(spectrum.n)
-        return grow(spectrum, size)
+    def counted(window, size):
+        if window.basis is None:
+            calls.append(window.n)
+        return grow(window, size)
 
-    monkeypatch.setattr(spectral.Spectrum, "_grow", counted)
+    monkeypatch.setattr(spectral._Window, "grow", counted)
     return calls
 
 
 def garbled_ritz_vectors(monkeypatch):
-    """Windows from now on hand out converged Ritz values with coordinates
-    that make no eigenvector."""
-    converged = spectral.Spectrum._converged
+    """Windows from now on hand out converged Ritz values with vectors that
+    are no eigenvector."""
     rng = np.random.default_rng(1)
-
-    def garbled(spectrum, top, bottom):
-        found = converged(spectrum, top, bottom)
-        return found and {rank: (value, rng.standard_normal(len(coordinates)))
-                          for rank, (value, coordinates) in found.items()}
-
-    monkeypatch.setattr(spectral.Spectrum, "_converged", garbled)
+    monkeypatch.setattr(spectral._Window, "vector",
+                        lambda window, coordinates: rng.standard_normal(window.n))
 
 
 def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys):
@@ -1067,6 +1065,182 @@ def test_window_bits_do_not_depend_on_blas_threads(f_in, f_out, n, seed):
     assert runs[0] == runs[1]
 
 
+# --- the shifted window -------------------------------------------------------------
+
+def test_inertia_counts_the_eigenvalues_above_the_shift():
+    """The inertia of dsytrf's D is that of A - sigma I, 2 x 2 blocks included:
+    an adjacency matrix's zero diagonal makes dsytrf take them."""
+    lapack = _openblas.lapack()
+    clique = Graph(n=7, adjacency=np.ones((7, 7), dtype=np.uint8) - np.eye(7, dtype=np.uint8))
+    two_by_two = 0
+    for graph in (sampled_graph(2), clique, sampled_graph(60), sampled_graph(300)):
+        w = np.linalg.eigvalsh(graph.dense())
+        for sigma in np.random.default_rng(graph.n).uniform(w[0] - 1.0, w[-1] + 1.0, 20):
+            window = spectral._Window.shifted(graph, lapack, sigma)
+            assert window.count == np.sum(w > sigma), (graph.n, sigma)
+            two_by_two += int(np.sum(window.pivots < 0))
+    assert two_by_two > 0
+
+
+def waxman_cell(q, n=1000, seed=0):
+    """(graph, lambda*) of the Waxman preset's cell at q_in = q."""
+    grid_index = harness.WAXMAN_Q_GRID.index(q)
+    f_in, f_out = kernels.Waxman(q, 1.0), kernels.Waxman(0.5, 1.0)
+    params = SgbmParams(n=n, d=1, f_in=f_in, f_out=f_out,
+                        seed=harness.cell_seed(0, grid_index, seed))
+    lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
+                                            kernels.edge_density(f_out), n)
+    return model.sample_graph(params)[0], lambda_star
+
+
+def count_routines(monkeypatch, *names):
+    """{name: [n, ...]}: every call of each LAPACK routine named, by Spectrum
+    objects built from now on."""
+    calls = {name: [] for name in names}
+
+    def counted(name):
+        def routine(*args):
+            calls[name].append(args[2])  # n
+            return real[name](*args)
+        return routine
+
+    real = patch_lapack(monkeypatch, **{name: counted(name) for name in names})
+    return calls
+
+
+def assert_same_report(got, want):
+    assert got.selected_index == want.selected_index
+    assert got.lambda_selected == pytest.approx(want.lambda_selected, rel=1e-10, abs=1e-10)
+    assert got.gap_to_next == pytest.approx(want.gap_to_next, rel=1e-6, abs=1e-9)
+    assert np.array_equal(spectral.sign_partition(got.eigenvector),
+                          spectral.sign_partition(want.eigenvector))
+
+
+def test_waxman_grid_routes_each_cell(monkeypatch):
+    """How each hosc cell of the Waxman q grid at n = 1000 is solved.  At the
+    bottom end (q <= 0.35) the window on A stops at a rank inside the bulk
+    and one shifted window answers; lambda* inside the bulk margin (q = 0.45,
+    0.55) goes to the reduction; the window on A answers at the top end.
+    Each count is the Sturm count on T, and each report the reduction's."""
+    calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
+    for q in harness.WAXMAN_Q_GRID:
+        graph, lambda_star = waxman_cell(q)
+        spectrum = spectral.Spectrum(graph)
+        count = spectrum.count_above(lambda_star)
+        got = spectral.select_eigenpair(spectrum, lambda_star)
+        assert calls == {"dsytrd": [1000] if q in (0.45, 0.55) else [],
+                         "dsytrf": [1000] if q <= 0.35 else []}, q
+        want = reduced(graph)
+        assert count == want.count_above(lambda_star), q
+        assert_same_report(got, spectral.select_eigenpair(want, lambda_star))
+        assert np.abs(got.eigenvector - want.eigenvector(got.selected_index)).max() <= 1e-8
+        calls["dsytrd"].clear()
+        calls["dsytrf"].clear()
+
+
+def graph_with_clique(clique):
+    """A sampled graph on 200 nodes with a disjoint clique on `clique` more:
+    -1 is an eigenvalue clique - 1 times, inside the bulk margin."""
+    a = np.zeros((200 + clique, 200 + clique), dtype=np.uint8)
+    a[:200, :200] = sampled_graph(200).adjacency
+    a[200:, 200:] = 1 - np.eye(clique, dtype=np.uint8)
+    return Graph(n=200 + clique, adjacency=a)
+
+
+@pytest.mark.parametrize("case", ["singular", "repeated", "cap", "dsytrf", "dsytrs"])
+def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
+    """A shift the window cannot use hands out nothing, and the reduction
+    answers with eigendecompose's report.  Each case shifts at x, inside the
+    bulk margin, where selection then reduces A.  singular: x = -1, an
+    eigenvalue of a clique, makes A - sigma I exactly singular (dsytrf
+    info > 0); repeated: two equal cliques repeat the eigenvalue nearest x;
+    cap: the window stops at 8 vectors; dsytrf and dsytrs: the routine
+    fails, on the Waxman q = 0.45 cell at n = 300."""
+    graph, x = {"singular": lambda: (graph_with_clique(20), -1.0),
+                "repeated": lambda: (equal_cliques(2, 150), -0.5)}.get(
+                    case, lambda: waxman_cell(0.45, n=300))()
+    want = spectral.select_eigenpair(spectral.eigendecompose(graph), x)
+    if case == "cap":
+        monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
+    elif case in ("dsytrf", "dsytrs"):
+        patch_lapack(monkeypatch, **{case: failing_routine})
+    starts = window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
+    spectrum = spectral.Spectrum(graph)
+    assert spectrum._shifted_count(x, x) is None
+    got = spectral.select_eigenpair(spectrum, x)
+    assert calls == {"dsytrd": [graph.n], "dsytrf": [graph.n]}
+    assert starts == ([] if case in ("singular", "dsytrf") else [graph.n])
+    assert spectrum._shifted is None and spectrum._ritz == {}
+    assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("routine", ["dsytrf", "dsytrs"])
+def test_hand_off_falls_back_to_the_reduction(monkeypatch, routine):
+    """Where the window on A stops inside the bulk (the Waxman q = 0.25 cell
+    at n = 1000) and the shifted window then fails, the reduction answers,
+    with eigendecompose's report."""
+    graph, x = waxman_cell(0.25)
+    want = spectral.select_eigenpair(spectral.eigendecompose(graph), x)
+    patch_lapack(monkeypatch, **{routine: failing_routine})
+    starts = window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
+    got = spectral.select_eigenpair(spectral.Spectrum(graph), x)
+    assert calls == {"dsytrd": [graph.n], "dsytrf": [graph.n]}
+    assert starts == [graph.n] * (1 if routine == "dsytrf" else 2)
+    assert_same_report(got, want)
+
+
+def test_a_new_shift_drops_the_old_factor():
+    """One factor is alive at a time.  A new shift drops the old window's
+    factor; the ranks that window cached keep its basis, and their vectors
+    are built from it, bit for bit as before."""
+    graph, x = waxman_cell(0.25)
+    spectrum = spectral.Spectrum(graph)
+    spectral.select_eigenpair(spectrum, x)
+    old = spectrum._shifted
+    rank = min(rank for rank, (*_, window) in spectrum._ritz.items() if window is old)
+    vector = spectrum.eigenvector(rank)
+    spectrum._shift_to(old.sigma + 1.0)
+    assert old.factor is None and spectrum._shifted.factor is not None
+    spectrum._vectors.clear()
+    assert np.array_equal(spectrum.eigenvector(rank), vector)
+
+
+# --- the tolerance scale ------------------------------------------------------------
+
+def graph_from_edges(n, pairs):
+    a = np.zeros((n, n), dtype=np.uint8)
+    for i, j in pairs:
+        a[i, j] = a[j, i] = 1
+    return Graph(n=n, adjacency=a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.data())
+def test_tolerance_scale_bounds_lambda_1(n, data):
+    """sqrt(max_i (A d)_i) >= lambda_1 on any graph: lambda_1^2 is at most the
+    largest row sum of A^2."""
+    upper = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2))
+    i, j = np.triu_indices(n, 1)
+    graph = graph_from_edges(n, zip(i[upper], j[upper]))
+    lambda_1 = np.linalg.eigvalsh(graph.dense())[-1]
+    scale = spectral._tolerance_scale(graph)
+    assert scale >= lambda_1 * (1.0 - 1e-12)
+    assert scale == max(1.0, np.sqrt(np.max(graph.dense() @ graph.dense().sum(axis=1))))
+
+
+@pytest.mark.parametrize("n", [2, 5, 40])
+def test_tolerance_scale_is_exact_on_stars_and_cliques(n):
+    star = graph_from_edges(n, [(0, j) for j in range(1, n)])
+    clique = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    for graph in (star, clique):
+        lambda_1 = np.linalg.eigvalsh(graph.dense())[-1]
+        assert spectral._tolerance_scale(graph) == pytest.approx(max(1.0, lambda_1), rel=1e-12)
+    assert spectral._tolerance_scale(graph_from_edges(n, [])) == 1.0
+
+
 # --- local_improvement -----------------------------------------------------------
 
 def test_local_improvement_corrects_clique_outlier():
@@ -1133,6 +1307,15 @@ def test_local_improvement_matches_float_reference():
         flip = np.random.default_rng(seed).choice(400, size=120, replace=False)
         noisy[flip] = 3 - noisy[flip]
         cases.append((graph, noisy))
+    # n = 1000 is no multiple of the 65-row block Graph.matvec, and so
+    # degree_stats, reads A in
+    params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.06),
+                        f_out=kernels.Indicator(0.04), seed=4)
+    graph, truth, _ = model.sample_graph(params)
+    noisy = truth.copy()
+    flip = np.random.default_rng(4).choice(1000, size=300, replace=False)
+    noisy[flip] = 3 - noisy[flip]
+    cases.append((graph, noisy))
     # a 4-cycle splits every vote 1:1 (ties), and nodes 4 and 5 are isolated
     a = np.zeros((6, 6), dtype=np.uint8)
     for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
