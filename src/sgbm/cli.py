@@ -171,15 +171,17 @@ def cmd_cluster(args, config):
     mu_in, mu_out = kernels.edge_density(f_in), kernels.edge_density(f_out)
     spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)  # a degenerate model solves nothing
     spectrum = spectral.Spectrum(graph)
-    # selection.csv prints every eigenvalue, so the reduction answers every request,
-    # and the eigenvalues printed are dstedc's without vectors, with run.labels or not
-    spectrum.eigenvalues
+    if truth is not None:
+        # the profile solves every vector, so the whole spectrum answers every
+        # request; its eigenvalues are read first, dstedc's without vectors
+        spectrum.eigenvalues
+    # without run.labels the windows cluster, and the eigenvalues printed below are
+    # read after, dstedc's without vectors too
     predicted, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out,
                                          iterate=li_iterate == "true")
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
-    # the profile solves every vector before any eigenvalue is printed below
     profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
                if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
     model.write_csv(os.path.join(args.out, "selection.csv"),

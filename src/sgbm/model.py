@@ -70,7 +70,8 @@ class Graph:
     def dense(self):
         """Adjacency as float64, the form LAPACK wants: a fresh n x n copy on
         every call, which spectral.Spectrum overwrites in place with its
-        tridiagonal reduction (dsytrd) and keeps as the reflectors.
+        tridiagonal reduction (dsytrd), kept as the reflectors, or with the
+        Bunch-Kaufman factor of A - sigma I (dsytrf).
         Residual checks and rayleigh_bound use matvec, not this."""
         return self.adjacency.astype(np.float64)
 

@@ -10,15 +10,14 @@ it, which is the whole reason selection is by value rather than by rank.
 One class, Spectrum, gives the spectrum, each part solved on first use:
 clustering reads the count of the eigenvalues above lambda*, the
 eigenvalues of four ranks around it and one eigenvector, from a Lanczos
-window on A where lambda* lies outside the noise bulk.  Where that window
-stops at a rank inside the bulk, a shift-invert Lanczos window on
-(A - sigma I)^-1 takes over, its count certified by the inertia of a
-Bunch-Kaufman factorization.  One kept tridiagonal reduction answers
-lambda* inside the bulk, what neither window can, and the per-eigenvector
-accuracy profile, which reads every eigenvector.  Every reader of a
-graph's spectrum (cluster, the motif baseline's fallback, rayleigh_bound)
-is handed one Spectrum and reads its graph from it, so each graph is
-solved once.
+window on A where lambda* lies outside the noise bulk.  Inside the bulk,
+and where that window stops at a rank inside it, a shift-invert Lanczos
+window on (A - sigma I)^-1 answers, its count certified by the inertia
+of a Bunch-Kaufman factorization.  What neither window answers, and the
+per-eigenvector accuracy profile, which reads every eigenvector, read the
+whole spectrum, solved once.  Every reader of a graph's spectrum
+(cluster, the motif baseline's fallback, rayleigh_bound) is handed one
+Spectrum and reads its graph from it, so each graph is solved once.
 
 Local improvement, the paper's small adjustment for strong consistency,
 switches every node whose degree margin z_in - z_out (model.degree_stats)
@@ -68,11 +67,11 @@ class DegenerateModelError(ValueError):
 # Analysis, ch. 8).  It is exact on regular graphs and stars, and no solve runs
 # to learn it.
 # A returned eigenvector must satisfy ||A v - lambda v|| <= _RESIDUAL_RTOL * scale;
-# divide-and-conquer eigenvectors and those from inverse iteration on the
-# tridiagonal form both reach about 1e-15 * scale * sqrt(n).
+# divide-and-conquer eigenvectors reach about 1e-15 * scale * sqrt(n).
 _RESIDUAL_RTOL = 1e-9
-# Below this distance to the nearest other eigenvalue, inverse iteration
-# cannot single out one eigenvector (a repeated eigenvalue).
+# A Ritz value this near a neighbouring one may be a repeated eigenvalue, whose
+# copies a window may not all hold; this near a shift, it makes A - sigma I
+# singular to roundoff.
 _GAP_RTOL = 1e-8
 # local_improvement(iterate=True) stops here if the majority vote has not settled
 _LI_MAX_ROUNDS = 100
@@ -80,7 +79,7 @@ _LI_MAX_ROUNDS = 100
 # A Lanczos window starts from _BLOCK vectors at once.  From one start vector a
 # Krylov space holds one vector of each eigenspace, so a repeated eigenvalue would
 # show once and shift every rank past it; from two it shows at least twice, and
-# the _GAP_RTOL test sends it to the reduction.
+# the _GAP_RTOL test sends it to the whole spectrum.
 _BLOCK = 2
 # the window on A is solved at _WINDOW_FIRST basis vectors, then every _WINDOW_STEP
 # more; the shifted window at _SHIFT_FIRST, then every _SHIFT_STEP more: the ranks
@@ -90,15 +89,15 @@ _WINDOW_FIRST, _WINDOW_STEP = 40, 20
 _SHIFT_FIRST, _SHIFT_STEP = 20, 10
 # count_above(x) tries the window on A where |x| >= _BULK_MARGIN * 2 sqrt(n p (1 - p)),
 # the edge of the noise bulk of a graph of edge density p (Furedi and Komlos,
-# Combinatorica 1981); nearer the bulk it would converge too slowly, and the
-# reduction answers
+# Combinatorica 1981); nearer the bulk it would converge too slowly, and the window
+# shifted to x answers
 _BULK_MARGIN = 1.5
 # values(first, last) without a count tries the window on A within _END_RANKS of an end
 _END_RANKS = 3
 
 
 def _window_cap(n):
-    """Most basis vectors a window grows to before the reduction answers."""
+    """Most basis vectors a window grows to before the whole spectrum answers."""
     return min(n, max(_WINDOW_FIRST, n // 4))
 
 
@@ -358,10 +357,11 @@ class _Window:
 class Spectrum:
     """Every eigenpair of a graph's adjacency matrix A, each solved on first use.
 
-    The constructor does no work.  A request is answered in one of three
-    ways, and solve_s adds up the wall time of the solves behind them.
-    Every tolerance is relative to _tolerance_scale(graph), an upper bound
-    on lambda_1 that costs two Graph.matvec passes over A.
+    The constructor does no work.  A request is answered by one of two
+    Lanczos windows, or else from the whole spectrum, and solve_s adds up
+    the wall time of the solves behind them.  Every tolerance is relative
+    to _tolerance_scale(graph), an upper bound on lambda_1 that costs two
+    Graph.matvec passes over A.
 
     Two Lanczos windows (_Window) answer while A has not been reduced.  A
     Ritz pair has converged when its residual on A, read off the band, is at
@@ -374,66 +374,51 @@ class Spectrum:
     - The window on A answers count_above(x) where |x| lies outside the
       noise bulk (_BULK_MARGIN), reading the ranks through two past x from
       the end x is nearer, and values and eigenvector requests for ranks
-      near an end (_END_RANKS); count_above(x) inside the margin goes to
-      the reduction.  When a rank it has yet to converge lies inside the
-      noise bulk, it keeps each run up to that rank and the shifted window
-      takes over at that rank's Ritz value.
+      near an end (_END_RANKS).  When a rank it has yet to converge lies
+      inside the noise bulk, it keeps each run up to that rank and the
+      shifted window takes over at that rank's Ritz value.
     - The shifted window on (A - sigma I)^-1 (Ericsson and Ruhe, Math.
       Comp. 1980; Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 1994)
-      answers count_above(x) where the window on A stops, at that window's
-      Ritz value for the rank it stopped at.  The inertia of the
-      Bunch-Kaufman factor of A - sigma I counts the eigenvalues above
-      sigma; the k-th largest Ritz value of the inverse is rank
-      count - k + 1, the k-th most negative rank count + k.  A count at x
-      is exact only from that inertia and every eigenvalue between sigma and
-      x held; the window converges those and the two ranks past x on either
-      side, which selection reads.  It then answers values requests for
-      ranks near sigma.  One factor is kept at a time.
+      answers count_above(x) inside the margin at sigma = x, and where the
+      window on A stops, at that window's Ritz value for the rank it
+      stopped at.  The inertia of the Bunch-Kaufman factor of A - sigma I
+      counts the eigenvalues above sigma; the k-th largest Ritz value of
+      the inverse is rank count - k + 1, the k-th most negative rank
+      count + k.  A count at x is exact only from that inertia and every
+      eigenvalue between sigma and x held; the window converges those and
+      the two ranks past x on either side, which selection reads.  It then
+      answers values requests for ranks near sigma.  One factor is kept at
+      a time.
 
     Each window hands out nothing when its basis reaches _window_cap(n), a
     rank read lies within _GAP_RTOL of a neighbour (a repeated eigenvalue,
     whose copies the window may not all hold), A - sigma I is singular or
-    has an eigenvalue within _GAP_RTOL of sigma, or a LAPACK call fails;
-    the reduction answers instead.
+    has an eigenvalue within _GAP_RTOL of sigma, or a LAPACK call fails.
 
-    Every other request, and every request after one, reduces one float64
-    copy of A to tridiagonal form, T = Q^T A Q (LAPACK dsytrd, in place: the
-    copy then holds the Householder reflectors of Q), drops the windows, and
-    is answered from T and the reflectors from then on (LAPACK Users' Guide,
-    section 2.4.4; Parlett, ch. 4):
+    What no window answers, and every request after the first such one,
+    reads the whole spectrum.  It reduces one float64 copy of A to
+    tridiagonal form, T = Q^T A Q (LAPACK dsytrd, in place: the copy then
+    holds the Householder reflectors of Q), and drops the windows (LAPACK
+    Users' Guide, section 2.4.4; Parlett, ch. 4):
 
-    - count_above(x): how many eigenvalues exceed x, dstebz's count of
-      the eigenvalues of T in (x, inf]: a few Sturm counts, O(n) each
-      (Parlett, section 3.3), and no bisection.
-    - values(first, last): the eigenvalues of ranks first..last by
-      bisection on T (dstebz), O(n) per eigenvalue, cached by rank with
-      the block of T each lies in.  Selection and eigenvector(rank)
-      read these, so clustering never solves every eigenvalue.
     - eigenvalues: every eigenvalue of T by dstedc without vectors,
-      sorted descending, for callers that print or scan the whole
-      spectrum.  Without vectors dstedc runs dsterf, as eigvalsh's dsyevd
-      does, so they equal eigvalsh's bit for bit.
-    - eigenvector(rank): inverse iteration on T (dstein, O(n)) at the
-      value and block that values bisected for that rank, mapped back
-      through the reflectors (dormtr, O(n^2), unblocked on one column):
-      the dsyevx pipeline.  It reads ranks rank +- 1 for the gap.  Vectors
-      are cached by rank, whichever way they were solved.
+      sorted descending.  Without vectors dstedc runs dsterf, as
+      eigvalsh's dsyevd does, so they equal eigvalsh's bit for bit.
+      count_above(x) counts those above x, and values(first, last) reads
+      its ranks from them.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
-      reflectors are dropped after it.
+      reflectors are dropped after it.  eigenvector(rank) reads its
+      column.
 
-    count_above and values read the full list of eigenvalues only when
-    dstebz fails.  That list is fixed at its first read: dstedc's
-    (eigh's) if every vector was solved by then, otherwise those of
-    dstedc without vectors (eigvalsh's).  eigenvector(rank) reads its
-    column of eigenvectors once every vector is solved, for a repeated
-    eigenvalue (too close to another for inverse iteration to single out
-    one vector), and when a LAPACK call fails or returns a vector that
-    is not finite; so do the eigenvalues when dstedc without vectors
-    fails.  Without these routines in numpy's OpenBLAS, eigh gives every
-    pair.  Callers only ask for what they read: how an eigenpair is
-    solved is decided here alone.
+    The eigenvalues are fixed at their first read: dstedc's (eigh's) if
+    every vector was solved by then, otherwise those of dstedc without
+    vectors (eigvalsh's), or dstedc's when that fails.  Vectors are cached
+    by rank, whichever way they were solved.  Without these routines in
+    numpy's OpenBLAS there is no window, and eigh gives every pair.
+    Callers only ask for what they read: how an eigenpair is solved is
+    decided here alone.
     """
 
     def __init__(self, graph):
@@ -442,7 +427,7 @@ class Spectrum:
         self.graph, self.n = graph, graph.n
         self.solve_s = 0.0  # wall time of the windows and the reduction, once run
         self._eigenvalues = self._eigenvectors = self._d = None
-        self._vectors, self._bisected = {}, {}
+        self._vectors = {}
         self._ritz = {}  # rank: (value, coordinates, window) of a converged Ritz pair
         self._lapack = _openblas.lapack()
         # the window on A, and on (A - sigma I)^-1 once a shift is factored; both
@@ -473,8 +458,6 @@ class Spectrum:
         _raise_on_failure("dsytrd", self._lapack["dsytrd"](
             _openblas.COL_MAJOR, b"L", n, reflectors, n, d, e, tau))
         self._reflectors, self._d, self._e, self._tau = reflectors, d, e, tau
-        # where T splits into blocks: every dstebz call writes the same ends here
-        self._split = np.zeros(n, np.int64)
         self.solve_s += time.perf_counter() - start
         return True
 
@@ -484,28 +467,25 @@ class Spectrum:
         Outside the bulk margin, from the window on A: the converged Ritz
         values of every rank above x and two past it, counted from the end x
         is nearer.  Where that window stops at a rank inside the bulk, from
-        the shifted window: the inertia at sigma and the held eigenvalues
-        between sigma and x.  Inside the margin, and where either window
-        gives up, from T: dstebz over (x, inf] at an infinite tolerance: it
-        counts by the signs of the LDL^T pivots of T - x I and bisects
-        nothing.
+        the window shifted to that rank's Ritz value, and inside the margin
+        from the window shifted to x: the inertia at sigma and the held
+        eigenvalues between sigma and x.  Where a window gives up, from the
+        eigenvalues.
         """
         x, n = float(x), self.n
-        if self._window is not None and abs(x) >= _BULK_MARGIN * self._bulk_edge:
-            top = x > 0
-            sigma = self._run(self._window, lambda window: (
-                (min(n, int(np.sum(window.values > x)) + 2), 0) if top
-                else (0, min(n, int(np.sum(window.values <= x)) + 2))))
-            if sigma is True:
-                return _count_past(self._held(), n, 0 if top else n, x, top)[0]
-            if sigma is not None:
-                count = self._shifted_count(sigma, x)
-                if count is not None:
-                    return count
-        found = self._dstebz(b"V", x, np.inf, 0, 0, np.inf)
-        if found is None:
-            return int(np.sum(self.eigenvalues > x))
-        return len(found[0])
+        if self._window is not None:
+            sigma = x
+            if abs(x) >= _BULK_MARGIN * self._bulk_edge:
+                top = x > 0
+                sigma = self._run(self._window, lambda window: (
+                    (min(n, int(np.sum(window.values > x)) + 2), 0) if top
+                    else (0, min(n, int(np.sum(window.values <= x)) + 2))))
+                if sigma is True:
+                    return _count_past(self._held(), n, 0 if top else n, x, top)[0]
+            count = None if sigma is None else self._shifted_count(sigma, x)
+            if count is not None:
+                return count
+        return int(np.sum(self.eigenvalues > x))
 
     @cached_property
     def _bulk_edge(self):
@@ -568,32 +548,22 @@ class Spectrum:
         Ranks a window holds, or the window on A can solve within _END_RANKS
         of an end together with the next rank inward (which the gap reads),
         or the shifted window can solve once it is factored, are answered
-        from it.  Otherwise one bisection on T (dstebz) over the span of the
-        ranks not cached yet; each rank keeps the value, and the block of T,
-        it is first given.  When dstebz fails they are read from eigenvalues.
+        from it; any other span is read from eigenvalues.
         """
         if not 1 <= first <= last <= self.n:
             raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
-        n, ranks = self.n, range(first, last + 1)
+        ranks = range(first, last + 1)
         if self._window is not None and any(rank not in self._ritz for rank in ranks):
             self._hold(ranks)
         if all(rank in self._ritz for rank in ranks):
             return np.array([self._ritz[rank][0] for rank in ranks])
-        missing = [rank for rank in ranks if rank not in self._bisected]
-        if missing:
-            span = range(missing[0], missing[-1] + 1)
-            # dstebz counts from the smallest eigenvalue, from 1
-            found = self._dstebz(b"I", 0.0, 0.0, n + 1 - span[-1], n + 1 - span[0], 0.0)
-            if found is None or len(found[0]) != len(span):
-                return self.eigenvalues[first - 1:last]
-            self._bisected = {**dict(zip(reversed(span), zip(*found))), **self._bisected}
-        return np.array([self._bisected[rank][0] for rank in ranks])
+        return self.eigenvalues[first - 1:last]
 
     def _hold(self, ranks):
         """Converge ranks in a window where one can: near an end, the window on
         A, and the shifted window at its Ritz value where it gives up inside
         the bulk; elsewhere the shifted window, once factored, for ranks within
-        _END_RANKS of its shift.  What is left the reduction answers."""
+        _END_RANKS of its shift.  What is left the eigenvalues answer."""
         n, window = self.n, self._shifted
         if ranks[-1] <= _END_RANKS or ranks[0] > n - _END_RANKS:
             top = ranks[-1] <= _END_RANKS
@@ -610,7 +580,7 @@ class Spectrum:
     def _run(self, window, needed):
         """Grow window until every rank of the runs (top, bottom) = needed(window)
         has converged, cache them in _ritz, and return True.  None, and the
-        reduction answers, at the cap, when the basis holds no new direction,
+        whole spectrum answers, at the cap, when the basis holds no new direction,
         or when _converged gives up.  The window on A also stops when a rank
         yet to converge lies inside the noise bulk, where it would converge
         slowly: it caches each run up to its first such rank and returns the
@@ -673,20 +643,6 @@ class Spectrum:
                     converged[rank] = float(values[position]), coordinates
         return converged, pending
 
-    def _dstebz(self, kind, vl, vu, il, iu, abstol):
-        """dstebz on T with range kind ("V": the eigenvalues in (vl, vu];
-        "I": those of indices il..iu, counted from the smallest): (values
-        ascending, their blocks), or None without LAPACK or when dstebz
-        fails."""
-        if not self._reduced():
-            return None
-        n = self.n
-        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
-        value, block = np.zeros(n), np.zeros(n, np.int64)
-        info = self._lapack["dstebz"](kind, b"E", n, vl, vu, il, iu, abstol, self._d, self._e,
-                                      m, nsplit, value, block, self._split)
-        return (value[:m[0]], block[:m[0]]) if info == 0 else None
-
     @property
     def eigenvalues(self):
         """Every eigenvalue, sorted descending."""
@@ -710,43 +666,17 @@ class Spectrum:
 
     def eigenvector(self, rank):
         """Eigenvector of rank (1 = largest eigenvalue), residual-checked,
-        under the sign rule."""
+        under the sign rule: the Ritz vector when a window holds the rank,
+        else its column of eigenvectors."""
         if rank not in self._vectors:
             value = float(self.values(rank, rank)[0])
-            pinned = self._eigenvectors is None and _gap_at(self, rank) > _GAP_RTOL * self._scale
-            vector = self._pinned_vector(rank) if pinned else None
-            if vector is None:
+            if rank in self._ritz:
+                _, coordinates, window = self._ritz[rank]
+                vector = window.vector(coordinates)
+            else:
                 vector = self.eigenvectors[:, rank - 1]
             self._vectors[rank] = _checked(self.graph, value, vector, self._scale)
         return self._vectors[rank]
-
-    def _pinned_vector(self, rank):
-        """Unit eigenvector of A for rank: the Ritz vector when a window holds
-        the rank, else inverse iteration at the value values bisected for it.
-        None without LAPACK, when dstebz fails, a LAPACK call reports failure
-        or the vector is not finite."""
-        if rank in self._ritz:
-            _, coordinates, window = self._ritz[rank]
-            return window.vector(coordinates)
-        if self._lapack is None:
-            return None
-        self.values(rank, rank)  # bisects a rank whose value came from a dropped window
-        if rank not in self._bisected:
-            return None
-        lapack, n = self._lapack, self.n
-        # LAPACKE checks all n entries of the values for NaN
-        value, block = np.zeros(n), np.zeros(1, np.int64)
-        value[0], block[0] = self._bisected[rank]
-        vector, failed = np.zeros(n), np.zeros(1, np.int64)
-        info = lapack["dstein"](_openblas.COL_MAJOR, n, self._d, self._e, 1, value, block,
-                                self._split, vector, n, failed)
-        if info == 0:
-            # a one-double workspace, below dormqr's blocked size, takes its
-            # unblocked path (dorm2r), as LAPACKE_dormtr's allocation does
-            info = lapack["dormtr_work"](_openblas.COL_MAJOR, b"L", b"L", b"N", n, 1,
-                                         self._reflectors, n, self._tau, vector, n,
-                                         np.empty(1), 1)
-        return vector if info == 0 and np.all(np.isfinite(vector)) else None
 
     def _solve_all(self):
         """Every eigenpair, as dsyevd computes them; eigh without LAPACK."""

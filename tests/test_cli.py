@@ -23,13 +23,12 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-def count_solves(monkeypatch):
-    """Record n for every solve of the Spectrum objects built from now on: a
-    reduction (dsytrd call), a factorization (dsytrf call) or the start of a
-    Lanczos window on A."""
+def count_solves(monkeypatch, *names):
+    """Record n for every dense factorization of A by the Spectrum objects
+    built from now on: a reduction (dsytrd call) or a Bunch-Kaufman factor
+    (dsytrf call), or every call of the LAPACK routines named instead."""
     calls = []
     real = _openblas.lapack()
-    grow = spectral._Window.grow
 
     def counted(name):
         def routine(*args):
@@ -37,14 +36,36 @@ def count_solves(monkeypatch):
             return real[name](*args)
         return routine
 
-    def counted_grow(window, size):
+    monkeypatch.setattr(_openblas, "lapack", lambda: {
+        **real, **{name: counted(name) for name in names or ("dsytrd", "dsytrf")}})
+    return calls
+
+
+def window_starts(monkeypatch):
+    """Record n for every Lanczos window on A started from now on."""
+    calls = []
+    grow = spectral._Window.grow
+
+    def counted(window, size):
         if window.basis is None and window.sigma is None:
             calls.append(window.n)
         return grow(window, size)
 
-    monkeypatch.setattr(_openblas, "lapack", lambda: {
-        **real, "dsytrd": counted("dsytrd"), "dsytrf": counted("dsytrf")})
-    monkeypatch.setattr(spectral._Window, "grow", counted_grow)
+    monkeypatch.setattr(spectral._Window, "grow", counted)
+    return calls
+
+
+def count_full_solves(monkeypatch):
+    """Record n for every dstedc call with vectors (compz I) from now on."""
+    calls = []
+    real = _openblas.lapack()
+
+    def counted(*args):
+        if args[1] == b"I":  # compz
+            calls.append(args[2])  # n
+        return real["dstedc"](*args)
+
+    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dstedc": counted})
     return calls
 
 
@@ -137,10 +158,10 @@ def test_degenerate_model_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, GBM_CONFIG.replace("kernel_out.r = 0.05",
                                                     "kernel_out.r = 0.2"))
     out = tmp_path / "o"
-    calls = count_solves(monkeypatch)
+    calls, starts = count_solves(monkeypatch), window_starts(monkeypatch)
     code = cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 3
-    assert calls == []  # lambda* is undefined, so nothing is solved
+    assert calls == starts == []  # lambda* is undefined, so nothing is solved
 
 
 def test_unwritable_out_is_config_error(tmp_path):
@@ -443,11 +464,37 @@ def test_cluster_labels_do_not_depend_on_truth(tmp_path, monkeypatch, kernel_con
     assert full_solves == []
 
 
+@pytest.mark.parametrize("kernel_config,f_in,f_out", [
+    (KERNEL_CONFIG, kernels.Indicator(0.2), kernels.Indicator(0.05)),
+    (WAXMAN_CONFIG, kernels.Waxman(0.5, 1.0), kernels.Waxman(0.25, 1.0)),
+], ids=["indicator", "waxman"])
+def test_cluster_without_labels_selects_on_the_windows(tmp_path, monkeypatch, kernel_config,
+                                                        f_in, f_out):
+    """Without run.labels nothing reads every vector: sgbm cluster selects on
+    the Lanczos windows, then reduces A once to print every eigenvalue, and
+    runs no full solve.  With run.labels the profile solves every vector, so
+    the one reduction comes first and the windows do not run."""
+    params = model.SgbmParams(n=400, d=1, f_in=f_in, f_out=f_out, seed=3)
+    graph, truth, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
+    model.write_labels(tmp_path / "truth.txt", truth)
+    base = kernel_config + f"run.algorithm = hosc_li\nrun.graph = {tmp_path / 'edges.txt'}\n"
+    truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
+    for name, text, want in [("plain", base, []), ("truth", base + truth_key, [400])]:
+        with monkeypatch.context() as patch:
+            full = count_full_solves(patch)
+            reductions = count_solves(patch, "dsytrd")
+            starts = window_starts(patch)
+            cfg = write_config(tmp_path, text, f"{name}.cfg")
+            assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
+                             "--quiet"]) == 0
+        assert (full, reductions, starts) == (want, [400], [400] if name == "plain" else [])
+
+
 def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch):
     """selection.csv's rank, eigenvalue and selected columns are the same bytes
     with and without run.labels: both print dstedc's eigenvalues without
-    vectors, read before any eigenvector is solved, and one reduction answers
-    every request."""
+    vectors, and each run reduces A once."""
     params = model.SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05), seed=3)
     graph, truth, _ = model.sample_graph(params)
@@ -465,7 +512,7 @@ def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch):
         columns.append([(cells[0], cells[1], cells[3]) for cells in
                         (line.split(",") for line in lines)])
     assert len(columns[0]) == 401 and columns[0] == columns[1]
-    assert calls == [400, 400]  # one reduction per run, no window
+    assert calls == [400, 400]  # one reduction per run
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -639,10 +686,10 @@ def test_cluster_rejects_bad_labels_file(tmp_path, capsys, monkeypatch, text):
     (tmp_path / "labels.txt").write_text(text)
     cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
                                                  f"run.labels = {tmp_path / 'labels.txt'}\n")
-    calls = count_solves(monkeypatch)
+    calls, starts = count_solves(monkeypatch), window_starts(monkeypatch)
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: bad labels file: {tmp_path / 'labels.txt'}:" in capsys.readouterr().err
-    assert calls == []
+    assert calls == starts == []
 
 
 def test_cluster_rejects_graph_file_too_large_for_memory(tmp_path, capsys):

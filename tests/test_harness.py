@@ -213,17 +213,19 @@ def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch):
     assert calls == []
 
 
-def test_every_algorithm_of_a_cell_shares_one_reduction(tmp_path, monkeypatch):
+def test_every_algorithm_of_a_cell_shares_one_spectrum(tmp_path, monkeypatch):
     """At the fig3 radii and n = 1000 motif_baseline falls back to the rank-2
-    vector.  It reads that from the cell's one Spectrum, so the cell reduces
-    A once (a Spectrum of its own made it twice), and its labels are fiedler's."""
+    vector.  It reads that from the cell's one Spectrum, so the cell solves
+    A twice: hosc's count inside the bulk margin factors A - lambda* I, and
+    fiedler's rank 2 starts the window on A, which motif then reads (a
+    Spectrum of its own would start a second); its labels are fiedler's."""
     calls = count_partial_solves(monkeypatch)
     point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="fig3", grid=[point], seeds=[0],
                          algorithms=harness.ALGORITHMS, labels_dir=str(tmp_path))
     rows = harness.run_sweep(config)
-    assert calls == [1000]
+    assert calls == [1000, 1000]
     fiedler, motif = rows[2], rows[3]
     assert motif.note == "fallback: fiedler_sign"
     assert motif.accuracy == fiedler.accuracy
@@ -248,7 +250,7 @@ def test_shared_solve_counts_once_per_row(monkeypatch):
 
 def test_motif_fallback_row_time_does_not_depend_on_order(monkeypatch):
     """A motif_baseline row that falls back reads the cell's Spectrum, so, like
-    every spectral row, it counts the one reduction whichever row ran it."""
+    every spectral row, it counts the cell's solve whichever row ran it."""
     delay = 0.3
     count_partial_solves(monkeypatch, delay)
     point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),

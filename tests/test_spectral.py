@@ -120,7 +120,7 @@ def test_residual_check_allocates_by_row_block():
     block at a time, never to one n x n float64 temporary (8 MB here)."""
     graph = sampled_graph(1000)
     full, partial = spectral.eigendecompose(graph), spectral.Spectrum(graph)
-    partial._reduced()  # the n x n copy it reduces is not the residual check's
+    partial.values(3, 3)  # the window's basis is not the residual check's
     for spectrum in (full, partial):
         tracemalloc.start()
         try:
@@ -129,7 +129,7 @@ def test_residual_check_allocates_by_row_block():
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-    assert partial._eigenvectors is None  # the tridiagonal path was measured
+    assert partial._d is None  # the window's Ritz vector was measured
     vector = full.eigenvectors[:, 2]
     radius = max(1.0, float(full.eigenvalues[0]))
     value = float(full.eigenvalues[2])
@@ -334,9 +334,11 @@ def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
 
     The reference runs the same sweeps with eigendecompose, which solves
     every vector first, in place of Spectrum, which solves only the
-    vectors asked for; no cell falls back to the full solve.  Persisted
-    labels are compared byte for byte: the sign rule makes them
-    independent of the solver, not just equal up to a swap.
+    vectors asked for.  The windows answer every cell at workers 1 and 2,
+    so at OpenBLAS's default thread count and at one thread: no cell reduces
+    A or falls back to the full solve.  Persisted labels are compared byte
+    for byte: the sign rule makes them independent of the solver, not just
+    equal up to a swap.
     """
     labels_dir = {}
     run_sweep = harness.run_sweep
@@ -348,8 +350,9 @@ def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_sweep", persisting)
     labels_dir["out"] = tmp_path / "partial_labels"
     full_solves = count_full_solves(monkeypatch)
+    reductions = count_routines(monkeypatch, "dsytrd")["dsytrd"]
     runs = {workers: preset_rows(workers) for workers in (1, 2)}
-    assert full_solves == []
+    assert full_solves == [] and reductions == []
     labels_dir["out"] = tmp_path / "full_labels"
     monkeypatch.setattr(harness, "Spectrum", spectral.eigendecompose)
     full = preset_rows(2)
@@ -473,19 +476,19 @@ def dropped_bindings():
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("kind", ["indicator", "waxman", "constant"])
 def test_dstedc_and_dormtr_work_match_dsterf_and_dormtr(monkeypatch, kind, d, n):
-    """The eigenvalues (dstedc without vectors) are dsterf's, and every
-    one-column back-transform (dormtr_work with a one-double workspace) is
-    LAPACKE_dormtr's, bit for bit."""
+    """The eigenvalues (dstedc without vectors) are dsterf's, bit for bit.
+    The back-transform of every vector (dormtr_work with dsyevd's workspace)
+    applies LAPACKE_dormtr's Q: the vectors agree to roundoff, and differ in
+    the last bits only because LAPACKE_dormtr's smaller workspace makes
+    dormqr take a smaller block."""
     dsterf, dormtr = dropped_bindings()
     pairs = []
 
     def recording(*args):
-        if args[5] != 1:  # the n-column back-transform of the full solve
-            return real["dormtr_work"](*args)
-        column = args[9].copy()
+        rows = args[9].copy()
         info = real["dormtr_work"](*args)
-        assert dormtr(*args[:9], column, args[10]) == 0
-        pairs.append((args[9].copy(), column))
+        assert dormtr(*args[:9], rows, args[10]) == 0
+        pairs.append((args[9].copy(), rows))
         return info
 
     real = patch_lapack(monkeypatch, dormtr_work=recording)
@@ -496,11 +499,9 @@ def test_dstedc_and_dormtr_work_match_dsterf_and_dormtr(monkeypatch, kind, d, n)
     values = spectrum._d.copy()
     assert dsterf(n, values, spectrum._e.copy()) == 0
     assert np.array_equal(spectrum.eigenvalues, values[::-1])
-    for rank in range(1, min(n, 4) + 1):
-        spectrum.eigenvector(rank)
-    assert pairs or n < 130  # the smallest graphs may repeat an eigenvalue
-    for got, want in pairs:
-        assert np.array_equal(got, want)
+    spectrum.eigenvectors
+    [(got, want)] = pairs
+    assert np.abs(got - want).max() <= 1e-13
 
 
 def split_graph():
@@ -513,43 +514,30 @@ def split_graph():
     return Graph(n=200, adjacency=a)
 
 
-def test_tridiagonal_path_on_a_split_tridiagonal(monkeypatch):
-    """On split_graph(), dstebz reports more than one block."""
-    graph = split_graph()
-    blocks = []
-
-    def recording(*args):
-        info = real["dstebz"](*args)
-        blocks.append(int(args[11][0]))  # nsplit
-        return info
-
-    real = patch_lapack(monkeypatch, dstebz=recording)
-    partial = spectral.Spectrum(graph)
-    assert np.array_equal(partial.eigenvalues, np.linalg.eigvalsh(graph.dense())[::-1])
-    assert_matches_full_solve(graph, partial, spectral.ideal_eigenvalue(0.4, 0.1, 200),
-                              ranks=range(1, 11))
-    assert partial._eigenvectors is None and len(blocks) >= 10 and min(blocks) > 1
-
-
-def assert_window_requests_match_eigvalsh(graph):
-    """count_above and values, asked before any full list is read, against
-    eigvalsh; the spectrum reads no full list to answer them."""
+def assert_window_requests_match_eigvalsh(graph, windows=False):
+    """count_above and values, asked of a fresh Spectrum, against eigvalsh.
+    With windows, the windows answer the counts at random points and the
+    values of both ends, and A is not reduced for them."""
     w = np.linalg.eigvalsh(graph.dense())[::-1]
     n, tol = graph.n, 1e-12 * max(1.0, w[0])
     spectrum = spectral.Spectrum(graph)
     for x in np.random.default_rng(n).uniform(w[-1] - 1.0, w[0] + 1.0, 50):
         assert spectrum.count_above(x) == np.sum(w > x), x
-    # at an eigenvalue of eigvalsh, T's own eigenvalue lies on either side
+    middle = max(1, n // 2 - 1), min(n, n // 2 + 2)
+    spans = [(1, 1), (n, n), middle, (1, n)]
+    for first, last in spans[:2]:
+        assert np.abs(spectrum.values(first, last) - w[first - 1:last]).max() <= tol
+    if windows:
+        assert spectrum._d is None and spectrum._ritz
+    # at an eigenvalue of eigvalsh, A's own eigenvalue lies on either side
     # of it by roundoff, and so may be counted as above or not
     for x in w:
         assert np.sum(w > x + tol) <= spectrum.count_above(x) <= np.sum(w > x - tol), x
-    # ranks first bisected by different calls are in order up to roundoff
-    middle = max(1, n // 2 - 1), min(n, n // 2 + 2)
-    for first, last in [(1, 1), (n, n), middle, (1, n)]:
+    # ranks first read by different calls are in order up to roundoff
+    for first, last in spans:
         got = spectrum.values(first, last)
         assert len(got) == last - first + 1 and np.all(np.diff(got) <= tol)
         assert np.abs(got - w[first - 1:last]).max() <= tol, (first, last)
-    assert spectrum._eigenvalues is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 130, 1000])
@@ -557,7 +545,7 @@ def assert_window_requests_match_eigvalsh(graph):
 def test_window_requests_match_eigvalsh(kind, n):
     f_in, f_out = kernel_pair(kind, 1)
     graph, _ = leading_block(f_in, f_out, 1, n)
-    assert_window_requests_match_eigvalsh(graph)
+    assert_window_requests_match_eigvalsh(graph, windows=n == 1000)
     # selecting from the window picks what selecting from the full list picks
     w = np.linalg.eigvalsh(graph.dense())[::-1]
     full = spectral.eigendecompose(graph)
@@ -570,7 +558,7 @@ def test_window_requests_match_eigvalsh(kind, n):
 
 
 def test_sweep_cells_call_no_dsterf(monkeypatch):
-    """hosc, hosc_li and fiedler cells select from bisected windows; only a
+    """hosc, hosc_li and fiedler cells select from the Lanczos windows; only a
     caller that reads every eigenvalue runs dsterf (dstedc without vectors)."""
     calls = []
 
@@ -657,13 +645,6 @@ def without_vectors(stand_in):
     return lambda *args: (stand_in if args[1] == b"N" else bound)(*args)
 
 
-def one_column(stand_in):
-    """dormtr_work that calls stand_in to map back one column (eigenvector(rank))
-    and the routine bound now otherwise."""
-    bound = _openblas.lapack()["dormtr_work"]
-    return lambda *args: (stand_in if args[5] == 1 else bound)(*args)
-
-
 def complete_graph(m):
     return Graph(n=m, adjacency=np.ones((m, m), dtype=np.uint8) - np.eye(m, dtype=np.uint8))
 
@@ -718,8 +699,9 @@ def isolated_vertex_graph():
     return Graph(n=130, adjacency=a)
 
 
-@pytest.mark.parametrize("graph", [two_cliques(10)[0], complete_graph(10), isolated_vertex_graph()],
-                         ids=["two_cliques", "K10", "isolated_vertex"])
+@pytest.mark.parametrize("graph", [two_cliques(10)[0], complete_graph(10), isolated_vertex_graph(),
+                                   split_graph()],
+                         ids=["two_cliques", "K10", "isolated_vertex", "split_70_130"])
 def test_window_requests_on_repeated_and_split_spectra(graph):
     assert_window_requests_match_eigvalsh(graph)
 
@@ -756,65 +738,29 @@ COUNT_GRAPHS = {
 
 @pytest.mark.parametrize("name", COUNT_GRAPHS)
 def test_count_above_is_the_sturm_count(name):
-    """dstebz's count equals the Sturm count on T at random points and at
-    every eigenvalue of eigvalsh, where roundoff decides the side."""
+    """After a reduction, count_above(x) counts eigvalsh's eigenvalues above
+    x, at random points and at every eigenvalue; away from the eigenvalues
+    that is the Sturm count on T."""
     graph = COUNT_GRAPHS[name]()
     w = np.linalg.eigvalsh(graph.dense())[::-1]
     spectrum = reduced(graph)
     rng = np.random.default_rng(graph.n)
-    for x in np.concatenate([rng.uniform(w[-1] - 1.0, w[0] + 1.0, 50), w]):
+    points = rng.uniform(w[-1] - 1.0, w[0] + 1.0, 50)
+    for x in np.concatenate([points, w]):
+        assert spectrum.count_above(x) == np.sum(w > x), x
+    for x in points:
         assert spectrum.count_above(x) == sturm_count(spectrum._d, spectrum._e, x), x
-    assert spectrum._eigenvalues is None
-
-
-def test_hosc_bisects_each_rank_once(monkeypatch):
-    """One hosc makes one count and bisects its window, never rank 1 or
-    rank n; a later vector in the window whose neighbours are held
-    bisects nothing, and inverse iteration never bisects again.  fiedler
-    bisects rank 2, then ranks 1..3 for the gap, keeping rank 2's value."""
-    calls = []
-
-    def recording(*args):
-        calls.append((args[0], args[5], args[6]))  # range, il, iu
-        return real["dstebz"](*args)
-
-    real = patch_lapack(monkeypatch, dstebz=recording)
-    params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
-                        f_out=kernels.Indicator(0.05), seed=0)
-    graph = model.sample_graph(params)[0]
-    spectrum = reduced(graph)
-    _, report = spectral.cluster(spectrum, "hosc", 0.4, 0.1)
-    # the window is ranks 2..5, counted from the smallest as 996..999
-    assert calls == [(b"V", 0, 0), (b"I", 996, 999)]
-    assert report.selected_index == 4
-    for rank in (3, 4):
-        calls.clear()
-        spectrum.eigenvector(rank)
-        assert calls == [], rank
-    # rank 2's gap needs rank 1 and rank 5's rank 6, outside the window; only
-    # those are bisected
-    calls.clear()
-    spectrum.eigenvector(2)
-    assert calls == [(b"I", 1000, 1000)]
-    calls.clear()
-    spectrum.eigenvector(5)
-    assert calls == [(b"I", 995, 995)]
-    calls.clear()
-    spectral.cluster(reduced(graph), "fiedler", 0.4, 0.1)
-    assert calls == [(b"I", 999, 999), (b"I", 998, 1000)]
+    assert np.array_equal(spectrum._eigenvalues, w) and spectrum._eigenvectors is None
 
 
 def failing_routine(*args):
     return 1  # a LAPACK info > 0: no convergence
 
 
-def nan_dormtr(*args):
-    """Stands in for dormtr with a vector that is not finite."""
-    args[9][:] = np.nan
-    return 0
-
-
 def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
+    """A LAPACK call that fails inside the window on A (dsbtrd on its band,
+    dstebz or dstein on the band's tridiagonal form) hands out nothing: the
+    whole spectrum answers, with eigh's rank and vector from one full solve."""
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=1)
     graph, _, _ = model.sample_graph(params)
@@ -822,39 +768,36 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
     full = spectral.eigendecompose(graph)
     reference = spectral.select_eigenpair(full, lambda_star)
 
-    ranges = []
-
-    def failing_dstebz(*args):
-        ranges.append(args[0])
-        return 1
-
-    for name, stand_in in [("dstebz", failing_dstebz), ("dstein", failing_routine),
-                           ("dormtr_work", one_column(failing_routine)),
-                           ("dormtr_work", one_column(nan_dormtr))]:
+    for name in ("dsbtrd", "dstebz", "dstein"):
         with monkeypatch.context() as patch:
             calls = count_full_solves(patch)
-            patch_lapack(patch, **{name: stand_in})
-            report = spectral.select_eigenpair(reduced(graph), lambda_star)
-        assert calls == [200], (name, stand_in)
+            patch_lapack(patch, **{name: failing_routine})
+            spectrum = spectral.Spectrum(graph)
+            report = spectral.select_eigenpair(spectrum, lambda_star)
+        assert calls == [200], name
+        assert spectrum._d is not None and spectrum._ritz == {}, name
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
-    # the count failed first, then the window: both read the full list
-    assert ranges[:2] == [b"V", b"I"]
-    # selection reads no dsterf, so a failing one costs it no full solve;
-    # the eigenvalues, read after, still fall back to dstedc's
+    # selection on the window reads no dsterf, so a failing one costs it no full
+    # solve; the eigenvalues, read after, still fall back to dstedc's
     with monkeypatch.context() as patch:
         calls = count_full_solves(patch)
         patch_lapack(patch, dstedc=without_vectors(failing_routine))
-        partial = reduced(graph)
+        partial = spectral.Spectrum(graph)
         report = spectral.select_eigenpair(partial, lambda_star)
         assert calls == []
         assert report.selected_index == reference.selected_index
         assert np.abs(report.eigenvector - reference.eigenvector).max() <= 1e-10
         assert np.array_equal(partial.eigenvalues, full.eigenvalues)
         assert calls == [200]
+        # after a reduction selection reads the eigenvalues: the full solve answers
+        report = spectral.select_eigenpair(reduced(graph), lambda_star)
+        assert calls == [200, 200]
+        assert report.selected_index == reference.selected_index
+        assert np.array_equal(report.eigenvector, reference.eigenvector)
     # without the reduction there is nothing to fall back on: each request that
-    # reads T or the reflectors raises, and a later one tries again; the window,
-    # which would answer ranks 1 and 2 without T, is left out
+    # reads the whole spectrum raises, and a later one tries again; the window,
+    # which would answer ranks 1 and 2 without it, is left out
     patch_lapack(monkeypatch, dsytrd=failing_routine)
     failed = spectral.Spectrum(graph)  # reduces nothing yet
     failed._window = None  # and no window answers
@@ -867,8 +810,10 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
 
 
 def test_spectrum_reduces_on_its_first_request(monkeypatch):
-    """The constructor reduces nothing; the first request reduces A once,
-    records how long that took, and every later request reuses it."""
+    """The constructor reduces nothing, nor does a count inside the noise bulk,
+    which the window shifted to it answers; the first request that reads the
+    whole spectrum reduces A once, records how long that took, and every
+    later request reuses it."""
     calls = []
 
     def counted(*args):
@@ -879,8 +824,10 @@ def test_spectrum_reduces_on_its_first_request(monkeypatch):
     graph = sampled_graph(200)
     spectrum = spectral.Spectrum(graph)
     assert calls == [] and spectrum.solve_s == 0.0
-    spectrum.count_above(0.0)  # inside the noise bulk: the reduction answers
-    assert calls == [200] and spectrum.solve_s > 0.0
+    spectrum.count_above(0.0)
+    assert calls == [] and spectrum._shifted is not None
+    spectrum.values(100, 100)  # far from both ends and from the shift
+    assert calls == [200] and spectrum.solve_s > 0.0 and spectrum._shifted is None
     spectrum.eigenvector(2)
     spectrum.eigenvalues
     spectrum.eigenvectors
@@ -891,25 +838,25 @@ def test_spectrum_reduces_on_its_first_request(monkeypatch):
 
 
 def test_partial_spectrum_solves_each_rank_once(monkeypatch):
+    """Each rank's checked vector is cached.  A window builds the vectors
+    it holds from its basis; after a reduction, the first vector asked for
+    solves every vector once."""
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=2)
     graph, _, _ = model.sample_graph(params)
-    solves = []
-
-    def counted(*args):
-        solves.append(args[1])  # n
-        return real["dstein"](*args)
-
-    real = patch_lapack(monkeypatch, dstein=counted)
+    starts = window_starts(monkeypatch)
+    calls = count_full_solves(monkeypatch)
+    windowed = spectral.Spectrum(graph)
+    first = windowed.eigenvector(2)
+    assert windowed.eigenvector(2) is first
+    windowed.eigenvector(1)
+    assert starts == [200] and calls == [] and windowed._d is None
     partial = spectral.Spectrum(graph)
     partial._reduced()
-    before = partial._reflectors.copy()
     first = partial.eigenvector(4)
     assert partial.eigenvector(4) is first
     partial.eigenvector(2)
-    assert solves == [200, 200]
-    # dormtr may write to the reflectors while it runs; it must restore them
-    assert np.array_equal(partial._reflectors, before)
+    assert calls == [200] and partial._reflectors is None
     with pytest.raises(ValueError):
         spectral.Spectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
 
@@ -929,14 +876,14 @@ def test_residual_check_on_both_paths(monkeypatch):
         spec = spectral.eigendecompose(graph)
         with pytest.raises(EigendecompositionError, match="residual"):
             spec.eigenvector(1)
-    patch_lapack(monkeypatch, dormtr_work=one_column(garbage_dormtr))
+    garbled_ritz_vectors(monkeypatch)
     with pytest.raises(EigendecompositionError, match="residual"):
-        spectral.cluster(reduced(graph), "hosc", 0.4, 0.1)
+        spectral.cluster(spectral.Spectrum(graph), "hosc", 0.4, 0.1)
 
 
 def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys):
-    patch_lapack(monkeypatch, dormtr_work=one_column(garbage_dormtr))
-    monkeypatch.setattr(harness, "Spectrum", reduced)  # sgbm cluster reduces A itself
+    patch_lapack(monkeypatch, dormtr_work=garbage_dormtr)
+    monkeypatch.setattr(harness, "Spectrum", reduced)
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05))
     config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
@@ -947,12 +894,15 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
 
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=0)
-    graph, _, _ = model.sample_graph(params)
+    graph, truth, _ = model.sample_graph(params)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
+    model.write_labels(tmp_path / "truth.txt", truth)
     cfg = tmp_path / "run.cfg"
+    # with run.labels, sgbm cluster reads the whole spectrum, and so dormtr
     cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
                    "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
-                   f"run.graph = {tmp_path / 'edges.txt'}\n")
+                   f"run.graph = {tmp_path / 'edges.txt'}\n"
+                   f"run.labels = {tmp_path / 'truth.txt'}\n")
     assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert "eigensolver failure: eigenvector at eigenvalue" in capsys.readouterr().err
 
@@ -1032,10 +982,11 @@ def equal_cliques(count, size):
 @pytest.mark.parametrize("count", [2, 3])
 def test_window_sees_a_repeated_eigenvalue(monkeypatch, count):
     """From one start vector the window would hold one copy of the Perron value
-    and answer wrongly; from two it holds two, and the reduction answers."""
+    and answer wrongly; from two it holds two, and the whole spectrum answers,
+    as on a spectrum reduced first."""
     graph = equal_cliques(count, 150 if count == 2 else 100)
     perron = graph.n / count - 1.0
-    want = spectral.select_eigenpair(spectral.eigendecompose(graph), perron)
+    want = spectral.select_eigenpair(reduced(graph), perron)
     starts = window_starts(monkeypatch)
     spectrum = spectral.Spectrum(graph)
     got = spectral.select_eigenpair(spectrum, perron)
@@ -1120,16 +1071,16 @@ def test_waxman_grid_routes_each_cell(monkeypatch):
     """How each hosc cell of the Waxman q grid at n = 1000 is solved.  At the
     bottom end (q <= 0.35) the window on A stops at a rank inside the bulk
     and one shifted window answers; lambda* inside the bulk margin (q = 0.45,
-    0.55) goes to the reduction; the window on A answers at the top end.
-    Each count is the Sturm count on T, and each report the reduction's."""
+    0.55) is answered by the window shifted to it; the window on A answers at
+    the top end.  No cell reduces A.  Each count is eigvalsh's, and each
+    report the reduced spectrum's."""
     calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
     for q in harness.WAXMAN_Q_GRID:
         graph, lambda_star = waxman_cell(q)
         spectrum = spectral.Spectrum(graph)
         count = spectrum.count_above(lambda_star)
         got = spectral.select_eigenpair(spectrum, lambda_star)
-        assert calls == {"dsytrd": [1000] if q in (0.45, 0.55) else [],
-                         "dsytrf": [1000] if q <= 0.35 else []}, q
+        assert calls == {"dsytrd": [], "dsytrf": [1000] if q <= 0.55 else []}, q
         want = reduced(graph)
         assert count == want.count_above(lambda_star), q
         assert_same_report(got, spectral.select_eigenpair(want, lambda_star))
@@ -1149,17 +1100,17 @@ def graph_with_clique(clique):
 
 @pytest.mark.parametrize("case", ["singular", "repeated", "cap", "dsytrf", "dsytrs"])
 def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
-    """A shift the window cannot use hands out nothing, and the reduction
-    answers with eigendecompose's report.  Each case shifts at x, inside the
-    bulk margin, where selection then reduces A.  singular: x = -1, an
-    eigenvalue of a clique, makes A - sigma I exactly singular (dsytrf
-    info > 0); repeated: two equal cliques repeat the eigenvalue nearest x;
-    cap: the window stops at 8 vectors; dsytrf and dsytrs: the routine
-    fails, on the Waxman q = 0.45 cell at n = 300."""
+    """A shift the window cannot use hands out nothing, and the whole spectrum
+    answers, as on a spectrum reduced first.  Each case selects at x, inside
+    the bulk margin, where the count shifts at x, then reduces A.  singular:
+    x = -1, an eigenvalue of a clique, makes A - sigma I exactly singular
+    (dsytrf info > 0); repeated: two equal cliques repeat the eigenvalue
+    nearest x; cap: the window stops at 8 vectors; dsytrf and dsytrs: the
+    routine fails, on the Waxman q = 0.45 cell at n = 300."""
     graph, x = {"singular": lambda: (graph_with_clique(20), -1.0),
                 "repeated": lambda: (equal_cliques(2, 150), -0.5)}.get(
                     case, lambda: waxman_cell(0.45, n=300))()
-    want = spectral.select_eigenpair(spectral.eigendecompose(graph), x)
+    want = spectral.select_eigenpair(reduced(graph), x)
     if case == "cap":
         monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
     elif case in ("dsytrf", "dsytrs"):
@@ -1167,7 +1118,6 @@ def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
     starts = window_starts(monkeypatch)
     calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
     spectrum = spectral.Spectrum(graph)
-    assert spectrum._shifted_count(x, x) is None
     got = spectral.select_eigenpair(spectrum, x)
     assert calls == {"dsytrd": [graph.n], "dsytrf": [graph.n]}
     assert starts == ([] if case in ("singular", "dsytrf") else [graph.n])
