@@ -176,7 +176,8 @@ def cmd_cluster(args, config):
         # request; its eigenvalues are read first, dstedc's without vectors
         spectrum.eigenvalues
     # without run.labels the windows cluster, and the eigenvalues printed below are
-    # read after, dstedc's without vectors too
+    # read after, dstedc's without vectors too, unless a window gave up and every
+    # vector was solved (spectral.Spectrum._listed)
     predicted, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out,
                                          iterate=li_iterate == "true")
 

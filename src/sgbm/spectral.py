@@ -405,7 +405,9 @@ class Spectrum:
       sorted descending.  Without vectors dstedc runs dsterf, as
       eigvalsh's dsyevd does, so they equal eigvalsh's bit for bit.
       count_above(x) counts those above x, and values(first, last) reads
-      its ranks from them.
+      its ranks from them; while the windows are live, every vector is
+      solved first (_listed), so a selection they leave to the whole
+      spectrum is eigendecompose's.
     - eigenvectors: every eigenvector of T by divide and conquer
       (dstedc), mapped back by one dormtr over all n columns: dsyevd's
       own inner steps, so the pairs equal eigh's bit for bit.  The
@@ -470,7 +472,7 @@ class Spectrum:
         the window shifted to that rank's Ritz value, and inside the margin
         from the window shifted to x: the inertia at sigma and the held
         eigenvalues between sigma and x.  Where a window gives up, from the
-        eigenvalues.
+        eigenvalues, eigh's (_listed).
         """
         x, n = float(x), self.n
         if self._window is not None:
@@ -485,7 +487,7 @@ class Spectrum:
             count = None if sigma is None else self._shifted_count(sigma, x)
             if count is not None:
                 return count
-        return int(np.sum(self.eigenvalues > x))
+        return int(np.sum(self._listed() > x))
 
     @cached_property
     def _bulk_edge(self):
@@ -548,7 +550,7 @@ class Spectrum:
         Ranks a window holds, or the window on A can solve within _END_RANKS
         of an end together with the next rank inward (which the gap reads),
         or the shifted window can solve once it is factored, are answered
-        from it; any other span is read from eigenvalues.
+        from it; any other span is read from eigenvalues (_listed).
         """
         if not 1 <= first <= last <= self.n:
             raise ValueError(f"ranks {first}..{last} outside 1..{self.n}")
@@ -557,7 +559,17 @@ class Spectrum:
             self._hold(ranks)
         if all(rank in self._ritz for rank in ranks):
             return np.array([self._ritz[rank][0] for rank in ranks])
-        return self.eigenvalues[first - 1:last]
+        return self._listed()[first - 1:last]
+
+    def _listed(self):
+        """eigenvalues, for a count or values request no window answers.  While
+        the windows are live, every eigenpair is solved first: each caller goes
+        on to read the vector of a rank no window holds, and eigh's values are
+        the ones its column pairs with, so a repeated eigenvalue is split into
+        ranks as eigendecompose splits it."""
+        if self._window is not None:
+            self._solve_all()
+        return self.eigenvalues
 
     def _hold(self, ranks):
         """Converge ranks in a window where one can: near an end, the window on

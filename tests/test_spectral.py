@@ -955,10 +955,10 @@ def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys)
 
 @pytest.mark.parametrize("algorithm", ["hosc", "fiedler"])
 def test_window_at_its_cap_falls_back_to_the_reduction(monkeypatch, algorithm):
-    """A window that reaches its cap hands out nothing: every answer is the
-    reduction's, bit for bit."""
+    """A window that reaches its cap hands out nothing: every answer is
+    eigendecompose's, bit for bit."""
     graph = sampled_graph(1000)
-    want_labels, want = spectral.cluster(reduced(graph), algorithm, 0.4, 0.1)
+    want_labels, want = spectral.cluster(spectral.eigendecompose(graph), algorithm, 0.4, 0.1)
     starts = window_starts(monkeypatch)
     monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
     spectrum = spectral.Spectrum(graph)
@@ -982,11 +982,11 @@ def equal_cliques(count, size):
 @pytest.mark.parametrize("count", [2, 3])
 def test_window_sees_a_repeated_eigenvalue(monkeypatch, count):
     """From one start vector the window would hold one copy of the Perron value
-    and answer wrongly; from two it holds two, and the whole spectrum answers,
-    as on a spectrum reduced first."""
+    and answer wrongly; from two it holds two, and the whole spectrum answers
+    with eigendecompose's report."""
     graph = equal_cliques(count, 150 if count == 2 else 100)
     perron = graph.n / count - 1.0
-    want = spectral.select_eigenpair(reduced(graph), perron)
+    want = spectral.select_eigenpair(spectral.eigendecompose(graph), perron)
     starts = window_starts(monkeypatch)
     spectrum = spectral.Spectrum(graph)
     got = spectral.select_eigenpair(spectrum, perron)
@@ -1101,7 +1101,7 @@ def graph_with_clique(clique):
 @pytest.mark.parametrize("case", ["singular", "repeated", "cap", "dsytrf", "dsytrs"])
 def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
     """A shift the window cannot use hands out nothing, and the whole spectrum
-    answers, as on a spectrum reduced first.  Each case selects at x, inside
+    answers with eigendecompose's report.  Each case selects at x, inside
     the bulk margin, where the count shifts at x, then reduces A.  singular:
     x = -1, an eigenvalue of a clique, makes A - sigma I exactly singular
     (dsytrf info > 0); repeated: two equal cliques repeat the eigenvalue
@@ -1110,7 +1110,7 @@ def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
     graph, x = {"singular": lambda: (graph_with_clique(20), -1.0),
                 "repeated": lambda: (equal_cliques(2, 150), -0.5)}.get(
                     case, lambda: waxman_cell(0.45, n=300))()
-    want = spectral.select_eigenpair(reduced(graph), x)
+    want = spectral.select_eigenpair(spectral.eigendecompose(graph), x)
     if case == "cap":
         monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
     elif case in ("dsytrf", "dsytrs"):
