@@ -22,7 +22,7 @@ COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 # the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
 MEMORY_ERRORS = (-1010, -1011)
 
-_LAPACK = ("dsytrd", "dstebz", "dstein", "dstedc", "dormtr_work", "dsbtrd", "dsytrf", "dsytrs")
+_LAPACK = ("dsyevd", "dstebz", "dstein", "dsbtrd", "dsytrf", "dsytrs")
 
 
 @cache
@@ -40,9 +40,9 @@ def _signatures():
     return {
         "openblas_get_num_threads": ([], ctypes.c_int),
         "openblas_set_num_threads": ([ctypes.c_int], None),
-        # layout, uplo, n, a, lda, d, e, tau
-        "LAPACKE_dsytrd": ([layout, char, lapack_int, doubles, lapack_int, doubles, doubles,
-                            doubles], lapack_int),
+        # layout, jobz, uplo, n, a, lda, w
+        "LAPACKE_dsyevd": ([layout, char, char, lapack_int, doubles, lapack_int, doubles],
+                           lapack_int),
         # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
         "LAPACKE_dstebz": ([char, char, lapack_int, double, double, lapack_int, lapack_int,
                             double, doubles, doubles, ints, ints, doubles, ints, ints],
@@ -50,13 +50,6 @@ def _signatures():
         # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
         "LAPACKE_dstein": ([layout, lapack_int, doubles, doubles, lapack_int, doubles, ints,
                             ints, doubles, lapack_int, ints], lapack_int),
-        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
-        "LAPACKE_dormtr_work": ([layout, char, char, char, lapack_int, lapack_int, doubles,
-                                 lapack_int, doubles, doubles, lapack_int, doubles, lapack_int],
-                                lapack_int),
-        # layout, compz, n, d, e, z, ldz
-        "LAPACKE_dstedc": ([layout, char, lapack_int, doubles, doubles, doubles, lapack_int],
-                           lapack_int),
         # layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq
         "LAPACKE_dsbtrd": ([layout, char, char, lapack_int, lapack_int, doubles, lapack_int,
                             doubles, doubles, doubles, lapack_int], lapack_int),
@@ -89,7 +82,7 @@ def function(name):
 
 
 def lapack():
-    """{"dsytrd": ..., "dormtr_work": ...}: the LAPACKE routines
+    """{"dsyevd": ..., "dsytrs": ...}: the LAPACKE routines
     spectral.Spectrum calls, or None unless every one of them is bound."""
     routines = {name: function(f"LAPACKE_{name}") for name in _LAPACK}
     return None if None in routines.values() else routines

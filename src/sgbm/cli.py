@@ -172,12 +172,12 @@ def cmd_cluster(args, config):
     spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)  # a degenerate model solves nothing
     spectrum = spectral.Spectrum(graph)
     if truth is not None:
-        # the profile solves every vector, so the whole spectrum answers every
-        # request; its eigenvalues are read first, dstedc's without vectors
-        spectrum.eigenvalues
+        # the profile reads every vector, so one dsyevd with vectors answers every
+        # request, and the selection and the eigenvalues printed below are eigh's
+        spectrum.eigenvectors
     # without run.labels the windows cluster, and the eigenvalues printed below are
-    # read after, dstedc's without vectors too, unless a window gave up and every
-    # vector was solved (spectral.Spectrum._listed)
+    # read after, eigvalsh's, unless a window gave up and every vector was solved
+    # (spectral.Spectrum._listed)
     predicted, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out,
                                          iterate=li_iterate == "true")
 

@@ -516,11 +516,11 @@ def write_meta(path, config_echo, workers=1):
         threads = "not controllable"
     else:
         threads = 1 if workers > 1 else controls[0]()  # as run_sweep runs cells
-    # what spectral.Spectrum calls: Lanczos windows, else the reduction, on the
-    # LAPACKE routines, or eigh without them
+    # what spectral.Spectrum calls: Lanczos windows, else dsyevd on the whole
+    # spectrum, on the LAPACKE routines, or eigh without them
     routines = _openblas.lapack()
     solver = ("block Lanczos windows on Graph.matvec and on a dsytrf factor of "
-              "A - sigma I, else reduction; LAPACKE " + " ".join(routines)
+              "A - sigma I, else dsyevd; LAPACKE " + " ".join(routines)
               if routines is not None
               else "numpy.linalg.eigh (the LAPACKE routines are not exported)")
     lines = [

@@ -69,9 +69,9 @@ class Graph:
 
     def dense(self):
         """Adjacency as float64, the form LAPACK wants: a fresh n x n copy on
-        every call, which spectral.Spectrum overwrites in place with its
-        tridiagonal reduction (dsytrd), kept as the reflectors, or with the
-        Bunch-Kaufman factor of A - sigma I (dsytrf).
+        every call, which spectral.Spectrum overwrites in place: dsyevd
+        leaves the eigenvectors in it, dsytrf the Bunch-Kaufman factor of
+        A - sigma I.
         Residual checks and rayleigh_bound use matvec, not this."""
         return self.adjacency.astype(np.float64)
 

@@ -15,15 +15,17 @@ and where that window stops at a rank inside it, a shift-invert Lanczos
 window on (A - sigma I)^-1 answers, its count certified by the inertia
 of a Bunch-Kaufman factorization.  What neither window answers, and the
 per-eigenvector accuracy profile, which reads every eigenvector, read the
-whole spectrum, solved once.  Every reader of a graph's spectrum
-(cluster, the motif baseline's fallback, rayleigh_bound) is handed one
-Spectrum and reads its graph from it, so each graph is solved once.
+whole spectrum, solved once by LAPACK dsyevd, as numpy's eigh solves it.
+Every reader of a graph's spectrum (cluster, the motif baseline's
+fallback, rayleigh_bound) is handed one Spectrum and reads its graph from
+it, so each graph is solved once.
 
 Local improvement, the paper's small adjustment for strong consistency,
 switches every node whose degree margin z_in - z_out (model.degree_stats)
 is negative.  Labels are checked by model.check_labels alone.
 """
 
+import contextlib
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -363,7 +365,7 @@ class Spectrum:
     to _tolerance_scale(graph), an upper bound on lambda_1 that costs two
     Graph.matvec passes over A.
 
-    Two Lanczos windows (_Window) answer while A has not been reduced.  A
+    Two Lanczos windows (_Window) answer until the whole spectrum is read.  A
     Ritz pair has converged when its residual on A, read off the band, is at
     most _RESIDUAL_RTOL times the scale.  A window grows (by _WINDOW_STEP
     vectors on A, _SHIFT_STEP shifted) until every rank a request reads has
@@ -396,29 +398,24 @@ class Spectrum:
     has an eigenvalue within _GAP_RTOL of sigma, or a LAPACK call fails.
 
     What no window answers, and every request after the first such one,
-    reads the whole spectrum.  It reduces one float64 copy of A to
-    tridiagonal form, T = Q^T A Q (LAPACK dsytrd, in place: the copy then
-    holds the Householder reflectors of Q), and drops the windows (LAPACK
-    Users' Guide, section 2.4.4; Parlett, ch. 4):
+    reads the whole spectrum: one LAPACK dsyevd call in place on a float64
+    copy of A, made after the windows are dropped, the routine numpy's
+    eigvalsh and eigh call.
 
-    - eigenvalues: every eigenvalue of T by dstedc without vectors,
-      sorted descending.  Without vectors dstedc runs dsterf, as
-      eigvalsh's dsyevd does, so they equal eigvalsh's bit for bit.
-      count_above(x) counts those above x, and values(first, last) reads
-      its ranks from them; while the windows are live, every vector is
-      solved first (_listed), so a selection they leave to the whole
-      spectrum is eigendecompose's.
-    - eigenvectors: every eigenvector of T by divide and conquer
-      (dstedc), mapped back by one dormtr over all n columns: dsyevd's
-      own inner steps, so the pairs equal eigh's bit for bit.  The
-      reflectors are dropped after it.  eigenvector(rank) reads its
-      column.
+    - eigenvalues: dsyevd without vectors, sorted descending, equal to
+      eigvalsh's bit for bit.  count_above(x) counts those above x, and
+      values(first, last) reads its ranks from them; while the windows
+      are live, every vector is solved first (_listed), so a selection
+      they leave to the whole spectrum is eigendecompose's.
+    - eigenvectors: dsyevd with vectors, every pair equal to eigh's bit
+      for bit; the copy of A then holds them, and eigenvectors is a view
+      of it.  eigenvector(rank) reads its column.
 
-    The eigenvalues are fixed at their first read: dstedc's (eigh's) if
-    every vector was solved by then, otherwise those of dstedc without
-    vectors (eigvalsh's), or dstedc's when that fails.  Vectors are cached
-    by rank, whichever way they were solved.  Without these routines in
-    numpy's OpenBLAS there is no window, and eigh gives every pair.
+    The eigenvalues are fixed at their first read: eigh's if every vector
+    was solved by then, otherwise eigvalsh's, or eigh's when dsyevd
+    without vectors fails.  Vectors are cached by rank, whichever way they
+    were solved.  Without these routines in numpy's OpenBLAS there is no
+    window, and eigh gives every pair.
     Callers only ask for what they read: how an eigenpair is solved is
     decided here alone.
     """
@@ -427,13 +424,13 @@ class Spectrum:
         if graph.n < 2:
             raise ValueError("need at least two nodes")
         self.graph, self.n = graph, graph.n
-        self.solve_s = 0.0  # wall time of the windows and the reduction, once run
-        self._eigenvalues = self._eigenvectors = self._d = None
+        self.solve_s = 0.0  # wall time of the windows and the whole spectrum, once run
+        self._eigenvalues = self._eigenvectors = None
         self._vectors = {}
         self._ritz = {}  # rank: (value, coordinates, window) of a converged Ritz pair
         self._lapack = _openblas.lapack()
         # the window on A, and on (A - sigma I)^-1 once a shift is factored; both
-        # are dropped by the reduction, and neither is made without LAPACK
+        # are dropped by the whole spectrum's solve, and neither is made without LAPACK
         self._window = None if self._lapack is None else _Window(graph, self._lapack)
         self._shifted = None
 
@@ -441,27 +438,21 @@ class Spectrum:
     def _scale(self):
         return _tolerance_scale(self.graph)
 
-    def _reduced(self):
-        """Whether T and the reflectors are at hand: False without LAPACK,
-        else True, after dsytrd on the first call.  Every request that reads
-        them asks this first.  The reduction drops the windows; a failed one
-        raises and keeps nothing, so the next request tries again."""
-        if self._lapack is None:
-            return False
-        if self._d is not None:
-            return True
+    def _dsyevd(self, jobz):
+        """(w, a): dsyevd with jobz (b"N" or b"V") in place on a fresh float64
+        copy a of A, w every eigenvalue ascending and, with b"V", row i of a
+        the eigenvector of w[i].  It drops both windows first, so that one
+        n x n copy of A is alive at a time; a failure raises and keeps
+        nothing, so the next request tries again."""
         start, n = time.perf_counter(), self.n
-        # the factor goes first: one n x n copy of A is alive at a time
         self._window = self._shifted = None
         self._ritz = {}
         # A is symmetric, so its C-order copy read in Fortran order is A itself
-        reflectors = self.graph.dense()
-        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-        _raise_on_failure("dsytrd", self._lapack["dsytrd"](
-            _openblas.COL_MAJOR, b"L", n, reflectors, n, d, e, tau))
-        self._reflectors, self._d, self._e, self._tau = reflectors, d, e, tau
+        a, w = self.graph.dense(), np.empty(n)
+        _raise_on_failure("dsyevd", self._lapack["dsyevd"](
+            _openblas.COL_MAJOR, jobz, b"L", n, a, n, w))
         self.solve_s += time.perf_counter() - start
-        return True
+        return w, a
 
     def count_above(self, x):
         """How many eigenvalues are greater than x.
@@ -659,12 +650,10 @@ class Spectrum:
     def eigenvalues(self):
         """Every eigenvalue, sorted descending."""
         if self._eigenvalues is None:
-            if self._reduced():
-                # compz N: dstedc runs dsterf and references no vectors
-                values = self._d.copy()
-                if self._lapack["dstedc"](_openblas.COL_MAJOR, b"N", self.n, values,
-                                          self._e.copy(), np.empty(1), 1) == 0:
-                    self._eigenvalues = values[::-1]
+            if self._lapack is not None:
+                # a failed solve without vectors leaves them to the full solve
+                with contextlib.suppress(EigendecompositionError, MemoryError):
+                    self._eigenvalues = self._dsyevd(b"N")[0][::-1]
             if self._eigenvalues is None:
                 self._solve_all()
         return self._eigenvalues
@@ -691,26 +680,16 @@ class Spectrum:
         return self._vectors[rank]
 
     def _solve_all(self):
-        """Every eigenpair, as dsyevd computes them; eigh without LAPACK."""
-        if not self._reduced():
+        """Every eigenpair, as eigh solves them: dsyevd with vectors, or eigh
+        itself without LAPACK."""
+        if self._lapack is None:
             try:
                 values, vectors = np.linalg.eigh(self.graph.dense())
             except np.linalg.LinAlgError as exc:
                 raise EigendecompositionError(str(exc)) from exc
         else:
-            n = self.n
-            values, rows = self._d.copy(), np.empty((n, n))
-            _raise_on_failure("dstedc", self._lapack["dstedc"](
-                _openblas.COL_MAJOR, b"I", n, values, self._e.copy(), rows, n))
-            # dormqr's whole blocked workspace (n * nb + 65 * 64 doubles, nb <= 64), as
-            # dsyevd passes it: with the n * nb that LAPACKE_dormtr allocates, dormqr
-            # shrinks its block and the vectors differ from dsyevd's in the last bits
-            work = np.empty(n * 64 + 65 * 64)
-            _raise_on_failure("dormtr", self._lapack["dormtr_work"](
-                _openblas.COL_MAJOR, b"L", b"L", b"N", n, n, self._reflectors, n, self._tau,
-                rows, n, work, len(work)))
+            values, rows = self._dsyevd(b"V")
             vectors = rows.T  # column-major: row i of rows pairs with values[i]
-            self._reflectors = None  # every later request reads the vectors
         self._eigenvectors = vectors[:, ::-1]
         if self._eigenvalues is None:
             self._eigenvalues = values[::-1]

@@ -1,4 +1,5 @@
-"""Shared Monte-Carlo ensembles.
+"""Shared fixtures: stand-ins for the LAPACK routines spectral.Spectrum
+calls, and Monte-Carlo ensembles.
 
 The expensive fixtures are session-scoped and store summaries, not
 spectra: a 2000x2000 eigenvector matrix is 32 MB, so holding ten of
@@ -11,7 +12,54 @@ import time
 import numpy as np
 import pytest
 
-from sgbm import kernels, model, spectral
+from sgbm import _openblas, kernels, model, spectral
+
+# the argument that holds n, for each LAPACKE routine the tests count
+_N_ARGUMENT = {"dsyevd": 3, "dsytrf": 2}
+
+
+def _patch_lapack(monkeypatch, **stand_ins):
+    """Spectrum objects built from now on call the stand-ins in place of
+    the LAPACK routines of those names; returns the routines bound before."""
+    real = _openblas.lapack()
+    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, **stand_ins})
+    return real
+
+
+def _count_routines(monkeypatch, *names, delay=0.0):
+    """{name: [n, ...]}: n for every call of each LAPACK routine named by
+    the Spectrum objects built from now on, each call after a sleep of
+    delay seconds.  "dsyevd N" and "dsyevd V" count only the dsyevd calls
+    without and with vectors (jobz); "dsyevd" counts both."""
+    calls = {name: [] for name in names}
+
+    def counted(routine):
+        n_at = _N_ARGUMENT[routine]
+
+        def call(*args):
+            keys = [routine] + ([f"dsyevd {args[1].decode()}"] if routine == "dsyevd" else [])
+            for key in keys:
+                if key in calls:
+                    calls[key].append(args[n_at])
+            time.sleep(delay)
+            return real[routine](*args)
+        return call
+
+    real = _patch_lapack(monkeypatch, **{routine: counted(routine)
+                                         for routine in {name.split()[0] for name in names}})
+    return calls
+
+
+@pytest.fixture
+def patch_lapack():
+    """The function patch_lapack(monkeypatch, **stand_ins)."""
+    return _patch_lapack
+
+
+@pytest.fixture
+def count_routines():
+    """The function count_routines(monkeypatch, *names, delay=0.0)."""
+    return _count_routines
 
 
 class FixedSpectrum:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgbm import _openblas, cli, harness, kernels, model, spectral
+from sgbm import cli, harness, kernels, model, spectral
 from sgbm.model import Graph
 
 
@@ -23,24 +23,6 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-def count_solves(monkeypatch, *names):
-    """Record n for every dense factorization of A by the Spectrum objects
-    built from now on: a reduction (dsytrd call) or a Bunch-Kaufman factor
-    (dsytrf call), or every call of the LAPACK routines named instead."""
-    calls = []
-    real = _openblas.lapack()
-
-    def counted(name):
-        def routine(*args):
-            calls.append(args[2])  # n
-            return real[name](*args)
-        return routine
-
-    monkeypatch.setattr(_openblas, "lapack", lambda: {
-        **real, **{name: counted(name) for name in names or ("dsytrd", "dsytrf")}})
-    return calls
-
-
 def window_starts(monkeypatch):
     """Record n for every Lanczos window on A started from now on."""
     calls = []
@@ -52,20 +34,6 @@ def window_starts(monkeypatch):
         return grow(window, size)
 
     monkeypatch.setattr(spectral._Window, "grow", counted)
-    return calls
-
-
-def count_full_solves(monkeypatch):
-    """Record n for every dstedc call with vectors (compz I) from now on."""
-    calls = []
-    real = _openblas.lapack()
-
-    def counted(*args):
-        if args[1] == b"I":  # compz
-            calls.append(args[2])  # n
-        return real["dstedc"](*args)
-
-    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, "dstedc": counted})
     return calls
 
 
@@ -154,14 +122,16 @@ def test_generate_rejects_bad_seed(tmp_path):
     assert code == 2
 
 
-def test_degenerate_model_exit_code(tmp_path, monkeypatch):
+def test_degenerate_model_exit_code(tmp_path, monkeypatch, count_routines):
     cfg = write_config(tmp_path, GBM_CONFIG.replace("kernel_out.r = 0.05",
                                                     "kernel_out.r = 0.2"))
     out = tmp_path / "o"
-    calls, starts = count_solves(monkeypatch), window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
+    starts = window_starts(monkeypatch)
     code = cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 3
-    assert calls == starts == []  # lambda* is undefined, so nothing is solved
+    # lambda* is undefined, so nothing is solved
+    assert calls == {"dsyevd": [], "dsytrf": []} and starts == []
 
 
 def test_unwritable_out_is_config_error(tmp_path):
@@ -404,7 +374,7 @@ def hosc_then_eigendecompose(graph, mu_in, mu_out, truth, algorithm, out):
 
 
 @pytest.mark.parametrize("algorithm,with_truth", [("hosc", True), ("hosc_li", False)])
-def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch,
+def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch, count_routines,
                                                     algorithm, with_truth):
     params = model.SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05), seed=5)
@@ -417,9 +387,9 @@ def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
 
-    calls = count_solves(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
     assert cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert calls == [200]
+    assert calls == {"dsyevd": [200], "dsytrf": []}
 
     reference = tmp_path / "reference"
     hosc_then_eigendecompose(graph, kernels.edge_density(params.f_in),
@@ -468,39 +438,77 @@ def test_cluster_labels_do_not_depend_on_truth(tmp_path, monkeypatch, kernel_con
     (KERNEL_CONFIG, kernels.Indicator(0.2), kernels.Indicator(0.05)),
     (WAXMAN_CONFIG, kernels.Waxman(0.5, 1.0), kernels.Waxman(0.25, 1.0)),
 ], ids=["indicator", "waxman"])
-def test_cluster_without_labels_selects_on_the_windows(tmp_path, monkeypatch, kernel_config,
-                                                        f_in, f_out):
+def test_cluster_without_labels_selects_on_the_windows(tmp_path, monkeypatch, count_routines,
+                                                        kernel_config, f_in, f_out):
     """Without run.labels nothing reads every vector: sgbm cluster selects on
-    the Lanczos windows, then reduces A once to print every eigenvalue, and
-    runs no full solve.  With run.labels the profile solves every vector, so
-    the one reduction comes first and the windows do not run."""
+    the Lanczos windows, then solves the eigenvalues alone once (dsyevd
+    without vectors) to print them, and runs no full solve.  With run.labels
+    the profile reads every vector, so one dsyevd with vectors comes first
+    and the windows do not run."""
     params = model.SgbmParams(n=400, d=1, f_in=f_in, f_out=f_out, seed=3)
     graph, truth, _ = model.sample_graph(params)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
     model.write_labels(tmp_path / "truth.txt", truth)
     base = kernel_config + f"run.algorithm = hosc_li\nrun.graph = {tmp_path / 'edges.txt'}\n"
     truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
-    for name, text, want in [("plain", base, []), ("truth", base + truth_key, [400])]:
+    for name, text, want in [("plain", base, ([400], [], [400])),
+                             ("truth", base + truth_key, ([], [400], []))]:
         with monkeypatch.context() as patch:
-            full = count_full_solves(patch)
-            reductions = count_solves(patch, "dsytrd")
+            calls = count_routines(patch, "dsyevd N", "dsyevd V")
             starts = window_starts(patch)
             cfg = write_config(tmp_path, text, f"{name}.cfg")
             assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
                              "--quiet"]) == 0
-        assert (full, reductions, starts) == (want, [400], [400] if name == "plain" else [])
+        assert (calls["dsyevd N"], calls["dsyevd V"], starts) == want, name
 
 
-def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch):
-    """selection.csv's rank, eigenvalue and selected columns are the same bytes
-    with and without run.labels: both print dstedc's eigenvalues without
-    vectors, and each run reduces A once."""
+def test_cluster_with_labels_selects_as_eigendecompose(tmp_path, monkeypatch, count_routines):
+    """With run.labels, sgbm cluster runs exactly one dsyevd, with vectors,
+    and no window, on A or shifted (dsytrf): its selection is
+    eigendecompose's, bit for bit."""
     params = model.SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05), seed=3)
     graph, truth, _ = model.sample_graph(params)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
     model.write_labels(tmp_path / "truth.txt", truth)
-    calls = count_solves(monkeypatch)
+    cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
+                                                 f"run.labels = {tmp_path / 'truth.txt'}\n")
+    reports = []
+    cluster = spectral.cluster
+
+    def recorded(*args, **kwargs):
+        labels, report = cluster(*args, **kwargs)
+        reports.append(report)
+        return labels, report
+
+    monkeypatch.setattr(spectral, "cluster", recorded)
+    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf")
+    starts = window_starts(monkeypatch)
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert calls == {"dsyevd N": [], "dsyevd V": [400], "dsytrf": []} and starts == []
+    lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(params.f_in),
+                                            kernels.edge_density(params.f_out), 400)
+    want = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
+    [got] = reports
+    assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
+        (want.selected_index, want.lambda_selected, want.gap_to_next)
+    assert np.array_equal(got.eigenvector, want.eigenvector)
+
+
+def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch, count_routines):
+    """selection.csv's rank, eigenvalue and selected columns are the same bytes
+    with and without run.labels.  Without it the eigenvalues printed are
+    eigvalsh's (dsyevd without vectors), with it eigh's (dsyevd with vectors,
+    which the profile reads).  The two differ by about 1e-15 of the largest
+    eigenvalue, far below the 9 significant digits printed; they give the
+    same strings here and on generate_cluster_gbm's graphs (n = 2000) for
+    seeds 0-5.  Each run solves A once."""
+    params = model.SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=3)
+    graph, truth, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
+    model.write_labels(tmp_path / "truth.txt", truth)
+    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf")
     base = KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
     truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
     columns = []
@@ -512,7 +520,7 @@ def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch):
         columns.append([(cells[0], cells[1], cells[3]) for cells in
                         (line.split(",") for line in lines)])
     assert len(columns[0]) == 401 and columns[0] == columns[1]
-    assert calls == [400, 400]  # one reduction per run
+    assert calls == {"dsyevd N": [400], "dsyevd V": [400], "dsytrf": []}
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -678,18 +686,19 @@ def test_cluster_rejects_graph_file_below_two_nodes(tmp_path, capsys, n):
 
 @pytest.mark.parametrize("text", ["", "# truth\n" + "1\n2\n" * 2, "1\n2\n257\n1\n"],
                          ids=["empty", "comment", "beyond_int8"])
-def test_cluster_rejects_bad_labels_file(tmp_path, capsys, monkeypatch, text):
-    """A labels file read_labels rejects exits 2 naming the file, before any reduction."""
+def test_cluster_rejects_bad_labels_file(tmp_path, capsys, monkeypatch, count_routines, text):
+    """A labels file read_labels rejects exits 2 naming the file, before any solve."""
     graph = model.sample_graph(model.SgbmParams(n=4, d=1, f_in=kernels.Indicator(0.2),
                                                 f_out=kernels.Indicator(0.05), seed=0))[0]
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     (tmp_path / "labels.txt").write_text(text)
     cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
                                                  f"run.labels = {tmp_path / 'labels.txt'}\n")
-    calls, starts = count_solves(monkeypatch), window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
+    starts = window_starts(monkeypatch)
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: bad labels file: {tmp_path / 'labels.txt'}:" in capsys.readouterr().err
-    assert calls == starts == []
+    assert calls == {"dsyevd": [], "dsytrf": []} and starts == []
 
 
 def test_cluster_rejects_graph_file_too_large_for_memory(tmp_path, capsys):

@@ -169,63 +169,55 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
             harness.run_sweep(config, workers=workers)
 
 
-def count_partial_solves(monkeypatch, delay=0.0):
-    """Record n for every solve of the Spectrum objects built from now on, each
-    after a sleep: a reduction (dsytrd call), a factorization (dsytrf call) or
-    the start of a Lanczos window on A."""
-    calls = []
-    real = _openblas.lapack()
+def count_partial_solves(monkeypatch, count_routines, delay=0.0):
+    """{kind: [n, ...]} for every solve of the Spectrum objects built from now
+    on, each after a sleep: the whole spectrum (dsyevd), a factorization
+    (dsytrf) or the start of a Lanczos window on A (window)."""
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", delay=delay)
+    calls["window"] = []
     grow = spectral._Window.grow
-
-    def counted(name):
-        def routine(*args):
-            calls.append(args[2])  # n
-            time.sleep(delay)
-            return real[name](*args)
-        return routine
 
     def counted_grow(window, size):
         if window.basis is None and window.sigma is None:
-            calls.append(window.n)
+            calls["window"].append(window.n)
             time.sleep(delay)
         return grow(window, size)
 
-    monkeypatch.setattr(_openblas, "lapack", lambda: {
-        **real, "dsytrd": counted("dsytrd"), "dsytrf": counted("dsytrf")})
     monkeypatch.setattr(spectral._Window, "grow", counted_grow)
     return calls
 
 
-def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch):
-    calls = count_partial_solves(monkeypatch)
+def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch, count_routines):
+    calls = count_partial_solves(monkeypatch, count_routines)
     point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="one", grid=[point], seeds=[0],
                          algorithms=("hosc", "hosc_li", "fiedler"))
     assert all(row.note == "" for row in harness.run_sweep(config))
-    assert calls == [100]
+    assert calls == {"dsyevd": [], "dsytrf": [], "window": [100]}
 
-    calls.clear()
+    for kind in calls.values():
+        kind.clear()
     degenerate = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.1),
                            f_out=kernels.Indicator(0.1))
     config = SweepConfig(experiment="none", grid=[degenerate], seeds=[0])
     assert harness.run_sweep(config)[0].note.startswith("error: mu_in equals mu_out")
-    assert calls == []
+    assert calls == {"dsyevd": [], "dsytrf": [], "window": []}
 
 
-def test_every_algorithm_of_a_cell_shares_one_spectrum(tmp_path, monkeypatch):
+def test_every_algorithm_of_a_cell_shares_one_spectrum(tmp_path, monkeypatch, count_routines):
     """At the fig3 radii and n = 1000 motif_baseline falls back to the rank-2
     vector.  It reads that from the cell's one Spectrum, so the cell solves
     A twice: hosc's count inside the bulk margin factors A - lambda* I, and
     fiedler's rank 2 starts the window on A, which motif then reads (a
     Spectrum of its own would start a second); its labels are fiedler's."""
-    calls = count_partial_solves(monkeypatch)
+    calls = count_partial_solves(monkeypatch, count_routines)
     point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="fig3", grid=[point], seeds=[0],
                          algorithms=harness.ALGORITHMS, labels_dir=str(tmp_path))
     rows = harness.run_sweep(config)
-    assert calls == [1000, 1000]
+    assert calls == {"dsyevd": [], "dsytrf": [1000], "window": [1000]}
     fiedler, motif = rows[2], rows[3]
     assert motif.note == "fallback: fiedler_sign"
     assert motif.accuracy == fiedler.accuracy
@@ -233,12 +225,12 @@ def test_every_algorithm_of_a_cell_shares_one_spectrum(tmp_path, monkeypatch):
             == (tmp_path / "fig3_g0_s0_fiedler.predicted").read_bytes())
 
 
-def test_shared_solve_counts_once_per_row(monkeypatch):
+def test_shared_solve_counts_once_per_row(monkeypatch, count_routines):
     """Every spectral row of a cell includes the shared solve once, not twice
     in the row that ran it: hosc (which solves) and fiedler (which reuses
     the spectrum) differ by far less than the solve takes."""
     delay = 0.3
-    count_partial_solves(monkeypatch, delay)
+    count_partial_solves(monkeypatch, count_routines, delay)
     point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="timing", grid=[point], seeds=[0],
@@ -248,11 +240,11 @@ def test_shared_solve_counts_once_per_row(monkeypatch):
     assert abs(hosc.runtime_ms - fiedler.runtime_ms) < delay * 1000.0 / 3
 
 
-def test_motif_fallback_row_time_does_not_depend_on_order(monkeypatch):
+def test_motif_fallback_row_time_does_not_depend_on_order(monkeypatch, count_routines):
     """A motif_baseline row that falls back reads the cell's Spectrum, so, like
     every spectral row, it counts the cell's solve whichever row ran it."""
     delay = 0.3
-    count_partial_solves(monkeypatch, delay)
+    count_partial_solves(monkeypatch, count_routines, delay)
     point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
                       f_out=kernels.Indicator(0.05))
     motif_ms = []
@@ -679,8 +671,8 @@ def test_meta_sidecar(tmp_path, monkeypatch):
     assert "numpy:" in text
     if _openblas.lapack() is not None:
         assert ("eigensolver: block Lanczos windows on Graph.matvec and on a dsytrf factor "
-                "of A - sigma I, else reduction; "
-                "LAPACKE dsytrd dstebz dstein dstedc dormtr_work dsbtrd dsytrf dsytrs\n") in text
+                "of A - sigma I, else dsyevd; "
+                "LAPACKE dsyevd dstebz dstein dsbtrd dsytrf dsytrs\n") in text
     with monkeypatch.context() as patch:
         patch.setattr(_openblas, "lapack", lambda: None)
         harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)

@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import tracemalloc
 
 import numpy as np
@@ -74,11 +73,12 @@ def sampled_graph(n, seed=0):
     return model.sample_graph(params)[0]
 
 
-def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, capsys):
+def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, capsys,
+                                                      patch_lapack):
     graph = sampled_graph(200)
     # info > 0: no convergence
-    patch_lapack(monkeypatch, dstedc=lambda *args: 3)
-    with pytest.raises(EigendecompositionError, match="dstedc failed"):
+    patch_lapack(monkeypatch, dsyevd=lambda *args: 3)
+    with pytest.raises(EigendecompositionError, match="dsyevd failed"):
         spectral.eigendecompose(graph)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "labels.txt", np.ones(200, dtype=np.int8))
@@ -88,21 +88,21 @@ def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, ca
                    f"run.graph = {tmp_path / 'edges.txt'}\n"
                    f"run.labels = {tmp_path / 'labels.txt'}\n")
     assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    assert "eigensolver failure: LAPACK dstedc failed" in capsys.readouterr().err
+    assert "eigensolver failure: LAPACK dsyevd failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("info", [-1010, -1011])  # LAPACKE's work and transpose memory errors
-def test_eigendecompose_allocation_failure_is_a_memory_error(monkeypatch, info):
-    patch_lapack(monkeypatch, dstedc=lambda *args: info)
+def test_eigendecompose_allocation_failure_is_a_memory_error(monkeypatch, patch_lapack, info):
+    patch_lapack(monkeypatch, dsyevd=lambda *args: info)
     with pytest.raises(MemoryError):
         spectral.eigendecompose(sampled_graph(20))
 
 
 def test_eigendecompose_holds_one_dense_copy():
-    """While it solves, the traced peak is two float64 n x n arrays: the
-    reflectors and the eigenvectors (dstedc's own workspace is allocated by
-    LAPACKE, outside tracemalloc).  Once every vector is solved the
-    reflectors are dropped, and the spectrum holds the one array."""
+    """While it solves, the traced peak is one float64 n x n array, the copy
+    of A that dsyevd overwrites with the eigenvectors (its workspace is
+    allocated by LAPACKE, outside tracemalloc), and the spectrum then holds
+    that one array."""
     graph = sampled_graph(1000)
     tracemalloc.start()
     try:
@@ -111,7 +111,7 @@ def test_eigendecompose_holds_one_dense_copy():
     finally:
         tracemalloc.stop()
     assert spec.n == 1000
-    assert peak <= 2.1 * 8 * 1000**2
+    assert peak <= 1.1 * 8 * 1000**2
     assert held <= 1.1 * 8 * 1000**2
 
 
@@ -129,7 +129,7 @@ def test_residual_check_allocates_by_row_block():
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-    assert partial._d is None  # the window's Ritz vector was measured
+    assert partial._eigenvalues is None and 3 in partial._ritz  # the window's was measured
     vector = full.eigenvectors[:, 2]
     radius = max(1.0, float(full.eigenvalues[0]))
     value = float(full.eigenvalues[2])
@@ -329,16 +329,16 @@ def preset_rows(workers):
     return rows
 
 
-def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
+def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch, count_routines):
     """Rank, lambda_selected, gap_to_next, accuracy, results.csv and labels.
 
     The reference runs the same sweeps with eigendecompose, which solves
     every vector first, in place of Spectrum, which solves only the
     vectors asked for.  The windows answer every cell at workers 1 and 2,
-    so at OpenBLAS's default thread count and at one thread: no cell reduces
-    A or falls back to the full solve.  Persisted labels are compared byte
-    for byte: the sign rule makes them independent of the solver, not just
-    equal up to a swap.
+    so at OpenBLAS's default thread count and at one thread: no cell solves
+    the whole spectrum.  Persisted labels are compared byte for byte: the
+    sign rule makes them independent of the solver, not just equal up to a
+    swap.
     """
     labels_dir = {}
     run_sweep = harness.run_sweep
@@ -349,10 +349,9 @@ def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_sweep", persisting)
     labels_dir["out"] = tmp_path / "partial_labels"
-    full_solves = count_full_solves(monkeypatch)
-    reductions = count_routines(monkeypatch, "dsytrd")["dsytrd"]
+    whole = count_routines(monkeypatch, "dsyevd")["dsyevd"]
     runs = {workers: preset_rows(workers) for workers in (1, 2)}
-    assert full_solves == [] and reductions == []
+    assert whole == []
     labels_dir["out"] = tmp_path / "full_labels"
     monkeypatch.setattr(harness, "Spectrum", spectral.eigendecompose)
     full = preset_rows(2)
@@ -443,65 +442,16 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
     lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
                                             kernels.edge_density(f_out), n)
     assert_matches_full_solve(graph, partial, lambda_star)
-    # eigendecompose, the steps of dsyevd on the kept reduction, is eigh bit for bit
+    # eigendecompose, dsyevd with vectors in place on a copy of A, is eigh bit for bit
     full = spectral.eigendecompose(graph)
     values, vectors = np.linalg.eigh(graph.dense())
     assert np.array_equal(full.eigenvalues, values[::-1])
     assert np.array_equal(full.eigenvectors, vectors[:, ::-1])
     # and so is every vector solved after the eigenvalues, which stay eigvalsh's
     assert np.array_equal(partial.eigenvectors, vectors[:, ::-1])
-    assert partial.eigenvalues is eigenvalues and partial._reflectors is None
+    assert partial.eigenvalues is eigenvalues
     assert (spectral.per_eigenvector_accuracy(partial, labels)
             == spectral.per_eigenvector_accuracy(full, labels))
-
-
-def dropped_bindings():
-    """(LAPACKE_dsterf, LAPACKE_dormtr), bound here as references for the
-    routines Spectrum calls in their place; skips where they are not exported."""
-    library = _openblas._library()
-    dsterf, dormtr = (getattr(library, f"scipy_LAPACKE_{name}64_", None)
-                      for name in ("dsterf", "dormtr"))
-    if _openblas.lapack() is None or dsterf is None or dormtr is None:
-        pytest.skip("numpy's OpenBLAS does not export LAPACKE_dsterf and LAPACKE_dormtr")
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    lapack_int, char = ctypes.c_int64, ctypes.c_char
-    dsterf.argtypes, dsterf.restype = [lapack_int, doubles, doubles], lapack_int
-    dormtr.argtypes = [ctypes.c_int, char, char, char, lapack_int, lapack_int, doubles,
-                       lapack_int, doubles, doubles, lapack_int]
-    dormtr.restype = lapack_int
-    return dsterf, dormtr
-
-
-@pytest.mark.parametrize("n", [2, 3, 130, 1000])
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("kind", ["indicator", "waxman", "constant"])
-def test_dstedc_and_dormtr_work_match_dsterf_and_dormtr(monkeypatch, kind, d, n):
-    """The eigenvalues (dstedc without vectors) are dsterf's, bit for bit.
-    The back-transform of every vector (dormtr_work with dsyevd's workspace)
-    applies LAPACKE_dormtr's Q: the vectors agree to roundoff, and differ in
-    the last bits only because LAPACKE_dormtr's smaller workspace makes
-    dormqr take a smaller block."""
-    dsterf, dormtr = dropped_bindings()
-    pairs = []
-
-    def recording(*args):
-        rows = args[9].copy()
-        info = real["dormtr_work"](*args)
-        assert dormtr(*args[:9], rows, args[10]) == 0
-        pairs.append((args[9].copy(), rows))
-        return info
-
-    real = patch_lapack(monkeypatch, dormtr_work=recording)
-    f_in, f_out = kernel_pair(kind, d)
-    graph, _ = leading_block(f_in, f_out, d, n)
-    spectrum = spectral.Spectrum(graph)
-    spectrum._reduced()
-    values = spectrum._d.copy()
-    assert dsterf(n, values, spectrum._e.copy()) == 0
-    assert np.array_equal(spectrum.eigenvalues, values[::-1])
-    spectrum.eigenvectors
-    [(got, want)] = pairs
-    assert np.abs(got - want).max() <= 1e-13
 
 
 def split_graph():
@@ -517,7 +467,7 @@ def split_graph():
 def assert_window_requests_match_eigvalsh(graph, windows=False):
     """count_above and values, asked of a fresh Spectrum, against eigvalsh.
     With windows, the windows answer the counts at random points and the
-    values of both ends, and A is not reduced for them."""
+    values of both ends, and the whole spectrum is not solved for them."""
     w = np.linalg.eigvalsh(graph.dense())[::-1]
     n, tol = graph.n, 1e-12 * max(1.0, w[0])
     spectrum = spectral.Spectrum(graph)
@@ -528,7 +478,7 @@ def assert_window_requests_match_eigvalsh(graph, windows=False):
     for first, last in spans[:2]:
         assert np.abs(spectrum.values(first, last) - w[first - 1:last]).max() <= tol
     if windows:
-        assert spectrum._d is None and spectrum._ritz
+        assert spectrum._eigenvalues is None and spectrum._ritz
     # at an eigenvalue of eigvalsh, A's own eigenvalue lies on either side
     # of it by roundoff, and so may be counted as above or not
     for x in w:
@@ -557,17 +507,10 @@ def test_window_requests_match_eigvalsh(kind, n):
         assert got.gap_to_next == pytest.approx(want.gap_to_next, rel=1e-9)
 
 
-def test_sweep_cells_call_no_dsterf(monkeypatch):
+def test_sweep_cells_call_no_dsterf(monkeypatch, count_routines):
     """hosc, hosc_li and fiedler cells select from the Lanczos windows; only a
-    caller that reads every eigenvalue runs dsterf (dstedc without vectors)."""
-    calls = []
-
-    def counted(*args):
-        if args[1] == b"N":  # compz
-            calls.append(args[2])  # n
-        return real["dstedc"](*args)
-
-    real = patch_lapack(monkeypatch, dstedc=counted)
+    caller that reads every eigenvalue runs dsterf (dsyevd without vectors)."""
+    calls = count_routines(monkeypatch, "dsyevd N")["dsyevd N"]
     grid = [harness.GridPoint(n=300, d=1, f_in=f_in, f_out=f_out)
             for f_in, f_out in (kernel_pair("indicator", 1), kernel_pair("waxman", 1))]
     config = harness.SweepConfig(experiment="cells", grid=grid, seeds=[0, 1],
@@ -608,41 +551,12 @@ def test_without_lapack_the_partial_spectrum_is_the_full_solve(monkeypatch):
     assert calls == [300, 300]  # one per spectrum
 
 
-def reduced(graph):
-    """A Spectrum sent to the reduction on purpose: A is reduced before any
-    request, so the window answers none."""
+def whole_spectrum(graph):
+    """A Spectrum sent to the whole spectrum on purpose: its eigenvalues are
+    read before any request, which drops the windows, so they answer none."""
     spectrum = spectral.Spectrum(graph)
-    spectrum._reduced()
+    spectrum.eigenvalues
     return spectrum
-
-
-def patch_lapack(monkeypatch, **stand_ins):
-    """Spectrum objects built from now on call the stand-ins in place of
-    the LAPACK routines of those names; returns the real routines."""
-    real = _openblas.lapack()
-    monkeypatch.setattr(_openblas, "lapack", lambda: {**real, **stand_ins})
-    return real
-
-
-def count_full_solves(monkeypatch):
-    """Record n for every dstedc call with vectors (compz I) of the Spectrum
-    objects built from now on."""
-    calls = []
-
-    def counted(*args):
-        if args[1] == b"I":  # compz
-            calls.append(args[2])  # n
-        return real["dstedc"](*args)
-
-    real = patch_lapack(monkeypatch, dstedc=counted)
-    return calls
-
-
-def without_vectors(stand_in):
-    """dstedc that calls stand_in when asked for eigenvalues alone (compz N,
-    which runs dsterf) and the routine bound now otherwise."""
-    bound = _openblas.lapack()["dstedc"]
-    return lambda *args: (stand_in if args[1] == b"N" else bound)(*args)
 
 
 def complete_graph(m):
@@ -669,11 +583,12 @@ def twin_graph():
     (complete_graph(10), -1.0),  # K_10: -1 nine times
     twin_graph(),
 ], ids=["two_cliques", "K10", "twin"])
-def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda_star):
+def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, count_routines, graph,
+                                                      lambda_star):
     """The selected rank, vector and labels are eigendecompose's; the
     eigenvalues stay eigvalsh's, and every vector is solved once."""
     reference = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
-    calls = count_full_solves(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd V")["dsyevd V"]
     partial = spectral.Spectrum(graph)
     eigenvalues = partial.eigenvalues
     report = spectral.select_eigenpair(partial, lambda_star)
@@ -688,7 +603,6 @@ def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, graph, lambda
     assert report.gap_to_next <= spectral._GAP_RTOL * max(1.0, eigenvalues[0])
     partial.eigenvector(1)
     assert calls == [graph.n]  # the full solve is kept, not repeated
-    assert partial._reflectors is None
 
 
 def isolated_vertex_graph():
@@ -706,25 +620,6 @@ def test_window_requests_on_repeated_and_split_spectra(graph):
     assert_window_requests_match_eigvalsh(graph)
 
 
-def sturm_count(d, e, x):
-    """How many eigenvalues of the tridiagonal (d, e) exceed x: n minus the
-    non-positive pivots of the LDL^T factorization of T - x I, with
-    dstebz's rules for where T splits and for the smallest pivot (pivmin)."""
-    tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
-    squares = e**2
-    # T splits where e_j^2 is within roundoff of d_j d_j+1; the next pivot restarts there
-    split = np.abs(d[1:] * d[:-1]) * ulp**2 + tiny > squares
-    pivmin = max(1.0, squares.max(initial=0.0, where=~split)) * tiny
-    squares[split] = 0.0
-    pivot, below, x = 1.0, 0, float(x)
-    for diagonal, square in zip(d.tolist(), [0.0] + squares.tolist()):
-        pivot = diagonal - square / pivot - x
-        if abs(pivot) < pivmin:
-            pivot = -pivmin
-        below += pivot <= 0
-    return len(d) - below
-
-
 COUNT_GRAPHS = {
     **{f"{kind}-{n}": lambda kind=kind, n=n: leading_block(*kernel_pair(kind, 1), 1, n)[0]
        for kind in ("indicator", "waxman", "constant") for n in (2, 3, 4, 130, 1000)},
@@ -738,18 +633,14 @@ COUNT_GRAPHS = {
 
 @pytest.mark.parametrize("name", COUNT_GRAPHS)
 def test_count_above_is_the_sturm_count(name):
-    """After a reduction, count_above(x) counts eigvalsh's eigenvalues above
-    x, at random points and at every eigenvalue; away from the eigenvalues
-    that is the Sturm count on T."""
+    """Once the eigenvalues are read, count_above(x) counts eigvalsh's
+    eigenvalues above x, at random points and at every eigenvalue."""
     graph = COUNT_GRAPHS[name]()
     w = np.linalg.eigvalsh(graph.dense())[::-1]
-    spectrum = reduced(graph)
-    rng = np.random.default_rng(graph.n)
-    points = rng.uniform(w[-1] - 1.0, w[0] + 1.0, 50)
+    spectrum = whole_spectrum(graph)
+    points = np.random.default_rng(graph.n).uniform(w[-1] - 1.0, w[0] + 1.0, 50)
     for x in np.concatenate([points, w]):
         assert spectrum.count_above(x) == np.sum(w > x), x
-    for x in points:
-        assert spectrum.count_above(x) == sturm_count(spectrum._d, spectrum._e, x), x
     assert np.array_equal(spectrum._eigenvalues, w) and spectrum._eigenvectors is None
 
 
@@ -757,7 +648,7 @@ def failing_routine(*args):
     return 1  # a LAPACK info > 0: no convergence
 
 
-def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
+def test_lapack_failure_falls_back_to_full_solve(monkeypatch, patch_lapack, count_routines):
     """A LAPACK call that fails inside the window on A (dsbtrd on its band,
     dstebz or dstein on the band's tridiagonal form) hands out nothing: the
     whole spectrum answers, with eigh's rank and vector from one full solve."""
@@ -770,19 +661,21 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
 
     for name in ("dsbtrd", "dstebz", "dstein"):
         with monkeypatch.context() as patch:
-            calls = count_full_solves(patch)
+            calls = count_routines(patch, "dsyevd V")["dsyevd V"]
             patch_lapack(patch, **{name: failing_routine})
             spectrum = spectral.Spectrum(graph)
             report = spectral.select_eigenpair(spectrum, lambda_star)
         assert calls == [200], name
-        assert spectrum._d is not None and spectrum._ritz == {}, name
+        assert spectrum._eigenvectors is not None and spectrum._ritz == {}, name
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
     # selection on the window reads no dsterf, so a failing one costs it no full
-    # solve; the eigenvalues, read after, still fall back to dstedc's
+    # solve; the eigenvalues, read after, still fall back to eigh's
     with monkeypatch.context() as patch:
-        calls = count_full_solves(patch)
-        patch_lapack(patch, dstedc=without_vectors(failing_routine))
+        calls = count_routines(patch, "dsyevd V")["dsyevd V"]
+        bound = _openblas.lapack()["dsyevd"]
+        # dsyevd that fails without vectors (jobz N, which runs dsterf)
+        patch_lapack(patch, dsyevd=lambda *args: 1 if args[1] == b"N" else bound(*args))
         partial = spectral.Spectrum(graph)
         report = spectral.select_eigenpair(partial, lambda_star)
         assert calls == []
@@ -790,37 +683,31 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch):
         assert np.abs(report.eigenvector - reference.eigenvector).max() <= 1e-10
         assert np.array_equal(partial.eigenvalues, full.eigenvalues)
         assert calls == [200]
-        # after a reduction selection reads the eigenvalues: the full solve answers
-        report = spectral.select_eigenpair(reduced(graph), lambda_star)
+        # after the eigenvalues selection reads them: the full solve answers
+        report = spectral.select_eigenpair(whole_spectrum(graph), lambda_star)
         assert calls == [200, 200]
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
-    # without the reduction there is nothing to fall back on: each request that
-    # reads the whole spectrum raises, and a later one tries again; the window,
-    # which would answer ranks 1 and 2 without it, is left out
-    patch_lapack(monkeypatch, dsytrd=failing_routine)
-    failed = spectral.Spectrum(graph)  # reduces nothing yet
+    # without dsyevd there is nothing to fall back on: each request that reads
+    # the whole spectrum raises, and a later one tries again; the window, which
+    # would answer ranks 1 and 2 without it, is left out
+    patch_lapack(monkeypatch, dsyevd=failing_routine)
+    failed = spectral.Spectrum(graph)  # solves nothing yet
     failed._window = None  # and no window answers
     for request in (lambda: failed.count_above(0.0), lambda: failed.values(1, 1),
                     lambda: failed.eigenvalues, lambda: failed.eigenvector(2),
                     lambda: failed.eigenvectors):
-        with pytest.raises(EigendecompositionError, match="dsytrd failed"):
+        with pytest.raises(EigendecompositionError, match="dsyevd failed"):
             request()
-    assert failed.solve_s == 0.0 and failed._d is None
+    assert failed.solve_s == 0.0 and failed._eigenvalues is failed._eigenvectors is None
 
 
-def test_spectrum_reduces_on_its_first_request(monkeypatch):
-    """The constructor reduces nothing, nor does a count inside the noise bulk,
+def test_spectrum_reduces_on_its_first_request(monkeypatch, count_routines):
+    """The constructor solves nothing, nor does a count inside the noise bulk,
     which the window shifted to it answers; the first request that reads the
-    whole spectrum reduces A once, records how long that took, and every
-    later request reuses it."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2])  # n
-        return real["dsytrd"](*args)
-
-    real = patch_lapack(monkeypatch, dsytrd=counted)
+    whole spectrum solves it once (dsyevd), records how long that took, and
+    every later request reuses it."""
+    calls = count_routines(monkeypatch, "dsyevd")["dsyevd"]
     graph = sampled_graph(200)
     spectrum = spectral.Spectrum(graph)
     assert calls == [] and spectrum.solve_s == 0.0
@@ -837,42 +724,43 @@ def test_spectrum_reduces_on_its_first_request(monkeypatch):
     assert calls == [200]
 
 
-def test_partial_spectrum_solves_each_rank_once(monkeypatch):
+def test_partial_spectrum_solves_each_rank_once(monkeypatch, count_routines):
     """Each rank's checked vector is cached.  A window builds the vectors
-    it holds from its basis; after a reduction, the first vector asked for
-    solves every vector once."""
+    it holds from its basis; once the eigenvalues are read, the first vector
+    asked for solves every vector once."""
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=2)
     graph, _, _ = model.sample_graph(params)
     starts = window_starts(monkeypatch)
-    calls = count_full_solves(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd V")["dsyevd V"]
     windowed = spectral.Spectrum(graph)
     first = windowed.eigenvector(2)
     assert windowed.eigenvector(2) is first
     windowed.eigenvector(1)
-    assert starts == [200] and calls == [] and windowed._d is None
-    partial = spectral.Spectrum(graph)
-    partial._reduced()
+    assert starts == [200] and calls == [] and windowed._eigenvalues is None
+    partial = whole_spectrum(graph)
     first = partial.eigenvector(4)
     assert partial.eigenvector(4) is first
     partial.eigenvector(2)
-    assert calls == [200] and partial._reflectors is None
+    assert calls == [200]
     with pytest.raises(ValueError):
         spectral.Spectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
 
 
-def garbage_dormtr(*args):
-    """Stands in for dormtr with an answer that is no eigenvector."""
-    args[9][:] = np.random.default_rng(1).standard_normal(args[9].shape)
-    return 0
+def garbage_dsyevd(*args):
+    """Stands in for dsyevd: its eigenvalues, and in place of its vectors an
+    answer that is no eigenvector."""
+    info = _openblas.function("LAPACKE_dsyevd")(*args)
+    args[4][:] = np.random.default_rng(1).standard_normal(args[4].shape)
+    return info
 
 
-def test_residual_check_on_both_paths(monkeypatch):
+def test_residual_check_on_both_paths(monkeypatch, patch_lapack):
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=3)
     graph, _, _ = model.sample_graph(params)
     with monkeypatch.context() as patch:
-        patch_lapack(patch, dormtr_work=garbage_dormtr)
+        patch_lapack(patch, dsyevd=garbage_dsyevd)
         spec = spectral.eigendecompose(graph)
         with pytest.raises(EigendecompositionError, match="residual"):
             spec.eigenvector(1)
@@ -881,9 +769,10 @@ def test_residual_check_on_both_paths(monkeypatch):
         spectral.cluster(spectral.Spectrum(graph), "hosc", 0.4, 0.1)
 
 
-def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys):
-    patch_lapack(monkeypatch, dormtr_work=garbage_dormtr)
-    monkeypatch.setattr(harness, "Spectrum", reduced)
+def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, capsys,
+                                                     patch_lapack):
+    patch_lapack(monkeypatch, dsyevd=garbage_dsyevd)
+    monkeypatch.setattr(harness, "Spectrum", whole_spectrum)
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05))
     config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
@@ -898,7 +787,7 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "truth.txt", truth)
     cfg = tmp_path / "run.cfg"
-    # with run.labels, sgbm cluster reads the whole spectrum, and so dormtr
+    # with run.labels, sgbm cluster reads the whole spectrum, and so dsyevd's vectors
     cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
                    "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
                    f"run.graph = {tmp_path / 'edges.txt'}\n"
@@ -932,7 +821,7 @@ def garbled_ritz_vectors(monkeypatch):
 
 
 def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys):
-    """The window's vectors pass the same residual check as the reduction's."""
+    """The window's vectors pass the same residual check as the whole spectrum's."""
     starts = window_starts(monkeypatch)
     garbled_ritz_vectors(monkeypatch)
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
@@ -963,7 +852,7 @@ def test_window_at_its_cap_falls_back_to_the_reduction(monkeypatch, algorithm):
     monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
     spectrum = spectral.Spectrum(graph)
     labels, got = spectral.cluster(spectrum, algorithm, 0.4, 0.1)
-    assert starts == [1000] and spectrum._d is not None and spectrum._ritz == {}
+    assert starts == [1000] and spectrum._eigenvectors is not None and spectrum._ritz == {}
     assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
         (want.selected_index, want.lambda_selected, want.gap_to_next)
     assert np.array_equal(got.eigenvector, want.eigenvector)
@@ -990,7 +879,7 @@ def test_window_sees_a_repeated_eigenvalue(monkeypatch, count):
     starts = window_starts(monkeypatch)
     spectrum = spectral.Spectrum(graph)
     got = spectral.select_eigenpair(spectrum, perron)
-    assert starts == [graph.n] and spectrum._d is not None
+    assert starts == [graph.n] and spectrum._eigenvectors is not None
     assert (got.selected_index, got.gap_to_next) == (want.selected_index, want.gap_to_next)
     assert np.array_equal(spectral.sign_partition(got.eigenvector),
                           spectral.sign_partition(want.eigenvector))
@@ -1011,7 +900,7 @@ def test_window_bits_do_not_depend_on_blas_threads(f_in, f_out, n, seed):
         spectrum = spectral.Spectrum(graph)
         with harness._one_blas_thread() if pinned else contextlib.nullcontext():
             labels, report = spectral.cluster(spectrum, "hosc", mu_in, mu_out)
-        assert spectrum._d is None  # answered by the window
+        assert spectrum._eigenvalues is None  # answered by the window
         runs.append((report.lambda_selected, report.eigenvector.tobytes(), labels.tobytes()))
     assert runs[0] == runs[1]
 
@@ -1044,21 +933,6 @@ def waxman_cell(q, n=1000, seed=0):
     return model.sample_graph(params)[0], lambda_star
 
 
-def count_routines(monkeypatch, *names):
-    """{name: [n, ...]}: every call of each LAPACK routine named, by Spectrum
-    objects built from now on."""
-    calls = {name: [] for name in names}
-
-    def counted(name):
-        def routine(*args):
-            calls[name].append(args[2])  # n
-            return real[name](*args)
-        return routine
-
-    real = patch_lapack(monkeypatch, **{name: counted(name) for name in names})
-    return calls
-
-
 def assert_same_report(got, want):
     assert got.selected_index == want.selected_index
     assert got.lambda_selected == pytest.approx(want.lambda_selected, rel=1e-10, abs=1e-10)
@@ -1067,25 +941,25 @@ def assert_same_report(got, want):
                           spectral.sign_partition(want.eigenvector))
 
 
-def test_waxman_grid_routes_each_cell(monkeypatch):
+def test_waxman_grid_routes_each_cell(monkeypatch, count_routines):
     """How each hosc cell of the Waxman q grid at n = 1000 is solved.  At the
     bottom end (q <= 0.35) the window on A stops at a rank inside the bulk
     and one shifted window answers; lambda* inside the bulk margin (q = 0.45,
     0.55) is answered by the window shifted to it; the window on A answers at
-    the top end.  No cell reduces A.  Each count is eigvalsh's, and each
-    report the reduced spectrum's."""
-    calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
+    the top end.  No cell solves the whole spectrum.  Each count is
+    eigvalsh's, and each report the whole spectrum's."""
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
     for q in harness.WAXMAN_Q_GRID:
         graph, lambda_star = waxman_cell(q)
         spectrum = spectral.Spectrum(graph)
         count = spectrum.count_above(lambda_star)
         got = spectral.select_eigenpair(spectrum, lambda_star)
-        assert calls == {"dsytrd": [], "dsytrf": [1000] if q <= 0.55 else []}, q
-        want = reduced(graph)
+        assert calls == {"dsyevd": [], "dsytrf": [1000] if q <= 0.55 else []}, q
+        want = whole_spectrum(graph)
         assert count == want.count_above(lambda_star), q
         assert_same_report(got, spectral.select_eigenpair(want, lambda_star))
         assert np.abs(got.eigenvector - want.eigenvector(got.selected_index)).max() <= 1e-8
-        calls["dsytrd"].clear()
+        calls["dsyevd"].clear()
         calls["dsytrf"].clear()
 
 
@@ -1099,10 +973,12 @@ def graph_with_clique(clique):
 
 
 @pytest.mark.parametrize("case", ["singular", "repeated", "cap", "dsytrf", "dsytrs"])
-def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
+def test_shifted_window_falls_back_to_the_reduction(monkeypatch, patch_lapack, count_routines,
+                                                     case):
     """A shift the window cannot use hands out nothing, and the whole spectrum
     answers with eigendecompose's report.  Each case selects at x, inside
-    the bulk margin, where the count shifts at x, then reduces A.  singular:
+    the bulk margin, where the count shifts at x, then solves the whole
+    spectrum.  singular:
     x = -1, an eigenvalue of a clique, makes A - sigma I exactly singular
     (dsytrf info > 0); repeated: two equal cliques repeat the eigenvalue
     nearest x; cap: the window stops at 8 vectors; dsytrf and dsytrs: the
@@ -1116,27 +992,28 @@ def test_shifted_window_falls_back_to_the_reduction(monkeypatch, case):
     elif case in ("dsytrf", "dsytrs"):
         patch_lapack(monkeypatch, **{case: failing_routine})
     starts = window_starts(monkeypatch)
-    calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
     spectrum = spectral.Spectrum(graph)
     got = spectral.select_eigenpair(spectrum, x)
-    assert calls == {"dsytrd": [graph.n], "dsytrf": [graph.n]}
+    assert calls == {"dsyevd": [graph.n], "dsytrf": [graph.n]}
     assert starts == ([] if case in ("singular", "dsytrf") else [graph.n])
     assert spectrum._shifted is None and spectrum._ritz == {}
     assert_same_report(got, want)
 
 
 @pytest.mark.parametrize("routine", ["dsytrf", "dsytrs"])
-def test_hand_off_falls_back_to_the_reduction(monkeypatch, routine):
+def test_hand_off_falls_back_to_the_reduction(monkeypatch, patch_lapack, count_routines,
+                                               routine):
     """Where the window on A stops inside the bulk (the Waxman q = 0.25 cell
-    at n = 1000) and the shifted window then fails, the reduction answers,
-    with eigendecompose's report."""
+    at n = 1000) and the shifted window then fails, the whole spectrum
+    answers, with eigendecompose's report."""
     graph, x = waxman_cell(0.25)
     want = spectral.select_eigenpair(spectral.eigendecompose(graph), x)
     patch_lapack(monkeypatch, **{routine: failing_routine})
     starts = window_starts(monkeypatch)
-    calls = count_routines(monkeypatch, "dsytrd", "dsytrf")
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
     got = spectral.select_eigenpair(spectral.Spectrum(graph), x)
-    assert calls == {"dsytrd": [graph.n], "dsytrf": [graph.n]}
+    assert calls == {"dsyevd": [graph.n], "dsytrf": [graph.n]}
     assert starts == [graph.n] * (1 if routine == "dsytrf" else 2)
     assert_same_report(got, want)
 
