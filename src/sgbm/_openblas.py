@@ -5,8 +5,11 @@ numpy >= 2 wheels link scipy-openblas, built with 64-bit integers
 are bound: a system OpenBLAS exports LP64 names, whose 32-bit integers a
 binding declared for 64-bit ones would pass wrongly.  Where the names
 are missing (numpy 1.x wheels and other builds, untested), function()
-returns None and every caller keeps its fallback.  The library is
-opened on first use, so importing sgbm loads nothing.
+returns None: lapack() is then None, and spectral.Spectrum opens no
+Lanczos window and solves the whole spectrum with numpy's eigvalsh and
+eigh; without the thread controls, the sweep pool leaves OpenBLAS's
+thread count as it is.  The library is opened on first use, so importing
+sgbm loads nothing.
 
 dlsym on numpy's linalg extension also searches the libraries it links,
 so the library is found without knowing its path.  ctypes releases the

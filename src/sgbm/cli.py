@@ -7,7 +7,8 @@ subcommand accepts only the keys it reads (KEYS); any other key is
 rejected before any work starts.
 
 Exit codes: 0 ok, 2 config problem, 3 degenerate model (mu_in = mu_out),
-4 numeric failure (eigensolver breakdown or a failed validation check).
+4 numeric failure (eigensolver breakdown, a failed validation check, or
+out of memory).
 """
 
 import argparse
@@ -180,6 +181,7 @@ def cmd_cluster(args, config):
     # (spectral.Spectrum._listed)
     predicted, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out,
                                          iterate=li_iterate == "true")
+    eigenvalues = spectrum.eigenvalues  # the last solve: a failed one leaves no file
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
@@ -187,7 +189,7 @@ def cmd_cluster(args, config):
                if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
     model.write_csv(os.path.join(args.out, "selection.csv"),
                     ["rank", "eigenvalue", "accuracy", "selected"],
-                    ([str(rank), f"{spectrum.eigenvalues[rank - 1]:.9g}",
+                    ([str(rank), f"{eigenvalues[rank - 1]:.9g}",
                       f"{acc:.6f}" if acc is not None else "",
                       "1" if rank == report.selected_index else "0"] for rank, acc in profile))
     _say(args, f"selected rank {report.selected_index} "
@@ -329,6 +331,9 @@ def main(argv=None):
         return EXIT_DEGENERATE
     except spectral.EigendecompositionError as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -11,11 +11,13 @@ One class, Spectrum, gives the spectrum, each part solved on first use:
 clustering reads the count of the eigenvalues above lambda*, the
 eigenvalues of four ranks around it and one eigenvector, from a Lanczos
 window on A where lambda* lies outside the noise bulk.  Inside the bulk,
-and where that window stops at a rank inside it, a shift-invert Lanczos
-window on (A - sigma I)^-1 answers, its count certified by the inertia
-of a Bunch-Kaufman factorization.  What neither window answers, and the
-per-eigenvector accuracy profile, which reads every eigenvector, read the
-whole spectrum, solved once by LAPACK dsyevd, as numpy's eigh solves it.
+and where that window's count stops at a rank inside it, a shift-invert
+Lanczos window on (A - sigma I)^-1 answers, its count certified by the
+inertia of a Bunch-Kaufman factorization.  What neither window answers,
+and every read of the eigenvalues or eigenvectors (the per-eigenvector
+accuracy profile reads every eigenvector), reads the whole spectrum,
+solved once by LAPACK dsyevd: LAPACKE's where it is bound, else inside
+numpy's eigvalsh or eigh.
 Every reader of a graph's spectrum (cluster, the motif baseline's
 fallback, rayleigh_bound) is handed one Spectrum and reads its graph from
 it, so each graph is solved once.
@@ -376,14 +378,15 @@ class Spectrum:
     - The window on A answers count_above(x) where |x| lies outside the
       noise bulk (_BULK_MARGIN), reading the ranks through two past x from
       the end x is nearer, and values and eigenvector requests for ranks
-      near an end (_END_RANKS).  When a rank it has yet to converge lies
-      inside the noise bulk, it keeps each run up to that rank and the
-      shifted window takes over at that rank's Ritz value.
+      near an end (_END_RANKS).  When a rank a count reads has yet to
+      converge and lies inside the noise bulk, it keeps each run up to
+      that rank and the shifted window takes over at that rank's Ritz
+      value; a values request it stops short of goes to the whole spectrum.
     - The shifted window on (A - sigma I)^-1 (Ericsson and Ruhe, Math.
       Comp. 1980; Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 1994)
       answers count_above(x) inside the margin at sigma = x, and where the
-      window on A stops, at that window's Ritz value for the rank it
-      stopped at.  The inertia of the Bunch-Kaufman factor of A - sigma I
+      window on A stops a count, at that window's Ritz value for the rank
+      it stopped at.  The inertia of the Bunch-Kaufman factor of A - sigma I
       counts the eigenvalues above sigma; the k-th largest Ritz value of
       the inverse is rank count - k + 1, the k-th most negative rank
       count + k.  A count at x is exact only from that inertia and every
@@ -398,15 +401,16 @@ class Spectrum:
     has an eigenvalue within _GAP_RTOL of sigma, or a LAPACK call fails.
 
     What no window answers, and every request after the first such one,
-    reads the whole spectrum: one LAPACK dsyevd call in place on a float64
-    copy of A, made after the windows are dropped, the routine numpy's
-    eigvalsh and eigh call.
+    reads the whole spectrum (_whole): one LAPACK dsyevd call in place on a
+    float64 copy of A, made after the windows are dropped, the routine
+    numpy's eigvalsh and eigh call.  Where LAPACKE is not bound, there is no
+    window, and eigvalsh and eigh themselves solve it, by the same rules.
 
     - eigenvalues: dsyevd without vectors, sorted descending, equal to
       eigvalsh's bit for bit.  count_above(x) counts those above x, and
-      values(first, last) reads its ranks from them; while the windows
-      are live, every vector is solved first (_listed), so a selection
-      they leave to the whole spectrum is eigendecompose's.
+      values(first, last) reads its ranks from them; while no eigenvalue
+      is known, every vector is solved first (_listed), so a selection
+      that reaches the whole spectrum is eigendecompose's.
     - eigenvectors: dsyevd with vectors, every pair equal to eigh's bit
       for bit; the copy of A then holds them, and eigenvectors is a view
       of it.  eigenvector(rank) reads its column.
@@ -414,8 +418,7 @@ class Spectrum:
     The eigenvalues are fixed at their first read: eigh's if every vector
     was solved by then, otherwise eigvalsh's, or eigh's when dsyevd
     without vectors fails.  Vectors are cached by rank, whichever way they
-    were solved.  Without these routines in numpy's OpenBLAS there is no
-    window, and eigh gives every pair.
+    were solved.
     Callers only ask for what they read: how an eigenpair is solved is
     decided here alone.
     """
@@ -438,21 +441,34 @@ class Spectrum:
     def _scale(self):
         return _tolerance_scale(self.graph)
 
-    def _dsyevd(self, jobz):
-        """(w, a): dsyevd with jobz (b"N" or b"V") in place on a fresh float64
-        copy a of A, w every eigenvalue ascending and, with b"V", row i of a
-        the eigenvector of w[i].  It drops both windows first, so that one
-        n x n copy of A is alive at a time; a failure raises and keeps
-        nothing, so the next request tries again."""
+    def _whole(self, vectors):
+        """(eigenvalues, eigenvectors or None): every eigenvalue, descending, and
+        with vectors every eigenvector, column i paired with eigenvalue i.  One
+        LAPACK dsyevd, jobz V or N, in place on a fresh float64 copy of A; or,
+        where LAPACKE is not bound, numpy's eigh or eigvalsh, which call it.  It
+        drops both windows first, so that one n x n copy of A is alive at a time;
+        a failure raises and keeps nothing, so the next request tries again."""
         start, n = time.perf_counter(), self.n
         self._window = self._shifted = None
         self._ritz = {}
         # A is symmetric, so its C-order copy read in Fortran order is A itself
-        a, w = self.graph.dense(), np.empty(n)
-        _raise_on_failure("dsyevd", self._lapack["dsyevd"](
-            _openblas.COL_MAJOR, jobz, b"L", n, a, n, w))
+        a = self.graph.dense()
+        if self._lapack is None:
+            try:
+                w, a = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+            except np.linalg.LinAlgError as exc:
+                raise EigendecompositionError(str(exc)) from exc
+        else:
+            w = np.empty(n)
+            info = self._lapack["dsyevd"](_openblas.COL_MAJOR, b"V" if vectors else b"N", b"L",
+                                          n, a, n, w)
+            if info in _openblas.MEMORY_ERRORS:
+                raise MemoryError(f"LAPACKE_dsyevd could not allocate its workspace (info {info})")
+            if info != 0:
+                raise EigendecompositionError(f"LAPACK dsyevd failed (info {info})")
+            a = a.T  # column-major: row i of the copy pairs with w[i]
         self.solve_s += time.perf_counter() - start
-        return w, a
+        return w[::-1], a[:, ::-1] if vectors else None
 
     def count_above(self, x):
         """How many eigenvalues are greater than x.
@@ -475,9 +491,13 @@ class Spectrum:
                     else (0, min(n, int(np.sum(window.values <= x)) + 2))))
                 if sigma is True:
                     return _count_past(self._held(), n, 0 if top else n, x, top)[0]
-            count = None if sigma is None else self._shifted_count(sigma, x)
-            if count is not None:
-                return count
+            # the inertia at sigma, walked past the held eigenvalues between sigma and x
+            window = None if sigma is None else self._shift_to(sigma)
+            if window is not None and self._run(
+                    window, lambda window: self._around(window, x)) is True:
+                count, exact = _count_past(self._held(), n, window.count, x, x < sigma)
+                if exact:
+                    return count
         return int(np.sum(self._listed() > x))
 
     @cached_property
@@ -491,16 +511,6 @@ class Spectrum:
     def _held(self):
         """{rank: eigenvalue} for every rank a window holds."""
         return {rank: value for rank, (value, *_) in self._ritz.items()}
-
-    def _shifted_count(self, sigma, x):
-        """count_above(x) from the window shifted to sigma: its inertia, walked
-        past the held eigenvalues between sigma and x; None when that window
-        gives up or a rank the walk reads is not held."""
-        window = self._shift_to(sigma)
-        if window is None or self._run(window, lambda window: self._around(window, x)) is not True:
-            return None
-        count, exact = _count_past(self._held(), self.n, window.count, x, x < sigma)
-        return count if exact else None
 
     def _around(self, window, x):
         """The runs (top, bottom) of the shifted window that reach every rank
@@ -554,31 +564,26 @@ class Spectrum:
 
     def _listed(self):
         """eigenvalues, for a count or values request no window answers.  While
-        the windows are live, every eigenpair is solved first: each caller goes
+        no eigenvalue is known, every eigenpair is solved first: each caller goes
         on to read the vector of a rank no window holds, and eigh's values are
         the ones its column pairs with, so a repeated eigenvalue is split into
         ranks as eigendecompose splits it."""
-        if self._window is not None:
-            self._solve_all()
+        if self._eigenvalues is None:
+            self.eigenvectors
         return self.eigenvalues
 
     def _hold(self, ranks):
-        """Converge ranks in a window where one can: near an end, the window on
-        A, and the shifted window at its Ritz value where it gives up inside
-        the bulk; elsewhere the shifted window, once factored, for ranks within
-        _END_RANKS of its shift.  What is left the eigenvalues answer."""
-        n, window = self.n, self._shifted
+        """Converge ranks in a window where one can: the window on A near an end,
+        elsewhere the shifted window, once factored, for ranks within _END_RANKS
+        of its shift.  What is left, a rank the window on A stopped short of
+        inside the bulk included, the eigenvalues answer."""
+        n = self.n
         if ranks[-1] <= _END_RANKS or ranks[0] > n - _END_RANKS:
             top = ranks[-1] <= _END_RANKS
-            sigma = self._run(self._window, lambda window: (
+            self._run(self._window, lambda window: (
                 (min(n, ranks[-1] + 1), 0) if top else (0, min(n, n + 2 - ranks[0]))))
-            if sigma is None or sigma is True:
-                return
-            window = self._shift_to(sigma)
-        elif window is None or max(self._extent(window, ranks)) > _END_RANKS:
-            return
-        if window is not None:
-            self._run(window, lambda window: self._extent(window, ranks))
+        elif self._shifted is not None and max(self._extent(self._shifted, ranks)) <= _END_RANKS:
+            self._run(self._shifted, lambda window: self._extent(window, ranks))
 
     def _run(self, window, needed):
         """Grow window until every rank of the runs (top, bottom) = needed(window)
@@ -650,19 +655,21 @@ class Spectrum:
     def eigenvalues(self):
         """Every eigenvalue, sorted descending."""
         if self._eigenvalues is None:
-            if self._lapack is not None:
-                # a failed solve without vectors leaves them to the full solve
-                with contextlib.suppress(EigendecompositionError, MemoryError):
-                    self._eigenvalues = self._dsyevd(b"N")[0][::-1]
+            # a failed solve without vectors leaves them to the full solve:
+            # dstedc can converge where dsterf did not
+            with contextlib.suppress(EigendecompositionError, MemoryError):
+                self._eigenvalues = self._whole(False)[0]
             if self._eigenvalues is None:
-                self._solve_all()
+                self.eigenvectors
         return self._eigenvalues
 
     @property
     def eigenvectors(self):
         """(n, n) array: column i pairs with eigenvalues[i]."""
         if self._eigenvectors is None:
-            self._solve_all()
+            values, self._eigenvectors = self._whole(True)
+            if self._eigenvalues is None:
+                self._eigenvalues = values
         return self._eigenvectors
 
     def eigenvector(self, rank):
@@ -678,30 +685,6 @@ class Spectrum:
                 vector = self.eigenvectors[:, rank - 1]
             self._vectors[rank] = _checked(self.graph, value, vector, self._scale)
         return self._vectors[rank]
-
-    def _solve_all(self):
-        """Every eigenpair, as eigh solves them: dsyevd with vectors, or eigh
-        itself without LAPACK."""
-        if self._lapack is None:
-            try:
-                values, vectors = np.linalg.eigh(self.graph.dense())
-            except np.linalg.LinAlgError as exc:
-                raise EigendecompositionError(str(exc)) from exc
-        else:
-            values, rows = self._dsyevd(b"V")
-            vectors = rows.T  # column-major: row i of rows pairs with values[i]
-        self._eigenvectors = vectors[:, ::-1]
-        if self._eigenvalues is None:
-            self._eigenvalues = values[::-1]
-
-
-def _raise_on_failure(name, info):
-    """MemoryError when LAPACKE could not allocate a workspace, EigendecompositionError
-    for any other nonzero info."""
-    if info in _openblas.MEMORY_ERRORS:
-        raise MemoryError(f"LAPACKE_{name} could not allocate its workspace (info {info})")
-    if info != 0:
-        raise EigendecompositionError(f"LAPACK {name} failed (info {info})")
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Shared fixtures: stand-ins for the LAPACK routines spectral.Spectrum
-calls, and Monte-Carlo ensembles.
+calls, counts of its solves, and Monte-Carlo ensembles.
 
 The expensive fixtures are session-scoped and store summaries, not
 spectra: a 2000x2000 eigenvector matrix is 32 MB, so holding ten of
@@ -30,7 +30,9 @@ def _count_routines(monkeypatch, *names, delay=0.0):
     """{name: [n, ...]}: n for every call of each LAPACK routine named by
     the Spectrum objects built from now on, each call after a sleep of
     delay seconds.  "dsyevd N" and "dsyevd V" count only the dsyevd calls
-    without and with vectors (jobz); "dsyevd" counts both."""
+    without and with vectors (jobz); "dsyevd" counts both.  "window" and
+    "shifted window" count the Lanczos windows started, on A and on
+    (A - sigma I)^-1, each start after the same sleep."""
     calls = {name: [] for name in names}
 
     def counted(routine):
@@ -45,8 +47,18 @@ def _count_routines(monkeypatch, *names, delay=0.0):
             return real[routine](*args)
         return call
 
-    real = _patch_lapack(monkeypatch, **{routine: counted(routine)
-                                         for routine in {name.split()[0] for name in names}})
+    grow = spectral._Window.grow
+
+    def counted_grow(window, size):
+        key = "window" if window.sigma is None else "shifted window"
+        if window.basis is None and key in calls:
+            calls[key].append(window.n)
+            time.sleep(delay)
+        return grow(window, size)
+
+    routines = {name.split()[0] for name in names if "window" not in name}
+    real = _patch_lapack(monkeypatch, **{routine: counted(routine) for routine in routines})
+    monkeypatch.setattr(spectral._Window, "grow", counted_grow)
     return calls
 
 

@@ -23,20 +23,6 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-def window_starts(monkeypatch):
-    """Record n for every Lanczos window on A started from now on."""
-    calls = []
-    grow = spectral._Window.grow
-
-    def counted(window, size):
-        if window.basis is None and window.sigma is None:
-            calls.append(window.n)
-        return grow(window, size)
-
-    monkeypatch.setattr(spectral._Window, "grow", counted)
-    return calls
-
-
 # --- parse_config ------------------------------------------------------------
 
 def test_parse_config_happy(tmp_path):
@@ -126,12 +112,11 @@ def test_degenerate_model_exit_code(tmp_path, monkeypatch, count_routines):
     cfg = write_config(tmp_path, GBM_CONFIG.replace("kernel_out.r = 0.05",
                                                     "kernel_out.r = 0.2"))
     out = tmp_path / "o"
-    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
-    starts = window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", "window", "shifted window")
     code = cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 3
     # lambda* is undefined, so nothing is solved
-    assert calls == {"dsyevd": [], "dsytrf": []} and starts == []
+    assert calls == {"dsyevd": [], "dsytrf": [], "window": [], "shifted window": []}
 
 
 def test_unwritable_out_is_config_error(tmp_path):
@@ -454,12 +439,11 @@ def test_cluster_without_labels_selects_on_the_windows(tmp_path, monkeypatch, co
     for name, text, want in [("plain", base, ([400], [], [400])),
                              ("truth", base + truth_key, ([], [400], []))]:
         with monkeypatch.context() as patch:
-            calls = count_routines(patch, "dsyevd N", "dsyevd V")
-            starts = window_starts(patch)
+            calls = count_routines(patch, "dsyevd N", "dsyevd V", "window")
             cfg = write_config(tmp_path, text, f"{name}.cfg")
             assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
                              "--quiet"]) == 0
-        assert (calls["dsyevd N"], calls["dsyevd V"], starts) == want, name
+        assert (calls["dsyevd N"], calls["dsyevd V"], calls["window"]) == want, name
 
 
 def test_cluster_with_labels_selects_as_eigendecompose(tmp_path, monkeypatch, count_routines):
@@ -482,10 +466,11 @@ def test_cluster_with_labels_selects_as_eigendecompose(tmp_path, monkeypatch, co
         return labels, report
 
     monkeypatch.setattr(spectral, "cluster", recorded)
-    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf")
-    starts = window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf", "window",
+                           "shifted window")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-    assert calls == {"dsyevd N": [], "dsyevd V": [400], "dsytrf": []} and starts == []
+    assert calls == {"dsyevd N": [], "dsyevd V": [400], "dsytrf": [], "window": [],
+                     "shifted window": []}
     lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(params.f_in),
                                             kernels.edge_density(params.f_out), 400)
     want = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
@@ -521,6 +506,31 @@ def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch, count
                         (line.split(",") for line in lines)])
     assert len(columns[0]) == 401 and columns[0] == columns[1]
     assert calls == {"dsyevd N": [400], "dsyevd V": [400], "dsytrf": []}
+
+
+@pytest.mark.parametrize("command,labels", [("cluster", True), ("cluster", False),
+                                            ("spectrum", False)])
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, patch_lapack, command, labels):
+    """When LAPACKE cannot allocate dsyevd's workspace, with vectors and without,
+    sgbm cluster, with run.labels or without (where the windows cluster and
+    only selection.csv's eigenvalues need dsyevd), and sgbm spectrum exit 4
+    with the message and write no output file."""
+    params = model.SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
+                              f_out=kernels.Indicator(0.05), seed=5)
+    graph, truth, _ = model.sample_graph(params)
+    model.write_graph(tmp_path / "edges.txt", graph, 1, 5)
+    model.write_labels(tmp_path / "truth.txt", truth)
+    text = (KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
+            if command == "cluster" else GBM_CONFIG)
+    if labels:
+        text += f"run.labels = {tmp_path / 'truth.txt'}\n"
+    cfg = write_config(tmp_path, text)
+    patch_lapack(monkeypatch, dsyevd=lambda *args: -1010)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert ("out of memory: LAPACKE_dsyevd could not allocate its workspace (info -1010)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -694,11 +704,10 @@ def test_cluster_rejects_bad_labels_file(tmp_path, capsys, monkeypatch, count_ro
     (tmp_path / "labels.txt").write_text(text)
     cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
                                                  f"run.labels = {tmp_path / 'labels.txt'}\n")
-    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
-    starts = window_starts(monkeypatch)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", "window", "shifted window")
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: bad labels file: {tmp_path / 'labels.txt'}:" in capsys.readouterr().err
-    assert calls == {"dsyevd": [], "dsytrf": []} and starts == []
+    assert calls == {"dsyevd": [], "dsytrf": [], "window": [], "shifted window": []}
 
 
 def test_cluster_rejects_graph_file_too_large_for_memory(tmp_path, capsys):

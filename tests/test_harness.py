@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -169,32 +168,14 @@ def test_programming_error_in_a_cell_propagates(monkeypatch):
             harness.run_sweep(config, workers=workers)
 
 
-def count_partial_solves(monkeypatch, count_routines, delay=0.0):
-    """{kind: [n, ...]} for every solve of the Spectrum objects built from now
-    on, each after a sleep: the whole spectrum (dsyevd), a factorization
-    (dsytrf) or the start of a Lanczos window on A (window)."""
-    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", delay=delay)
-    calls["window"] = []
-    grow = spectral._Window.grow
-
-    def counted_grow(window, size):
-        if window.basis is None and window.sigma is None:
-            calls["window"].append(window.n)
-            time.sleep(delay)
-        return grow(window, size)
-
-    monkeypatch.setattr(spectral._Window, "grow", counted_grow)
-    return calls
-
-
 def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch, count_routines):
-    calls = count_partial_solves(monkeypatch, count_routines)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", "window", "shifted window")
     point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="one", grid=[point], seeds=[0],
                          algorithms=("hosc", "hosc_li", "fiedler"))
     assert all(row.note == "" for row in harness.run_sweep(config))
-    assert calls == {"dsyevd": [], "dsytrf": [], "window": [100]}
+    assert calls == {"dsyevd": [], "dsytrf": [], "window": [100], "shifted window": []}
 
     for kind in calls.values():
         kind.clear()
@@ -202,7 +183,7 @@ def test_spectral_rows_of_a_cell_share_one_solve(monkeypatch, count_routines):
                            f_out=kernels.Indicator(0.1))
     config = SweepConfig(experiment="none", grid=[degenerate], seeds=[0])
     assert harness.run_sweep(config)[0].note.startswith("error: mu_in equals mu_out")
-    assert calls == {"dsyevd": [], "dsytrf": [], "window": []}
+    assert calls == {"dsyevd": [], "dsytrf": [], "window": [], "shifted window": []}
 
 
 def test_every_algorithm_of_a_cell_shares_one_spectrum(tmp_path, monkeypatch, count_routines):
@@ -211,13 +192,14 @@ def test_every_algorithm_of_a_cell_shares_one_spectrum(tmp_path, monkeypatch, co
     A twice: hosc's count inside the bulk margin factors A - lambda* I, and
     fiedler's rank 2 starts the window on A, which motif then reads (a
     Spectrum of its own would start a second); its labels are fiedler's."""
-    calls = count_partial_solves(monkeypatch, count_routines)
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", "window", "shifted window")
     point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="fig3", grid=[point], seeds=[0],
                          algorithms=harness.ALGORITHMS, labels_dir=str(tmp_path))
     rows = harness.run_sweep(config)
-    assert calls == {"dsyevd": [], "dsytrf": [1000], "window": [1000]}
+    assert calls == {"dsyevd": [], "dsytrf": [1000], "window": [1000],
+                     "shifted window": [1000]}
     fiedler, motif = rows[2], rows[3]
     assert motif.note == "fallback: fiedler_sign"
     assert motif.accuracy == fiedler.accuracy
@@ -230,7 +212,7 @@ def test_shared_solve_counts_once_per_row(monkeypatch, count_routines):
     in the row that ran it: hosc (which solves) and fiedler (which reuses
     the spectrum) differ by far less than the solve takes."""
     delay = 0.3
-    count_partial_solves(monkeypatch, count_routines, delay)
+    count_routines(monkeypatch, "dsyevd", "dsytrf", "window", delay=delay)
     point = GridPoint(n=100, d=1, f_in=kernels.Indicator(0.2),
                       f_out=kernels.Indicator(0.05))
     config = SweepConfig(experiment="timing", grid=[point], seeds=[0],
@@ -244,7 +226,7 @@ def test_motif_fallback_row_time_does_not_depend_on_order(monkeypatch, count_rou
     """A motif_baseline row that falls back reads the cell's Spectrum, so, like
     every spectral row, it counts the cell's solve whichever row ran it."""
     delay = 0.3
-    count_partial_solves(monkeypatch, count_routines, delay)
+    count_routines(monkeypatch, "dsyevd", "dsytrf", "window", delay=delay)
     point = GridPoint(n=1000, d=1, f_in=kernels.Indicator(0.08),
                       f_out=kernels.Indicator(0.05))
     motif_ms = []
@@ -676,7 +658,8 @@ def test_meta_sidecar(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(_openblas, "lapack", lambda: None)
         harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)
-    assert ("eigensolver: numpy.linalg.eigh (the LAPACKE routines are not exported)\n"
+    assert ("eigensolver: numpy.linalg.eigvalsh and eigh (the LAPACKE routines are not "
+            "exported)\n"
             in (tmp_path / "eigh.txt").read_text())
     assert "  model.n = 100" in text
     assert "  run.seed = 1" in text

@@ -29,7 +29,7 @@ def test_single_edge_spectrum():
     partial = spectral.Spectrum(Graph(n=2, adjacency=a))
     assert np.allclose(partial.eigenvector(1), [0.5**0.5, 0.5**0.5], atol=1e-15)
     assert np.allclose(partial.eigenvector(2), [0.5**0.5, -(0.5**0.5)], atol=1e-15)
-    assert partial._eigenvectors is None  # the tridiagonal path, at its smallest size
+    assert partial._eigenvectors is None  # the window on A, at its smallest size
 
 
 def test_two_disjoint_edges_spectrum():
@@ -318,7 +318,7 @@ def test_hosc_invariant_under_node_relabelling():
         assert spectral.loss(truth, labels) == spectral.loss(truth[perm], labels_p)
 
 
-# --- the tridiagonal path against the full eigh ----------------------------------
+# --- the partial path against the full eigh -------------------------------------
 
 def preset_rows(workers):
     """The fig3, fig4 and waxman preset cells the differential test compares."""
@@ -455,7 +455,7 @@ def test_tridiagonal_path_matches_eigvalsh_and_eigh(kind, d, n):
 
 
 def split_graph():
-    """Two components of 70 and 130 nodes: the tridiagonal form splits."""
+    """Two components of 70 and 130 nodes: A is block diagonal."""
     a = np.zeros((200, 200), dtype=np.uint8)
     for lo, hi, seed in ((0, 70, 0), (70, 200, 1)):
         params = SgbmParams(n=hi - lo, d=1, f_in=kernels.Indicator(0.2),
@@ -507,7 +507,7 @@ def test_window_requests_match_eigvalsh(kind, n):
         assert got.gap_to_next == pytest.approx(want.gap_to_next, rel=1e-9)
 
 
-def test_sweep_cells_call_no_dsterf(monkeypatch, count_routines):
+def test_sweep_cells_read_no_eigenvalues_alone(monkeypatch, count_routines):
     """hosc, hosc_li and fiedler cells select from the Lanczos windows; only a
     caller that reads every eigenvalue runs dsterf (dsyevd without vectors)."""
     calls = count_routines(monkeypatch, "dsyevd N")["dsyevd N"]
@@ -523,32 +523,39 @@ def test_sweep_cells_call_no_dsterf(monkeypatch, count_routines):
 
 
 def test_without_lapack_the_partial_spectrum_is_the_full_solve(monkeypatch):
-    """Without the LAPACK routines, one eigh gives every pair, and
-    eigendecompose is eigh."""
+    """Without the LAPACK routines there is no window, and numpy's eigvalsh
+    and eigh solve the whole spectrum by the same rules: eigendecompose is
+    eigh, eigenvalues read first are eigvalsh's, and a selection made
+    before any read runs one eigh and picks eigendecompose's rank, gap and
+    vector."""
     params = SgbmParams(n=300, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=5)
     graph, _, _ = model.sample_graph(params)
     values, vectors = np.linalg.eigh(graph.dense())
+    alone = np.linalg.eigvalsh(graph.dense())
+    assert not np.array_equal(alone, values)  # so the two reads below are told apart
     monkeypatch.setattr(_openblas, "lapack", lambda: None)
     calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        calls.append(len(a))
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, name=name, routine=getattr(np.linalg, name)):
+            calls.append((name, len(a)))
+            return routine(a)
+        monkeypatch.setattr(np.linalg, name, counted)
     full = spectral.eigendecompose(graph)
     assert np.array_equal(full.eigenvalues, values[::-1])
     assert np.array_equal(full.eigenvectors, vectors[:, ::-1])
+    assert calls == [("eigh", 300)]
+    assert np.array_equal(spectral.Spectrum(graph).eigenvalues, alone[::-1])
+    assert calls[1:] == [("eigvalsh", 300)]
     partial = spectral.Spectrum(graph)
-    assert np.array_equal(partial.eigenvalues, full.eigenvalues)
     lambda_star = spectral.ideal_eigenvalue(0.4, 0.1, 300)
     got, want = (spectral.select_eigenpair(s, lambda_star) for s in (partial, full))
-    assert got.selected_index == want.selected_index
+    assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
+        (want.selected_index, want.lambda_selected, want.gap_to_next)
     assert np.array_equal(got.eigenvector, want.eigenvector)
     assert np.array_equal(partial.eigenvector(2), full.eigenvector(2))
-    assert calls == [300, 300]  # one per spectrum
+    assert np.array_equal(partial.eigenvalues, full.eigenvalues)
+    assert calls[2:] == [("eigh", 300)]  # one per spectrum
 
 
 def whole_spectrum(graph):
@@ -606,7 +613,8 @@ def test_repeated_eigenvalue_falls_back_to_full_solve(monkeypatch, count_routine
 
 
 def isolated_vertex_graph():
-    """A sampled 130-node graph whose node 7 has lost its edges: T splits off a 0."""
+    """A sampled 130-node graph whose node 7 has lost its edges: 0 is an
+    eigenvalue, with the unit vector at node 7."""
     graph, _ = leading_block(kernels.Indicator(0.2), kernels.Indicator(0.05), 1, 130)
     a = graph.adjacency.copy()
     a[7, :] = a[:, 7] = 0
@@ -702,7 +710,7 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch, patch_lapack, coun
     assert failed.solve_s == 0.0 and failed._eigenvalues is failed._eigenvectors is None
 
 
-def test_spectrum_reduces_on_its_first_request(monkeypatch, count_routines):
+def test_spectrum_solves_the_whole_spectrum_once(monkeypatch, count_routines):
     """The constructor solves nothing, nor does a count inside the noise bulk,
     which the window shifted to it answers; the first request that reads the
     whole spectrum solves it once (dsyevd), records how long that took, and
@@ -731,18 +739,18 @@ def test_partial_spectrum_solves_each_rank_once(monkeypatch, count_routines):
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=2)
     graph, _, _ = model.sample_graph(params)
-    starts = window_starts(monkeypatch)
-    calls = count_routines(monkeypatch, "dsyevd V")["dsyevd V"]
+    calls = count_routines(monkeypatch, "dsyevd V", "window", "shifted window")
     windowed = spectral.Spectrum(graph)
     first = windowed.eigenvector(2)
     assert windowed.eigenvector(2) is first
     windowed.eigenvector(1)
-    assert starts == [200] and calls == [] and windowed._eigenvalues is None
+    assert calls == {"dsyevd V": [], "window": [200], "shifted window": []}
+    assert windowed._eigenvalues is None
     partial = whole_spectrum(graph)
     first = partial.eigenvector(4)
     assert partial.eigenvector(4) is first
     partial.eigenvector(2)
-    assert calls == [200]
+    assert calls == {"dsyevd V": [200], "window": [200], "shifted window": []}
     with pytest.raises(ValueError):
         spectral.Spectrum(Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.uint8)))
 
@@ -798,20 +806,6 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
 
 # --- the Lanczos window -------------------------------------------------------------
 
-def window_starts(monkeypatch):
-    """Record n for every Lanczos window, on A or shifted, started from now on."""
-    calls = []
-    grow = spectral._Window.grow
-
-    def counted(window, size):
-        if window.basis is None:
-            calls.append(window.n)
-        return grow(window, size)
-
-    monkeypatch.setattr(spectral._Window, "grow", counted)
-    return calls
-
-
 def garbled_ritz_vectors(monkeypatch):
     """Windows from now on hand out converged Ritz values with vectors that
     are no eigenvector."""
@@ -820,16 +814,17 @@ def garbled_ritz_vectors(monkeypatch):
                         lambda window, coordinates: rng.standard_normal(window.n))
 
 
-def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys):
+def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys,
+                                                            count_routines):
     """The window's vectors pass the same residual check as the whole spectrum's."""
-    starts = window_starts(monkeypatch)
+    starts = count_routines(monkeypatch, "window", "shifted window")
     garbled_ritz_vectors(monkeypatch)
     point = harness.GridPoint(n=200, d=1, f_in=kernels.Indicator(0.2),
                               f_out=kernels.Indicator(0.05))
     config = harness.SweepConfig(experiment="bad", grid=[point], seeds=[0],
                                  algorithms=("hosc", "fiedler"))
     rows = harness.run_sweep(config)
-    assert starts == [200]
+    assert starts == {"window": [200], "shifted window": []}
     assert [row.accuracy for row in rows] == [None, None]
     assert all(row.note.startswith("error: eigenvector at eigenvalue") for row in rows)
     # the command line reports it as any eigensolver failure: exit 4
@@ -839,20 +834,21 @@ def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys)
         ("window", lambda: (spectral.hosc(graph, 0.4, 0.1) is not None, ""))])
     assert cli.main(["validate", "--quiet"]) == 4
     assert "eigensolver failure: eigenvector at eigenvalue" in capsys.readouterr().err
-    assert starts[1:] == [200]
+    assert starts == {"window": [200, 200], "shifted window": []}
 
 
 @pytest.mark.parametrize("algorithm", ["hosc", "fiedler"])
-def test_window_at_its_cap_falls_back_to_the_reduction(monkeypatch, algorithm):
+def test_window_at_its_cap_falls_back_to_the_reduction(monkeypatch, count_routines, algorithm):
     """A window that reaches its cap hands out nothing: every answer is
     eigendecompose's, bit for bit."""
     graph = sampled_graph(1000)
     want_labels, want = spectral.cluster(spectral.eigendecompose(graph), algorithm, 0.4, 0.1)
-    starts = window_starts(monkeypatch)
+    starts = count_routines(monkeypatch, "window", "shifted window")
     monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
     spectrum = spectral.Spectrum(graph)
     labels, got = spectral.cluster(spectrum, algorithm, 0.4, 0.1)
-    assert starts == [1000] and spectrum._eigenvectors is not None and spectrum._ritz == {}
+    assert starts == {"window": [1000], "shifted window": []}
+    assert spectrum._eigenvectors is not None and spectrum._ritz == {}
     assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
         (want.selected_index, want.lambda_selected, want.gap_to_next)
     assert np.array_equal(got.eigenvector, want.eigenvector)
@@ -869,17 +865,18 @@ def equal_cliques(count, size):
 
 
 @pytest.mark.parametrize("count", [2, 3])
-def test_window_sees_a_repeated_eigenvalue(monkeypatch, count):
+def test_window_sees_a_repeated_eigenvalue(monkeypatch, count_routines, count):
     """From one start vector the window would hold one copy of the Perron value
     and answer wrongly; from two it holds two, and the whole spectrum answers
     with eigendecompose's report."""
     graph = equal_cliques(count, 150 if count == 2 else 100)
     perron = graph.n / count - 1.0
     want = spectral.select_eigenpair(spectral.eigendecompose(graph), perron)
-    starts = window_starts(monkeypatch)
+    starts = count_routines(monkeypatch, "window", "shifted window")
     spectrum = spectral.Spectrum(graph)
     got = spectral.select_eigenpair(spectrum, perron)
-    assert starts == [graph.n] and spectrum._eigenvectors is not None
+    assert starts == {"window": [graph.n], "shifted window": []}
+    assert spectrum._eigenvectors is not None
     assert (got.selected_index, got.gap_to_next) == (want.selected_index, want.gap_to_next)
     assert np.array_equal(spectral.sign_partition(got.eigenvector),
                           spectral.sign_partition(want.eigenvector))
@@ -991,12 +988,11 @@ def test_shifted_window_falls_back_to_the_reduction(monkeypatch, patch_lapack, c
         monkeypatch.setattr(spectral, "_window_cap", lambda n: 8)
     elif case in ("dsytrf", "dsytrs"):
         patch_lapack(monkeypatch, **{case: failing_routine})
-    starts = window_starts(monkeypatch)
-    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", "window", "shifted window")
     spectrum = spectral.Spectrum(graph)
     got = spectral.select_eigenpair(spectrum, x)
-    assert calls == {"dsyevd": [graph.n], "dsytrf": [graph.n]}
-    assert starts == ([] if case in ("singular", "dsytrf") else [graph.n])
+    assert calls == {"dsyevd": [graph.n], "dsytrf": [graph.n], "window": [],
+                     "shifted window": [] if case in ("singular", "dsytrf") else [graph.n]}
     assert spectrum._shifted is None and spectrum._ritz == {}
     assert_same_report(got, want)
 
@@ -1010,12 +1006,26 @@ def test_hand_off_falls_back_to_the_reduction(monkeypatch, patch_lapack, count_r
     graph, x = waxman_cell(0.25)
     want = spectral.select_eigenpair(spectral.eigendecompose(graph), x)
     patch_lapack(monkeypatch, **{routine: failing_routine})
-    starts = window_starts(monkeypatch)
-    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
+    calls = count_routines(monkeypatch, "dsyevd", "dsytrf", "window", "shifted window")
     got = spectral.select_eigenpair(spectral.Spectrum(graph), x)
-    assert calls == {"dsyevd": [graph.n], "dsytrf": [graph.n]}
-    assert starts == [graph.n] * (1 if routine == "dsytrf" else 2)
+    assert calls == {"dsyevd": [graph.n], "dsytrf": [graph.n], "window": [graph.n],
+                     "shifted window": [] if routine == "dsytrf" else [graph.n]}
     assert_same_report(got, want)
+
+
+def test_end_rank_the_window_stops_short_of_reads_the_whole_spectrum(monkeypatch,
+                                                                     count_routines):
+    """values(n - 1, n) on the Waxman q = 0.15 cell at n = 1000: the window on
+    A stops inside the bulk at rank n - 1.  No shifted window is factored for
+    an end rank: the whole spectrum answers, with every vector solved first,
+    so the values are eigh's."""
+    graph, _ = waxman_cell(0.15)
+    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf", "window",
+                           "shifted window")
+    values = spectral.Spectrum(graph).values(999, 1000)
+    assert calls == {"dsyevd N": [], "dsyevd V": [1000], "dsytrf": [], "window": [1000],
+                     "shifted window": []}
+    assert np.array_equal(values, np.linalg.eigh(graph.dense())[0][1::-1])
 
 
 def test_a_new_shift_drops_the_old_factor():
