@@ -12,6 +12,7 @@ out of memory).
 """
 
 import argparse
+import collections
 import os
 import sys
 import time
@@ -172,28 +173,30 @@ def cmd_cluster(args, config):
     mu_in, mu_out = kernels.edge_density(f_in), kernels.edge_density(f_out)
     spectral.ideal_eigenvalue(mu_in, mu_out, graph.n)  # a degenerate model solves nothing
     spectrum = spectral.Spectrum(graph)
-    if truth is not None:
-        # the profile reads every vector, so one dsyevd with vectors answers every
-        # request, and the selection and the eigenvalues printed below are eigh's
-        spectrum.eigenvectors
-    # without run.labels the windows cluster, and the eigenvalues printed below are
-    # read after, eigvalsh's, unless a window gave up and every vector was solved
-    # (spectral.Spectrum._listed)
     predicted, report = spectral.cluster(spectrum, algorithm, mu_in, mu_out,
                                          iterate=li_iterate == "true")
-    eigenvalues = spectrum.eigenvalues  # the last solve: a failed one leaves no file
+    # selection.csv fills the ranks outside the noise bulk and the selected rank's
+    # neighbours (spectral.profile_ranks), which the windows hold; nothing is solved
+    # for the other ranks, whose cells stay empty.  Every solve runs before any
+    # file is written, so a failed one leaves none.
+    ranks = spectral.profile_ranks(spectrum, report.selected_index)
+    eigenvalues = {rank: float(spectrum.values(rank, rank)[0]) for rank in ranks}
+    accuracies = (dict(spectral.per_eigenvector_accuracy(spectrum, truth, ranks))
+                  if truth is not None else {})
 
     os.makedirs(args.out, exist_ok=True)
     model.write_labels(os.path.join(args.out, "predicted.labels"), predicted)
-    profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
-               if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
     model.write_csv(os.path.join(args.out, "selection.csv"),
                     ["rank", "eigenvalue", "accuracy", "selected"],
-                    ([str(rank), f"{eigenvalues[rank - 1]:.9g}",
-                      f"{acc:.6f}" if acc is not None else "",
-                      "1" if rank == report.selected_index else "0"] for rank, acc in profile))
+                    ([str(rank), f"{eigenvalues[rank]:.9g}" if rank in eigenvalues else "",
+                      f"{accuracies[rank]:.6f}" if rank in accuracies else "",
+                      "1" if rank == report.selected_index else "0"]
+                     for rank in range(1, graph.n + 1)))
     _say(args, f"selected rank {report.selected_index} "
                f"(lambda*={report.lambda_star:.4f}, lambda={report.lambda_selected:.4f})")
+    sources = collections.Counter(spectrum.source(rank) for rank in ranks)
+    _say(args, f"profile: {len(ranks)} ranks from "
+               + ", ".join(f"the {source} ({count})" for source, count in sources.items()))
     if truth is not None:
         _say(args, f"accuracy {spectral.accuracy(truth, predicted):.4f}")
     return EXIT_OK

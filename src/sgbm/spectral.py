@@ -13,11 +13,13 @@ eigenvalues of four ranks around it and one eigenvector, from a Lanczos
 window on A where lambda* lies outside the noise bulk.  Inside the bulk,
 and where that window's count stops at a rank inside it, a shift-invert
 Lanczos window on (A - sigma I)^-1 answers, its count certified by the
-inertia of a Bunch-Kaufman factorization.  What neither window answers,
-and every read of the eigenvalues or eigenvectors (the per-eigenvector
-accuracy profile reads every eigenvector), reads the whole spectrum,
-solved once by LAPACK dsyevd: LAPACKE's where it is bound, else inside
-numpy's eigvalsh or eigh.
+inertia of a Bunch-Kaufman factorization.  The per-eigenvector accuracy
+profile reads the ranks it is given: sgbm cluster gives it those of
+profile_ranks, outside the bulk, which the window on A holds too.  What
+neither window answers, and every read of the eigenvalues or eigenvectors
+(a profile of every rank included), reads the whole spectrum, solved once
+by LAPACK dsyevd: LAPACKE's where it is bound, else inside numpy's
+eigvalsh or eigh.
 Every reader of a graph's spectrum (cluster, the motif baseline's
 fallback, rayleigh_bound) is handed one Spectrum and reads its graph from
 it, so each graph is solved once.
@@ -52,6 +54,7 @@ __all__ = [
     "loss",
     "accuracy",
     "per_eigenvector_accuracy",
+    "profile_ranks",
 ]
 
 
@@ -98,6 +101,11 @@ _SHIFT_FIRST, _SHIFT_STEP = 20, 10
 _BULK_MARGIN = 1.5
 # values(first, last) without a count tries the window on A within _END_RANKS of an end
 _END_RANKS = 3
+# profile_ranks reads the ranks beyond _PROFILE_EDGES times the bulk edge.  On the
+# fig3, fig4 and Waxman preset cells every multiple from 1.5 to 6 holds the same
+# best-splitting ranks, and 3 is the smallest whose count the window on A
+# converges in its first 40-60 vectors: 1.5 and 2 cost ten times as much
+_PROFILE_EDGES = 3.0
 
 
 def _window_cap(n):
@@ -158,26 +166,29 @@ def _positive_inertia(factor, pivots):
     return positive
 
 
-def _oriented(vector):
-    """The sign rule: the first entry with |v_i| >= max|v| / 2 is positive.
+def _oriented(vectors):
+    """The sign rule, on each column of an (n, k) block: the first entry with
+    |v_i| >= max|v| / 2 is positive.
 
     Half the maximum leaves a wide margin, so two solvers that agree to
     roundoff pick the same entry.
     """
-    magnitude = np.abs(vector)
-    first = int(np.argmax(magnitude >= 0.5 * magnitude.max()))
-    return vector if vector[first] > 0 else -vector
+    magnitude = np.abs(vectors)
+    first = np.argmax(magnitude >= 0.5 * magnitude.max(axis=0), axis=0)
+    return vectors * np.where(vectors[first, np.arange(vectors.shape[1])] > 0, 1, -1)
 
 
-def _checked(graph, value, vector, scale):
-    """vector under the sign rule, once ||A v - value v|| passes; else raise."""
-    difference = graph.matvec(vector) - value * vector
-    residual = float(np.linalg.norm(difference))
-    if not residual <= _RESIDUAL_RTOL * scale:
+def _checked(graph, values, vectors, scale):
+    """The (n, k) block of vectors under the sign rule, once every column
+    passes ||A v - value v|| (one Graph.matvec pass); else raise for the
+    first that fails."""
+    residuals = np.linalg.norm(graph.matvec(vectors) - values * vectors, axis=0)
+    failed = np.flatnonzero(~(residuals <= _RESIDUAL_RTOL * scale))
+    if len(failed):
         raise EigendecompositionError(
-            f"eigenvector at eigenvalue {value:.6g} has residual {residual:.3g}, "
-            f"above {_RESIDUAL_RTOL * scale:.3g}")
-    return _oriented(vector)
+            f"eigenvector at eigenvalue {values[failed[0]]:.6g} has residual "
+            f"{residuals[failed[0]]:.3g}, above {_RESIDUAL_RTOL * scale:.3g}")
+    return _oriented(vectors)
 
 
 class _Window:
@@ -418,7 +429,8 @@ class Spectrum:
     The eigenvalues are fixed at their first read: eigh's if every vector
     was solved by then, otherwise eigvalsh's, or eigh's when dsyevd
     without vectors fails.  Vectors are cached by rank, whichever way they
-    were solved.
+    were solved; vectors(ranks) reads several at once, residual-checked in
+    one Graph.matvec pass, and source(rank) names what holds a rank.
     Callers only ask for what they read: how an eigenpair is solved is
     decided here alone.
     """
@@ -484,7 +496,7 @@ class Spectrum:
         x, n = float(x), self.n
         if self._window is not None:
             sigma = x
-            if abs(x) >= _BULK_MARGIN * self._bulk_edge:
+            if abs(x) >= _BULK_MARGIN * self.bulk_edge:
                 top = x > 0
                 sigma = self._run(self._window, lambda window: (
                     (min(n, int(np.sum(window.values > x)) + 2), 0) if top
@@ -501,7 +513,7 @@ class Spectrum:
         return int(np.sum(self._listed() > x))
 
     @cached_property
-    def _bulk_edge(self):
+    def bulk_edge(self):
         """2 sqrt(n p (1 - p)) at the graph's edge density p: the edge of the
         noise bulk of a random graph with A's degrees on average."""
         n = self.n
@@ -606,7 +618,7 @@ class Spectrum:
                 if found is not None:
                     converged, pending = found
                     inside = (window.sigma is None and pending
-                              and min(map(abs, pending)) < self._bulk_edge)
+                              and min(map(abs, pending)) < self.bulk_edge)
                     if not pending or inside:
                         for rank, (value, coordinates) in converged.items():
                             self._ritz.setdefault(rank, (value, coordinates, window))
@@ -673,18 +685,34 @@ class Spectrum:
         return self._eigenvectors
 
     def eigenvector(self, rank):
-        """Eigenvector of rank (1 = largest eigenvalue), residual-checked,
-        under the sign rule: the Ritz vector when a window holds the rank,
-        else its column of eigenvectors."""
-        if rank not in self._vectors:
-            value = float(self.values(rank, rank)[0])
-            if rank in self._ritz:
-                _, coordinates, window = self._ritz[rank]
-                vector = window.vector(coordinates)
-            else:
-                vector = self.eigenvectors[:, rank - 1]
-            self._vectors[rank] = _checked(self.graph, value, vector, self._scale)
-        return self._vectors[rank]
+        """Eigenvector of rank (1 = largest eigenvalue): vectors([rank])[0]."""
+        return self.vectors([rank])[0]
+
+    def vectors(self, ranks):
+        """The eigenvector of each rank, residual-checked, under the sign
+        rule: the Ritz vector when a window holds the rank, else its column of
+        eigenvectors.  Ranks are read in turn, and those not yet cached are
+        checked together by one Graph.matvec pass over their block."""
+        missing = [rank for rank in ranks if rank not in self._vectors]
+        if missing:
+            values, columns = [], []
+            for rank in missing:
+                values.append(float(self.values(rank, rank)[0]))
+                if rank in self._ritz:
+                    _, coordinates, window = self._ritz[rank]
+                    columns.append(window.vector(coordinates))
+                else:
+                    columns.append(self.eigenvectors[:, rank - 1])
+            block = _checked(self.graph, np.array(values), np.stack(columns, axis=1), self._scale)
+            self._vectors.update(zip(missing, block.T))
+        return [self._vectors[rank] for rank in ranks]
+
+    def source(self, rank):
+        """What answers rank now: "window on A" or "shifted window" while one
+        holds it, else "whole spectrum" once that is solved, else None."""
+        if rank in self._ritz:
+            return "window on A" if self._ritz[rank][2].sigma is None else "shifted window"
+        return "whole spectrum" if self._eigenvalues is not None else None
 
 
 @dataclass
@@ -811,16 +839,29 @@ def accuracy(truth, predicted):
     return 1.0 - loss(truth, predicted)
 
 
-def per_eigenvector_accuracy(spectrum, truth):
-    """Accuracy of the sign partition of every eigenvector, by rank.
+def profile_ranks(spectrum, selected):
+    """The ranks sgbm cluster profiles, ascending: every rank whose eigenvalue
+    lies beyond _PROFILE_EDGES times the noise bulk's edge, above or below,
+    counted by count_above, and selected with its two neighbours."""
+    n, edge = spectrum.n, _PROFILE_EDGES * spectrum.bulk_edge
+    top, bottom = spectrum.count_above(edge), spectrum.count_above(-edge)
+    return sorted({*range(1, top + 1), *range(bottom + 1, n + 1),
+                   *range(max(1, selected - 1), min(n, selected + 1) + 1)})
+
+
+def per_eigenvector_accuracy(spectrum, truth, ranks=None):
+    """Accuracy of the sign partition of each eigenvector of ranks (default:
+    every rank), read through spectrum.vectors, so residual-checked.
 
     Returns a list of (rank, accuracy) with rank 1 = largest eigenvalue.
     This is the profile that shows which harmonic carries the communities.
     Truth labels must be 1 or 2 (model.check_labels).
     """
     n = spectrum.n
-    truth = check_labels(truth, n)
-    # positive entries predict label 1: a mismatch per node and rank, on booleans
-    mism = ((spectrum.eigenvectors > 0) != (truth == 1)[:, None]).sum(axis=0)
+    label_1 = check_labels(truth, n) == 1
+    ranks = range(1, n + 1) if ranks is None else ranks
+    # positive entries predict label 1: a mismatch per node, counted on booleans
+    mism = np.array([np.count_nonzero((vector > 0) != label_1)
+                     for vector in spectrum.vectors(ranks)])
     losses = np.minimum(mism, n - mism) / n
-    return [(rank + 1, float(1.0 - losses[rank])) for rank in range(n)]
+    return [(rank, float(1.0 - loss)) for rank, loss in zip(ranks, losses)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,20 +182,30 @@ def test_generate_then_cluster_waxman_at_d4(tmp_path):
     assert len(model.read_labels(out / "predicted.labels")) == 200
 
 
-def test_cluster_selection_profile_is_complete(tmp_path):
+def test_cluster_selection_fills_the_profile_ranks(tmp_path):
+    """selection.csv keeps one row per rank and fills the eigenvalue and
+    accuracy cells of spectral.profile_ranks' ranks alone; the cells of every
+    other rank are empty."""
     cfg = write_config(tmp_path, GBM_CONFIG + "run.seed = 1\n")
     out = tmp_path / "out"
     assert cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    lines = (out / "selection.csv").read_text().splitlines()[1:]
-    ranks = [int(line.split(",")[0]) for line in lines]
-    assert ranks == list(range(1, 201))
-    accs = [float(line.split(",")[2]) for line in lines]
-    assert all(0.5 <= acc <= 1.0 for acc in accs)
-    eigs = [float(line.split(",")[1]) for line in lines]
+    rows = [line.split(",") for line in (out / "selection.csv").read_text().splitlines()[1:]]
+    assert [int(rank) for rank, *_ in rows] == list(range(1, 201))
+    filled = [row for row in rows if row[1]]
+    assert all(row[1:3] == ["", ""] for row in rows if not row[1])
+    [selected] = [int(row[0]) for row in rows if row[3] == "1"]
+    graph, _, _ = model.sample_graph(cli.build_params(cli.parse_config(cfg, "cluster")))
+    assert ([int(row[0]) for row in filled]
+            == spectral.profile_ranks(spectral.eigendecompose(graph), selected))
+    assert 3 <= len(filled) < 40
+    assert all(0.5 <= float(row[2]) <= 1.0 for row in filled)
+    eigs = [float(row[1]) for row in filled]
     assert eigs == sorted(eigs, reverse=True)
 
 
-def test_cluster_two_clique_file(tmp_path, capsys):
+def two_clique_config(tmp_path):
+    """Two 10-cliques as a graph file with their labels: the config that
+    clusters it.  The top eigenvalue is repeated, so every window gives up."""
     half = 10
     a = np.zeros((2 * half, 2 * half), dtype=np.uint8)
     a[:half, :half] = 1
@@ -201,14 +213,18 @@ def test_cluster_two_clique_file(tmp_path, capsys):
     np.fill_diagonal(a, 0)
     model.write_graph(tmp_path / "edges.txt", Graph(n=2 * half, adjacency=a), 1, 0)
     model.write_labels(tmp_path / "truth.txt", [1] * half + [2] * half)
-    cfg = write_config(tmp_path, f"""\
+    return f"""\
 kernel_in.kind = constant
 kernel_in.p = 1.0
 kernel_out.kind = constant
 kernel_out.p = 0.0
 run.graph = {tmp_path / 'edges.txt'}
 run.labels = {tmp_path / 'truth.txt'}
-""")
+"""
+
+
+def test_cluster_two_clique_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, two_clique_config(tmp_path))
     out = tmp_path / "out"
     code = cli.main(["cluster", "--config", cfg, "--out", str(out)])
     assert code == 0
@@ -339,51 +355,6 @@ def test_cluster_rejects_non_finite_kernel_parameter(tmp_path, kind, name, bad):
     assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def hosc_then_eigendecompose(graph, mu_in, mu_out, truth, algorithm, out):
-    """cluster's outputs as composed before it reused one spectrum: spectral.hosc,
-    then a second, full eigendecompose for selection.csv."""
-    predicted, report = spectral.hosc(graph, mu_in, mu_out)
-    if algorithm == "hosc_li":
-        predicted = spectral.local_improvement(graph, predicted)
-    out.mkdir()
-    model.write_labels(out / "predicted.labels", predicted)
-    spectrum = spectral.eigendecompose(graph)
-    profile = (spectral.per_eigenvector_accuracy(spectrum, truth)
-               if truth is not None else [(rank + 1, None) for rank in range(graph.n)])
-    with open(out / "selection.csv", "w") as fh:
-        fh.write("rank,eigenvalue,accuracy,selected\n")
-        for rank, acc in profile:
-            acc_cell = f"{acc:.6f}" if acc is not None else ""
-            sel = 1 if rank == report.selected_index else 0
-            fh.write(f"{rank},{spectrum.eigenvalues[rank - 1]:.9g},{acc_cell},{sel}\n")
-
-
-@pytest.mark.parametrize("algorithm,with_truth", [("hosc", True), ("hosc_li", False)])
-def test_cluster_solves_once_with_unchanged_outputs(tmp_path, monkeypatch, count_routines,
-                                                    algorithm, with_truth):
-    params = model.SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
-                              f_out=kernels.Indicator(0.05), seed=5)
-    graph, truth, _ = model.sample_graph(params)
-    model.write_graph(tmp_path / "edges.txt", graph, 1, 5)
-    model.write_labels(tmp_path / "truth.txt", truth)
-    text = KERNEL_CONFIG + f"run.algorithm = {algorithm}\nrun.graph = {tmp_path / 'edges.txt'}\n"
-    if with_truth:
-        text += f"run.labels = {tmp_path / 'truth.txt'}\n"
-    cfg = write_config(tmp_path, text)
-    out = tmp_path / "out"
-
-    calls = count_routines(monkeypatch, "dsyevd", "dsytrf")
-    assert cli.main(["cluster", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert calls == {"dsyevd": [200], "dsytrf": []}
-
-    reference = tmp_path / "reference"
-    hosc_then_eigendecompose(graph, kernels.edge_density(params.f_in),
-                             kernels.edge_density(params.f_out),
-                             truth if with_truth else None, algorithm, reference)
-    for name in ("predicted.labels", "selection.csv"):
-        assert (out / name).read_bytes() == (reference / name).read_bytes()
-
-
 WAXMAN_CONFIG = """\
 kernel_in.kind = waxman
 kernel_in.q = 0.5
@@ -419,111 +390,151 @@ def test_cluster_labels_do_not_depend_on_truth(tmp_path, monkeypatch, kernel_con
     assert full_solves == []
 
 
-@pytest.mark.parametrize("kernel_config,f_in,f_out", [
-    (KERNEL_CONFIG, kernels.Indicator(0.2), kernels.Indicator(0.05)),
-    (WAXMAN_CONFIG, kernels.Waxman(0.5, 1.0), kernels.Waxman(0.25, 1.0)),
-], ids=["indicator", "waxman"])
-def test_cluster_without_labels_selects_on_the_windows(tmp_path, monkeypatch, count_routines,
-                                                        kernel_config, f_in, f_out):
-    """Without run.labels nothing reads every vector: sgbm cluster selects on
-    the Lanczos windows, then solves the eigenvalues alone once (dsyevd
-    without vectors) to print them, and runs no full solve.  With run.labels
-    the profile reads every vector, so one dsyevd with vectors comes first
-    and the windows do not run."""
-    params = model.SgbmParams(n=400, d=1, f_in=f_in, f_out=f_out, seed=3)
-    graph, truth, _ = model.sample_graph(params)
+# the Waxman cell selects rank n (mu_in < mu_out), and the shifted window holds rank n - 1
+WAXMAN_BOTTOM_CONFIG = """\
+kernel_in.kind = waxman
+kernel_in.q = 0.15
+kernel_in.s = 1.0
+kernel_out.kind = waxman
+kernel_out.q = 0.5
+kernel_out.s = 1.0
+"""
+CELLS = {
+    "indicator": (KERNEL_CONFIG, kernels.Indicator(0.2), kernels.Indicator(0.05), "hosc_li"),
+    "waxman": (WAXMAN_BOTTOM_CONFIG, kernels.Waxman(0.15, 1.0), kernels.Waxman(0.5, 1.0), "hosc"),
+}
+
+
+def cluster_cell(tmp_path, cell, labels=True, name="o", quiet=True):
+    """sgbm cluster on the n = 400, seed 3 graph of a CELLS cell, written as
+    files; returns (graph, truth, output directory)."""
+    kernel_config, f_in, f_out, algorithm = CELLS[cell]
+    graph, truth, _ = model.sample_graph(model.SgbmParams(n=400, d=1, f_in=f_in, f_out=f_out,
+                                                          seed=3))
     model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
     model.write_labels(tmp_path / "truth.txt", truth)
-    base = kernel_config + f"run.algorithm = hosc_li\nrun.graph = {tmp_path / 'edges.txt'}\n"
-    truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
-    for name, text, want in [("plain", base, ([400], [], [400])),
-                             ("truth", base + truth_key, ([], [400], []))]:
-        with monkeypatch.context() as patch:
-            calls = count_routines(patch, "dsyevd N", "dsyevd V", "window")
-            cfg = write_config(tmp_path, text, f"{name}.cfg")
-            assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
-                             "--quiet"]) == 0
-        assert (calls["dsyevd N"], calls["dsyevd V"], calls["window"]) == want, name
+    text = kernel_config + f"run.algorithm = {algorithm}\nrun.graph = {tmp_path / 'edges.txt'}\n"
+    if labels:
+        text += f"run.labels = {tmp_path / 'truth.txt'}\n"
+    out = tmp_path / name
+    assert cli.main(["cluster", "--config", write_config(tmp_path, text, f"{name}.cfg"),
+                     "--out", str(out)] + ["--quiet"] * quiet) == 0
+    return graph, truth, out
 
 
-def test_cluster_with_labels_selects_as_eigendecompose(tmp_path, monkeypatch, count_routines):
-    """With run.labels, sgbm cluster runs exactly one dsyevd, with vectors,
-    and no window, on A or shifted (dsytrf): its selection is
-    eigendecompose's, bit for bit."""
-    params = model.SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.2),
-                              f_out=kernels.Indicator(0.05), seed=3)
-    graph, truth, _ = model.sample_graph(params)
-    model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
-    model.write_labels(tmp_path / "truth.txt", truth)
-    cfg = write_config(tmp_path, KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
-                                                 f"run.labels = {tmp_path / 'truth.txt'}\n")
-    reports = []
-    cluster = spectral.cluster
+def selection_rows(out):
+    """{rank: [rank, eigenvalue, accuracy, selected]} for the filled rows of selection.csv."""
+    rows = [line.split(",") for line in (out / "selection.csv").read_text().splitlines()[1:]]
+    return {int(row[0]): row for row in rows if row[1]}
 
-    def recorded(*args, **kwargs):
-        labels, report = cluster(*args, **kwargs)
-        reports.append(report)
-        return labels, report
 
-    monkeypatch.setattr(spectral, "cluster", recorded)
+def eigendecompose_rows(graph, truth, f_in, f_out, algorithm):
+    """(predicted labels, filled selection.csv rows) as the whole spectrum gives
+    them, every eigenpair eigh's (spectral.eigendecompose), on the same rule's ranks."""
+    full = spectral.eigendecompose(graph)
+    predicted, report = spectral.cluster(full, algorithm, kernels.edge_density(f_in),
+                                         kernels.edge_density(f_out))
+    ranks = spectral.profile_ranks(full, report.selected_index)
+    profile = dict(spectral.per_eigenvector_accuracy(full, truth, ranks))
+    return predicted, {rank: [str(rank), f"{full.eigenvalues[rank - 1]:.9g}",
+                              f"{profile[rank]:.6f}", str(int(rank == report.selected_index))]
+                       for rank in ranks}
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "plain"])
+def test_cluster_runs_no_dsyevd_where_a_window_holds_the_ranks(tmp_path, monkeypatch,
+                                                               count_routines, labels):
+    """With run.labels or without, sgbm cluster selects and profiles on the
+    window on A alone: no dsyevd, with vectors or without, and no shift."""
     calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf", "window",
                            "shifted window")
-    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-    assert calls == {"dsyevd N": [], "dsyevd V": [400], "dsytrf": [], "window": [],
+    cluster_cell(tmp_path, "indicator", labels)
+    assert calls == {"dsyevd N": [], "dsyevd V": [], "dsytrf": [], "window": [400],
                      "shifted window": []}
-    lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(params.f_in),
-                                            kernels.edge_density(params.f_out), 400)
-    want = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
-    [got] = reports
-    assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
-        (want.selected_index, want.lambda_selected, want.gap_to_next)
-    assert np.array_equal(got.eigenvector, want.eigenvector)
 
 
-def test_cluster_eigenvalues_do_not_depend_on_truth(tmp_path, monkeypatch, count_routines):
+@pytest.mark.parametrize("cell", CELLS)
+def test_cluster_filled_rows_are_the_whole_spectrums(tmp_path, monkeypatch, count_routines,
+                                                     cell):
+    """predicted.labels and every filled row of selection.csv (rank, eigenvalue
+    to 9 digits, accuracy, selected) equal what eigendecompose's eigh pairs
+    give, and so does the set of filled rows, though no dsyevd runs.  The
+    Waxman cell selects rank n."""
+    calls = count_routines(monkeypatch, "dsyevd")
+    graph, truth, out = cluster_cell(tmp_path, cell)
+    assert calls == {"dsyevd": []}
+    predicted, rows = eigendecompose_rows(graph, truth, *CELLS[cell][1:])
+    assert np.array_equal(model.read_labels(out / "predicted.labels"), predicted)
+    assert selection_rows(out) == rows
+    if cell == "waxman":
+        assert rows[400][3] == "1"
+
+
+def test_cluster_two_clique_fallback_fills_the_same_ranks(tmp_path, monkeypatch,
+                                                          count_routines):
+    """Where a window gives up (the repeated top eigenvalue of two cliques),
+    the whole spectrum, one dsyevd with vectors, answers the ranks the same
+    rule picks: the selected rank 1 and its neighbour 2."""
+    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V")
+    cfg = write_config(tmp_path, two_clique_config(tmp_path))
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert calls == {"dsyevd N": [], "dsyevd V": [20]}
+    graph, _, _ = model.read_graph(tmp_path / "edges.txt")
+    truth = model.read_labels(tmp_path / "truth.txt")
+    predicted, rows = eigendecompose_rows(graph, truth, kernels.Constant(1.0),
+                                          kernels.Constant(0.0), "hosc")
+    assert sorted(rows) == [1, 2] and rows[1][3] == "1"
+    assert selection_rows(tmp_path / "o") == rows
+    assert np.array_equal(model.read_labels(tmp_path / "o" / "predicted.labels"), predicted)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_cluster_selection_columns_do_not_depend_on_truth(tmp_path, cell):
     """selection.csv's rank, eigenvalue and selected columns are the same bytes
-    with and without run.labels.  Without it the eigenvalues printed are
-    eigvalsh's (dsyevd without vectors), with it eigh's (dsyevd with vectors,
-    which the profile reads).  The two differ by about 1e-15 of the largest
-    eigenvalue, far below the 9 significant digits printed; they give the
-    same strings here and on generate_cluster_gbm's graphs (n = 2000) for
-    seeds 0-5.  Each run solves A once."""
-    params = model.SgbmParams(n=400, d=1, f_in=kernels.Indicator(0.2),
-                              f_out=kernels.Indicator(0.05), seed=3)
-    graph, truth, _ = model.sample_graph(params)
-    model.write_graph(tmp_path / "edges.txt", graph, 1, 3)
-    model.write_labels(tmp_path / "truth.txt", truth)
-    calls = count_routines(monkeypatch, "dsyevd N", "dsyevd V", "dsytrf")
-    base = KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
-    truth_key = f"run.labels = {tmp_path / 'truth.txt'}\n"
+    with and without run.labels, which only fills the accuracy cells."""
     columns = []
-    for name, text in [("plain", base), ("truth", base + truth_key)]:
-        cfg = write_config(tmp_path, text, f"{name}.cfg")
-        assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / name),
-                         "--quiet"]) == 0
-        lines = (tmp_path / name / "selection.csv").read_text().splitlines()
+    for labels in (False, True):
+        out = cluster_cell(tmp_path, cell, labels, name=f"o{labels}")[2]
+        lines = (out / "selection.csv").read_text().splitlines()
         columns.append([(cells[0], cells[1], cells[3]) for cells in
                         (line.split(",") for line in lines)])
     assert len(columns[0]) == 401 and columns[0] == columns[1]
-    assert calls == {"dsyevd N": [400], "dsyevd V": [400], "dsytrf": []}
+
+
+def test_cluster_reports_the_profile_route(tmp_path, capsys):
+    """Without --quiet, sgbm cluster says how many ranks the profile covers
+    and what holds them: the window on A, the shifted window (rank n - 1 of
+    the Waxman cell) or the whole spectrum (two cliques)."""
+    printed = {}
+    for cell in CELLS:
+        (tmp_path / cell).mkdir()
+        cluster_cell(tmp_path / cell, cell, quiet=False)
+        printed[cell] = capsys.readouterr().out
+    cfg = write_config(tmp_path, two_clique_config(tmp_path))
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    printed["cliques"] = capsys.readouterr().out
+    routes = {}
+    for cell, stdout in printed.items():
+        [line] = [line for line in stdout.splitlines() if line.startswith("profile: ")]
+        match = re.fullmatch(r"profile: (\d+) ranks from (.*)", line)
+        routes[cell] = {name: int(count) for name, count in re.findall(
+            r"the (window on A|shifted window|whole spectrum) \((\d+)\)", match.group(2))}
+        assert sum(routes[cell].values()) == int(match.group(1))
+    assert routes["indicator"] == {"window on A": len(selection_rows(tmp_path / "indicator" / "o"))}
+    assert routes["waxman"] == {"window on A": 2, "shifted window": 1}
+    assert routes["cliques"] == {"whole spectrum": 2}
 
 
 @pytest.mark.parametrize("command,labels", [("cluster", True), ("cluster", False),
                                             ("spectrum", False)])
 def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, patch_lapack, command, labels):
-    """When LAPACKE cannot allocate dsyevd's workspace, with vectors and without,
-    sgbm cluster, with run.labels or without (where the windows cluster and
-    only selection.csv's eigenvalues need dsyevd), and sgbm spectrum exit 4
-    with the message and write no output file."""
-    params = model.SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
-                              f_out=kernels.Indicator(0.05), seed=5)
-    graph, truth, _ = model.sample_graph(params)
-    model.write_graph(tmp_path / "edges.txt", graph, 1, 5)
-    model.write_labels(tmp_path / "truth.txt", truth)
-    text = (KERNEL_CONFIG + f"run.graph = {tmp_path / 'edges.txt'}\n"
-            if command == "cluster" else GBM_CONFIG)
-    if labels:
-        text += f"run.labels = {tmp_path / 'truth.txt'}\n"
+    """When LAPACKE cannot allocate dsyevd's workspace, sgbm cluster, with
+    run.labels or without, and sgbm spectrum exit 4 with the message and write
+    no output file.  sgbm cluster reaches dsyevd on two cliques, whose repeated
+    top eigenvalue every window gives up on."""
+    text = two_clique_config(tmp_path) if command == "cluster" else GBM_CONFIG
+    if not labels:
+        text = "".join(line for line in text.splitlines(True) if not line.startswith("run.labels"))
     cfg = write_config(tmp_path, text)
     patch_lapack(monkeypatch, dsyevd=lambda *args: -1010)
     out = tmp_path / "o"

@@ -82,6 +82,8 @@ def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, ca
         spectral.eigendecompose(graph)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "labels.txt", np.ones(200, dtype=np.int8))
+    # with the windows' dsbtrd failing, sgbm cluster reads the whole spectrum
+    patch_lapack(monkeypatch, dsbtrd=lambda *args: -1)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
                    "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
@@ -133,12 +135,12 @@ def test_residual_check_allocates_by_row_block():
     vector = full.eigenvectors[:, 2]
     radius = max(1.0, float(full.eigenvalues[0]))
     value = float(full.eigenvalues[2])
-    assert np.array_equal(spectral._checked(graph, value, vector, radius),
-                          full.eigenvector(3))
+    assert np.array_equal(spectral._checked(graph, np.array([value]), vector[:, None], radius),
+                          full.eigenvector(3)[:, None])
     perturbed = vector.copy()
     perturbed[500] += 1e-6
     with pytest.raises(EigendecompositionError, match="residual"):
-        spectral._checked(graph, value, perturbed, radius)
+        spectral._checked(graph, np.array([value]), perturbed[:, None], radius)
 
 
 # --- ideal_eigenvalue ---------------------------------------------------------
@@ -381,11 +383,11 @@ def test_partial_path_matches_full_eigh_on_preset_cells(tmp_path, monkeypatch, c
 
 
 def test_sign_rule():
+    """The rule holds column by column of a block."""
     v = np.array([0.1, -0.3, 0.6, -0.7])  # max |v| = 0.7; first entry >= 0.35 is 0.6
-    assert np.array_equal(spectral._oriented(v), v)
-    assert np.array_equal(spectral._oriented(-v), v)
-    w = np.array([-0.5, 0.2, 0.9])  # -0.5 reaches half of 0.9
-    assert np.array_equal(spectral._oriented(w), -w)
+    w = np.array([-0.5, 0.2, 0.9, 0.0])  # -0.5 reaches half of 0.9
+    assert np.array_equal(spectral._oriented(np.stack([v, -v, w], axis=1)),
+                          np.stack([v, v, -w], axis=1))
 
 
 def test_sign_rule_gives_the_same_labels_on_both_paths():
@@ -795,7 +797,9 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "truth.txt", truth)
     cfg = tmp_path / "run.cfg"
-    # with run.labels, sgbm cluster reads the whole spectrum, and so dsyevd's vectors
+    # with the windows' dsbtrd failing, sgbm cluster reads the whole spectrum,
+    # and so dsyevd's vectors
+    patch_lapack(monkeypatch, dsbtrd=lambda *args: -1)
     cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
                    "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
                    f"run.graph = {tmp_path / 'edges.txt'}\n"
@@ -1259,14 +1263,46 @@ def test_profile_length_mismatch():
 
 
 def test_profile_matches_label_mismatch_formula():
+    """Each rank scores sign_partition of its eigenvector(rank), under the
+    sign rule; an entry of exactly 0 goes to label 2, so the rule can matter:
+    rank 73 (eigenvalue -1, two exact zeros) scores 0.515, its raw eigh
+    column 0.525."""
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=4)
     graph, truth, _ = model.sample_graph(params)
     spec = spectral.eigendecompose(graph)
-    mism = (np.where(spec.eigenvectors > 0, 1, 2) != truth[:, None]).sum(axis=0)
+    mism = [np.sum(spectral.sign_partition(spec.eigenvector(rank)) != truth)
+            for rank in range(1, 201)]
     expected = [(rank + 1, float(1.0 - min(m, 200 - m) / 200)) for rank, m in enumerate(mism)]
     assert spectral.per_eigenvector_accuracy(spec, truth) == expected
     assert spectral.per_eigenvector_accuracy(spec, truth.astype(np.int64)) == expected
+    assert expected[72][1] == 0.515 and np.sum(spec.eigenvectors[:, 72] == 0) == 2
+    assert spectral.per_eigenvector_accuracy(spec, truth, [73, 5]) == [expected[72], expected[4]]
+
+
+def test_profile_ranks_are_the_same_from_the_windows_and_the_whole_spectrum(count_routines,
+                                                                          monkeypatch):
+    """profile_ranks gives every rank whose eigenvalue lies beyond three bulk
+    edges, above or below, and the selected rank with its neighbours.  The
+    window on A alone holds them, with no dsyevd, and gives the ranks and
+    accuracies that eigendecompose's whole spectrum gives."""
+    params = SgbmParams(n=1000, d=1, f_in=kernels.Indicator(0.2),
+                        f_out=kernels.Indicator(0.05), seed=2)
+    graph, truth, _ = model.sample_graph(params)
+    calls = count_routines(monkeypatch, "dsyevd", "shifted window")
+    windows = spectral.Spectrum(graph)
+    _, report = spectral.cluster(windows, "hosc", 0.4, 0.1)
+    ranks = spectral.profile_ranks(windows, report.selected_index)
+    profile = spectral.per_eigenvector_accuracy(windows, truth, ranks)
+    assert calls == {"dsyevd": [], "shifted window": []}
+    assert {windows.source(rank) for rank in ranks} == {"window on A"}
+    full = spectral.eigendecompose(graph)
+    edge = 3 * full.bulk_edge
+    beyond = [rank for rank, value in enumerate(full.eigenvalues, 1) if abs(value) > edge]
+    assert ranks == sorted({*beyond, *range(report.selected_index - 1, report.selected_index + 2)})
+    assert ranks == spectral.profile_ranks(full, report.selected_index)
+    assert profile == spectral.per_eigenvector_accuracy(full, truth, ranks)
+    assert windows.vectors(ranks)[0] is windows.eigenvector(ranks[0])
 
 
 @pytest.mark.parametrize("bad", [0, 3, -1])
