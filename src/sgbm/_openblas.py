@@ -1,5 +1,10 @@
 """ctypes bindings to the OpenBLAS that numpy's linalg extension loads.
 
+Four LAPACKE routines, _LAPACK, and OpenBLAS's two thread controls are
+bound: dsyevd solves the whole spectrum, dsbev every Ritz pair of a
+Lanczos window's band, and dsytrf and dsytrs factor and solve the shifted
+window's A - sigma I.
+
 numpy >= 2 wheels link scipy-openblas, built with 64-bit integers
 (ILP64), and export its symbols as scipy_<name>64_.  Only those names
 are bound: a system OpenBLAS exports LP64 names, whose 32-bit integers a
@@ -25,7 +30,7 @@ COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 # the info LAPACKE returns when it cannot allocate a workspace or a transposed copy
 MEMORY_ERRORS = (-1010, -1011)
 
-_LAPACK = ("dsyevd", "dstebz", "dstein", "dsbtrd", "dsytrf", "dsytrs")
+_LAPACK = ("dsyevd", "dsbev", "dsytrf", "dsytrs")
 
 
 @cache
@@ -39,23 +44,16 @@ def _signatures():
     lapack_int = ctypes.c_int64  # lapack_int in an ILP64 build
     doubles = ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = ndpointer(np.int64, flags="C_CONTIGUOUS")
-    layout, char, double = ctypes.c_int, ctypes.c_char, ctypes.c_double
+    layout, char = ctypes.c_int, ctypes.c_char
     return {
         "openblas_get_num_threads": ([], ctypes.c_int),
         "openblas_set_num_threads": ([ctypes.c_int], None),
         # layout, jobz, uplo, n, a, lda, w
         "LAPACKE_dsyevd": ([layout, char, char, lapack_int, doubles, lapack_int, doubles],
                            lapack_int),
-        # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
-        "LAPACKE_dstebz": ([char, char, lapack_int, double, double, lapack_int, lapack_int,
-                            double, doubles, doubles, ints, ints, doubles, ints, ints],
-                           lapack_int),
-        # layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
-        "LAPACKE_dstein": ([layout, lapack_int, doubles, doubles, lapack_int, doubles, ints,
-                            ints, doubles, lapack_int, ints], lapack_int),
-        # layout, vect, uplo, n, kd, ab, ldab, d, e, q, ldq
-        "LAPACKE_dsbtrd": ([layout, char, char, lapack_int, lapack_int, doubles, lapack_int,
-                            doubles, doubles, doubles, lapack_int], lapack_int),
+        # layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz
+        "LAPACKE_dsbev": ([layout, char, char, lapack_int, lapack_int, doubles, lapack_int,
+                           doubles, doubles, lapack_int], lapack_int),
         # layout, uplo, n, a, lda, ipiv
         "LAPACKE_dsytrf": ([layout, char, lapack_int, doubles, lapack_int, ints], lapack_int),
         # layout, uplo, n, nrhs, a, lda, ipiv, b, ldb

@@ -197,14 +197,15 @@ class _Window:
     against every basis vector: on A through Graph.matvec, or, with a shift
     sigma, on (A - sigma I)^-1 through the Bunch-Kaufman factorization of
     A - sigma I (dsytrf, solved by dsytrs; Ericsson and Ruhe, Math. Comp.
-    1980).  The projection of the operator on the basis is banded; dsbtrd makes
-    it tridiagonal and dstebz and dstein give its Ritz pairs.  values holds the
-    eigenvalues of A they stand for, descending: the Ritz value theta on A,
-    sigma + 1 / theta on the inverse.  Ranks are counted from two anchors: on
-    A from rank 1 at the top and rank n at the bottom, on the inverse from
-    count, the inertia's number of eigenvalues above sigma, just above sigma
-    and count + 1 just below it.  Every sum over n is taken by einsum, which
-    no BLAS thread splits.
+    1980).  The projection of the operator on the basis is banded, and one
+    dsbev call gives every Ritz pair.  values holds the eigenvalues of A they
+    stand for, descending: the Ritz value theta on A, sigma + 1 / theta on
+    the inverse; coordinates (row k: the basis coordinates of pair k) and
+    residuals (pair k's residual on A) are aligned with it.  Ranks are
+    counted from two anchors: on A from rank 1 at the top and rank n at the
+    bottom, on the inverse from count, the inertia's number of eigenvalues
+    above sigma, just above sigma and count + 1 just below it.  Every sum
+    over n is taken by einsum, which no BLAS thread splits.
     """
 
     def __init__(self, graph, lapack, sigma=None):
@@ -286,44 +287,51 @@ class _Window:
             self.length += 1
 
     def _solve(self):
-        """Ritz values of H's leading block of complete columns: dsbtrd makes
-        the band tridiagonal, keeping its rotations, and dstebz bisects every
-        eigenvalue; then values, and what the residuals read.  False when
-        either fails."""
+        """Every Ritz pair of H's leading block of complete columns, by one
+        dsbev call on a copy of its band; then values, coordinates and
+        residuals, aligned.  False when dsbev fails.
+
+        dsbev reduces the band to tridiagonal form and runs the implicit QR
+        iteration (dsteqr), whose rotations dlasr applies with no BLAS-3
+        call, so its bits do not depend on the OpenBLAS thread count; those
+        of dsbevd, the divide-and-conquer driver, do.  The residual of
+        A y - value y is read off the band: on A it is the coupling to the
+        pending vectors; on the inverse, (A - sigma I)^-1 y = theta y + r
+        with r in their span, so A y - (sigma + 1 / theta) y =
+        -(A - sigma I) r / theta.
+        """
         size, b = self.done, _BLOCK
         width = min(b, size - 1)
         band = self._band[:size, :width + 1].copy()
         for offset in range(1, width + 1):
             band[size - offset:, offset] = 0.0  # rows past size couple to the next block
-        # LAPACKE checks the rotations for NaN on entry
-        d, e, rotations = np.empty(size), np.empty(max(1, size - 1)), np.zeros((size, size))
-        if self._lapack["dsbtrd"](_openblas.COL_MAJOR, b"V", b"L", size, width, band,
-                                  width + 1, d, e, rotations, size) != 0:
+        theta, vectors = np.empty(size), np.empty((size, size))
+        if self._lapack["dsbev"](_openblas.COL_MAJOR, b"V", b"L", size, width, band, width + 1,
+                                 theta, vectors, size) != 0:
             return False
-        m, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
-        theta, blocks, split = np.zeros(size), np.zeros(size, np.int64), np.zeros(size, np.int64)
-        if self._lapack["dstebz"](b"A", b"E", size, 0.0, 0.0, 0, 0, 0.0, d, e, m, nsplit,
-                                  theta, blocks, split) != 0 or m[0] != size:
-            return False
-        self._tridiagonal = d, e, rotations, blocks[::-1], split
-        self._theta = theta = theta[::-1]
-        # H's rows past the leading block, on its last b columns: what the residual reads
+        # dsbev's values ascend; column-major, so row k of vectors holds pair k's coordinates
+        theta, vectors = theta[::-1], vectors[::-1]
+        # H's rows past the leading block, on its last b columns
         tail = range(max(0, size - b), size)
-        self._tail = tail.start
-        self._coupling = np.array([[self._band[j, i - j] if i - j <= b else 0.0 for j in tail]
-                                   for i in range(size, self.length)]).reshape(-1, len(tail))
+        coupling = np.array([[self._band[j, i - j] if i - j <= b else 0.0 for j in tail]
+                             for i in range(size, self.length)]).reshape(-1, len(tail))
+        r = np.einsum("pj,kj->pk", coupling, vectors[:, tail.start:])  # column k: pair k's r
         if self.sigma is None:
-            self.values, self._order = theta, np.arange(size)
+            self.values, self.coordinates = theta, vectors
+            self.residuals = np.sqrt(np.sum(r ** 2, axis=0))
             return True
+        # (A - sigma I) on the pending vectors
+        pending = self.basis[size:self.length]
+        image = self.graph.matvec(np.ascontiguousarray(pending.T)).T - self.sigma * pending
+        image = np.einsum("kn,kp->pn", image, r)
         # sigma + 1 / theta falls as theta rises on either side of 0, so the values
         # descend over the positive thetas ascending, then the negative ones
         self.above = above = int(np.sum(theta > 0))
-        self._order = np.concatenate([np.arange(above)[::-1], np.arange(above, size)[::-1]])
+        order = np.concatenate([np.arange(above)[::-1], np.arange(above, size)[::-1]])
         with np.errstate(divide="ignore"):
-            self.values = self.sigma + 1.0 / theta[self._order]
-        # (A - sigma I) on the pending vectors: the residual on A reads it
-        pending = self.basis[size:self.length]
-        self._image = self.graph.matvec(np.ascontiguousarray(pending.T)).T - self.sigma * pending
+            self.values = self.sigma + 1.0 / theta[order]
+            residuals = np.sqrt(np.einsum("pn,pn->p", image, image)) / np.abs(theta)
+        self.coordinates, self.residuals = vectors[order], residuals[order]
         return True
 
     def runs(self, top, bottom):
@@ -341,28 +349,6 @@ class _Window:
             ends = ((self.count, self.above - 1, -1, top), (self.count + 1, self.above, 1, bottom))
         return [[(rank + step * j, position + step * j) for j in range(length)]
                 for rank, position, step, length in ends]
-
-    def ritz(self, position):
-        """(coordinates in the basis, residual on A) of the Ritz pair at position
-        of values; None when dstein fails.  The residual of A y - value y is read
-        off the band: on A it is the coupling to the pending vectors; on the
-        inverse, (A - sigma I)^-1 y = theta y + r with r in their span, so
-        A y - (sigma + 1 / theta) y = -(A - sigma I) r / theta."""
-        d, e, rotations, blocks, split = self._tridiagonal
-        size, i = len(d), self._order[position]
-        value, block = np.zeros(size), np.zeros(1, np.int64)
-        value[0], block[0] = self._theta[i], blocks[i]
-        vector, failed = np.zeros(size), np.zeros(1, np.int64)
-        if self._lapack["dstein"](_openblas.COL_MAJOR, size, d, e, 1, value, block, split,
-                                  vector, size, failed) != 0:
-            return None
-        # rotations holds Q column-major, so Q z is a sum over its rows
-        coordinates = np.einsum("ji,j->i", rotations, vector)
-        r = self._coupling @ coordinates[self._tail:]
-        if self.sigma is None:
-            return coordinates, float(np.sqrt(np.sum(r ** 2)))
-        image = np.einsum("kn,k->n", self._image, r)
-        return coordinates, float(np.sqrt(np.einsum("i,i->", image, image)) / abs(self._theta[i]))
 
     def vector(self, coordinates):
         """The Ritz vector of A with these coordinates in the basis."""
@@ -632,7 +618,7 @@ class Spectrum:
     def _converged(self, window, top, bottom):
         """For the runs (top, bottom) of window: None while its basis is too
         small to hold them; False (give up) when one lies within _GAP_RTOL of
-        a neighbouring value or LAPACK fails; else (converged, pending):
+        a neighbouring value; else (converged, pending):
         {rank: (value, coordinates)} for each run up to its first Ritz pair
         yet to converge, and the values of those yet to converge, in run
         order."""
@@ -652,15 +638,11 @@ class Spectrum:
         for run in runs:
             stalled = False
             for rank, position in run:
-                pair = window.ritz(position)
-                if pair is None:
-                    return False
-                coordinates, residual = pair
-                if residual > _RESIDUAL_RTOL * self._scale:
+                if window.residuals[position] > _RESIDUAL_RTOL * self._scale:
                     pending.append(float(values[position]))
                     stalled = True
                 elif not stalled:
-                    converged[rank] = float(values[position]), coordinates
+                    converged[rank] = float(values[position]), window.coordinates[position]
         return converged, pending
 
     @property

@@ -654,7 +654,7 @@ def test_meta_sidecar(tmp_path, monkeypatch):
     if _openblas.lapack() is not None:
         assert ("eigensolver: block Lanczos windows on Graph.matvec and on a dsytrf factor "
                 "of A - sigma I, else dsyevd; "
-                "LAPACKE dsyevd dstebz dstein dsbtrd dsytrf dsytrs\n") in text
+                "LAPACKE dsyevd dsbev dsytrf dsytrs\n") in text
     with monkeypatch.context() as patch:
         patch.setattr(_openblas, "lapack", lambda: None)
         harness.write_meta(tmp_path / "eigh.txt", {}, workers=2)

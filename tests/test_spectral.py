@@ -82,8 +82,8 @@ def test_eigendecompose_failure_is_an_error_and_exit_4(tmp_path, monkeypatch, ca
         spectral.eigendecompose(graph)
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "labels.txt", np.ones(200, dtype=np.int8))
-    # with the windows' dsbtrd failing, sgbm cluster reads the whole spectrum
-    patch_lapack(monkeypatch, dsbtrd=lambda *args: -1)
+    # with the windows' dsbev failing, sgbm cluster reads the whole spectrum
+    patch_lapack(monkeypatch, dsbev=lambda *args: -1)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
                    "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
@@ -659,9 +659,10 @@ def failing_routine(*args):
 
 
 def test_lapack_failure_falls_back_to_full_solve(monkeypatch, patch_lapack, count_routines):
-    """A LAPACK call that fails inside the window on A (dsbtrd on its band,
-    dstebz or dstein on the band's tridiagonal form) hands out nothing: the
-    whole spectrum answers, with eigh's rank and vector from one full solve."""
+    """A LAPACK call that fails inside the window on A (dsbev on its band,
+    with no convergence or a workspace LAPACKE cannot allocate) hands out
+    nothing: the whole spectrum answers, with eigh's rank and vector from one
+    full solve."""
     params = SgbmParams(n=200, d=1, f_in=kernels.Indicator(0.2),
                         f_out=kernels.Indicator(0.05), seed=1)
     graph, _, _ = model.sample_graph(params)
@@ -669,14 +670,14 @@ def test_lapack_failure_falls_back_to_full_solve(monkeypatch, patch_lapack, coun
     full = spectral.eigendecompose(graph)
     reference = spectral.select_eigenpair(full, lambda_star)
 
-    for name in ("dsbtrd", "dstebz", "dstein"):
+    for info in (1, -1010):  # no convergence; LAPACKE's work memory error
         with monkeypatch.context() as patch:
             calls = count_routines(patch, "dsyevd V")["dsyevd V"]
-            patch_lapack(patch, **{name: failing_routine})
+            patch_lapack(patch, dsbev=lambda *args, info=info: info)
             spectrum = spectral.Spectrum(graph)
             report = spectral.select_eigenpair(spectrum, lambda_star)
-        assert calls == [200], name
-        assert spectrum._eigenvectors is not None and spectrum._ritz == {}, name
+        assert calls == [200], info
+        assert spectrum._eigenvectors is not None and spectrum._ritz == {}, info
         assert report.selected_index == reference.selected_index
         assert np.array_equal(report.eigenvector, reference.eigenvector)
     # selection on the window reads no dsterf, so a failing one costs it no full
@@ -797,9 +798,9 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
     model.write_graph(tmp_path / "edges.txt", graph, 1, 0)
     model.write_labels(tmp_path / "truth.txt", truth)
     cfg = tmp_path / "run.cfg"
-    # with the windows' dsbtrd failing, sgbm cluster reads the whole spectrum,
+    # with the windows' dsbev failing, sgbm cluster reads the whole spectrum,
     # and so dsyevd's vectors
-    patch_lapack(monkeypatch, dsbtrd=lambda *args: -1)
+    patch_lapack(monkeypatch, dsbev=lambda *args: -1)
     cfg.write_text("kernel_in.kind = indicator\nkernel_in.r = 0.2\n"
                    "kernel_out.kind = indicator\nkernel_out.r = 0.05\n"
                    f"run.graph = {tmp_path / 'edges.txt'}\n"
@@ -904,6 +905,36 @@ def test_window_bits_do_not_depend_on_blas_threads(f_in, f_out, n, seed):
         assert spectrum._eigenvalues is None  # answered by the window
         runs.append((report.lambda_selected, report.eigenvector.tobytes(), labels.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_band_solve_bits_do_not_depend_on_blas_threads():
+    """The windows solve their band by dsbev, whose QR iteration applies its
+    rotations with dlasr and no BLAS-3 call: its values and vectors are the
+    same bits with OpenBLAS at one thread and at its default count.  dsbevd
+    and numpy's eigh on the band, divide and conquer, differ from m = 300 on."""
+    m, width = 400, 2
+    band = np.random.default_rng(m).standard_normal((m, width + 1))
+    runs = []
+    for pinned in (False, True):
+        values, vectors = np.empty(m), np.empty((m, m))
+        with harness._one_blas_thread() if pinned else contextlib.nullcontext():
+            info = _openblas.lapack()["dsbev"](_openblas.COL_MAJOR, b"V", b"L", m, width,
+                                               band.copy(), width + 1, values, vectors, m)
+        assert info == 0
+        runs.append((values.tobytes(), vectors.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_bindings_are_the_routines_spectrum_calls():
+    """_signatures() declares the two OpenBLAS thread controls and the
+    LAPACKE routine of each name in _LAPACK, and no other, so a routine
+    dropped from _LAPACK leaves no signature behind; this build binds them
+    all."""
+    threads = {"openblas_get_num_threads", "openblas_set_num_threads"}
+    assert set(_openblas._signatures()) == threads | {
+        f"LAPACKE_{name}" for name in _openblas._LAPACK}
+    assert all(_openblas.function(name) is not None for name in _openblas._signatures())
+    assert list(_openblas.lapack()) == list(_openblas._LAPACK)
 
 
 # --- the shifted window -------------------------------------------------------------
@@ -1046,6 +1077,64 @@ def test_a_new_shift_drops_the_old_factor():
     assert old.factor is None and spectrum._shifted.factor is not None
     spectrum._vectors.clear()
     assert np.array_equal(spectrum.eigenvector(rank), vector)
+
+
+def test_values_near_the_shift_read_the_shifted_window(monkeypatch, count_routines):
+    """After selection on a cell whose lambda* lies inside the bulk margin,
+    values and eigenvector for ranks within _END_RANKS of the shift that
+    selection did not read come from the shifted window (Spectrum._hold),
+    not the whole spectrum, and match eigh's."""
+    f_in, f_out, n = kernels.Waxman(0.45, 1.0), kernels.Waxman(0.5, 1.0), 1000
+    graph = model.sample_graph(SgbmParams(n=n, d=1, f_in=f_in, f_out=f_out,
+                                          seed=harness.cell_seed(0, 0, 0)))[0]
+    lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
+                                            kernels.edge_density(f_out), n)
+    calls = count_routines(monkeypatch, "dsyevd")
+    spectrum = spectral.Spectrum(graph)
+    spectral.select_eigenpair(spectrum, lambda_star)
+    count = spectrum.count_above(lambda_star)
+    assert count == 876
+    ranks = (count - 2, count + 3)
+    assert all(rank not in spectrum._ritz for rank in ranks)
+    got = [(spectrum.values(rank, rank)[0], spectrum.eigenvector(rank)) for rank in ranks]
+    assert calls == {"dsyevd": []}
+    assert [spectrum.source(rank) for rank in ranks] == ["shifted window"] * 2
+    want = whole_spectrum(graph)
+    for rank, (value, vector) in zip(ranks, got):
+        assert abs(value - want.eigenvalues[rank - 1]) <= 1e-12 * spectrum._scale, rank
+        assert np.abs(vector - want.eigenvector(rank)).max() <= 1e-8, rank
+
+
+def test_windows_grown_from_a_small_basis_select_eigendecomposes_pair(monkeypatch):
+    """Windows first solved at 6 basis vectors pass through the state where
+    their basis cannot yet hold a run a request reads (_Window.runs and
+    _converged give None, and the window grows): on the Waxman q = 0.25
+    hand-off cell the shifted window does.  Each selection is
+    eigendecompose's."""
+    monkeypatch.setattr(spectral, "_WINDOW_FIRST", 6)
+    monkeypatch.setattr(spectral, "_SHIFT_FIRST", 6)
+    runs, too_small = spectral._Window.runs, []
+
+    def counted_runs(window, top, bottom):
+        found = runs(window, top, bottom)
+        too_small.append(found is None)
+        return found
+    monkeypatch.setattr(spectral._Window, "runs", counted_runs)
+    n, fig3 = 1000, (kernels.Indicator(0.08), kernels.Indicator(0.05))
+    for f_in, f_out in (fig3, *[(kernels.Waxman(q, 1.0), kernels.Waxman(0.5, 1.0))
+                                for q in (0.25, 0.45)]):
+        graph = model.sample_graph(SgbmParams(n=n, d=1, f_in=f_in, f_out=f_out, seed=3))[0]
+        lambda_star = spectral.ideal_eigenvalue(kernels.edge_density(f_in),
+                                                kernels.edge_density(f_out), n)
+        too_small.clear()
+        spectrum = spectral.Spectrum(graph)
+        got = spectral.select_eigenpair(spectrum, lambda_star)
+        want = spectral.select_eigenpair(spectral.eigendecompose(graph), lambda_star)
+        assert spectrum._eigenvalues is None, f_in  # the windows answered
+        assert got.selected_index == want.selected_index, f_in
+        assert abs(got.lambda_selected - want.lambda_selected) <= 1e-9 * spectrum._scale, f_in
+        if f_in == kernels.Waxman(0.25, 1.0):
+            assert any(too_small)
 
 
 # --- the tolerance scale ------------------------------------------------------------
