@@ -33,8 +33,8 @@ COL, WIDTH = _openblas.COL_MAJOR, 2
 LINT, CHAR, DOUBLE = ctypes.c_int64, ctypes.c_char, ctypes.c_double
 DOUBLES = ndpointer(np.float64, flags="C_CONTIGUOUS")
 INTS = ndpointer(np.int64, flags="C_CONTIGUOUS")
+# the routines sgbm does not bind; dsbevd takes dsbev's arguments
 SIGNATURES = {
-    "dsbev": [ctypes.c_int, CHAR, CHAR, LINT, LINT, DOUBLES, LINT, DOUBLES, DOUBLES, LINT],
     "dsbevd": [ctypes.c_int, CHAR, CHAR, LINT, LINT, DOUBLES, LINT, DOUBLES, DOUBLES, LINT],
     "dsbtrd": [ctypes.c_int, CHAR, CHAR, LINT, LINT, DOUBLES, LINT, DOUBLES, DOUBLES, DOUBLES,
                LINT],
@@ -93,7 +93,7 @@ def main():
     get = _openblas.function("openblas_get_num_threads")
     put = _openblas.function("openblas_set_num_threads")
     default = get()
-    dsbev, dsbevd = bound("dsbev"), bound("dsbevd")
+    dsbev, dsbevd = _openblas.lapack()["dsbev"], bound("dsbevd")
     old = [bound(name) for name in ("dsbtrd", "dstebz", "dstein")]
     report = {"default_threads": default, "sizes": {}}
     for m in map(int, args.sizes.split(",")):
