@@ -13,8 +13,7 @@ This module owns two rules the rest of the package shares: check_labels,
 the one check on a labelling, and write_csv, which writes every CSV file.
 """
 
-import io
-import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,49 +226,52 @@ def degree_stats(graph, labels):
 # --- file formats --------------------------------------------------------
 #
 # Edge list: header "n d seed", then one "i j" line per edge, 0-indexed,
-# i < j, in row-major order.  Labels: one of {1, 2} per line.  Positions:
-# CSV with d coordinate columns, written like every CSV by write_csv.
+# i < j, in row-major order.  Labels: one of {1, 2} per line.  Every integer
+# in both is read by _uints.  Positions: CSV with d coordinate columns,
+# written like every CSV by write_csv.
 
-_ASCII_INT = re.compile(r"[+-]?[0-9]+")  # the integers np.loadtxt takes on edge lines
-_WRITE_CHUNK = 1 << 12  # edge lines joined per write, so few line strings live at once
+
+def _uints(lines):
+    """The rows of whitespace-separated integers in lines (an open file or a
+    list of strings), as a 2-d uint64 array: the one integer rule of the input
+    files, ASCII digits with an optional '+', below 2**64.  Blank lines are
+    skipped, so an empty input gives zero rows; a '#' is an error, not a
+    comment.  Anything else raises ValueError."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=np.uint64, ndmin=2, comments=None)
 
 
 def write_graph(path, graph, d, seed):
-    i, j = np.nonzero(np.triu(graph.adjacency, k=1))
-    names = [str(k) for k in range(graph.n)]
+    """The edge list of graph, with the header "n d seed": each row's
+    neighbours above the diagonal, one row's lines joined per write."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {d} {seed}\n")
-        for start in range(0, len(i), _WRITE_CHUNK):
-            stop = start + _WRITE_CHUNK
-            fh.write("".join([f"{names[a]} {names[b]}\n"
-                              for a, b in zip(i[start:stop].tolist(), j[start:stop].tolist())]))
+        for a, row in enumerate(graph.adjacency):
+            above = (np.flatnonzero(row[a + 1:]) + a + 1).tolist()
+            if above:
+                fh.write(f"{a} " + f"\n{a} ".join(map(str, above)) + "\n")
 
 
 def read_graph(path):
-    """Returns (Graph, d, seed) from an edge-list file.
-
-    The header must be three ASCII integers.  Blank lines are skipped;
-    anything else that is not an 'i j' pair of ASCII integers with
-    0 <= i < j < n raises ValueError naming the path, and so does an n
-    whose n x n adjacency cannot be allocated.
+    """Returns (Graph, d, seed) from an edge-list file, parsed from the open
+    file by _uints, so a negative n, d or seed is rejected.  The header must
+    be three integers.  Blank lines are skipped; anything else that is not an
+    'i j' pair with i < j < n raises ValueError naming the path, and so does
+    an n whose n x n adjacency cannot be allocated.
     """
     try:
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3 or not all(_ASCII_INT.fullmatch(tok) for tok in header):
-                raise ValueError("expected header 'n d seed' of three ASCII integers")
-            header = [int(tok) for tok in header]
-            if header[0] < 0:
-                raise ValueError("expected header 'n d seed' with n >= 0")
-            body = fh.read()
-        n, d, seed = header
-        # comments=None: a '#' line is an error, not a skipped comment
-        edges = (np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-                 if body.strip() else np.empty((0, 2), dtype=np.int64))
-        if edges.shape[1] != 2:
+            header = _uints([fh.readline()])
+            if header.shape != (1, 3):
+                raise ValueError("expected header 'n d seed' of three integers")
+            n, d, seed = map(int, header[0])
+            edges = _uints(fh)
+        # no edge lines read as zero rows of one column
+        if len(edges) and edges.shape[1] != 2:
             raise ValueError("expected 'i j' on every edge line")
-        i, j = edges[:, 0], edges[:, 1]
-        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
+        i, j = edges.reshape(-1, 2).T
+        bad = np.flatnonzero((i >= j) | (j >= n))
         if len(bad):
             k = bad[0]
             raise ValueError(f"edge {k + 1}: need 0 <= i < j < n, got {i[k]} {j[k]}")
@@ -291,18 +293,15 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    """Labels from a file of one 1 or 2 per line.
+    """Labels from a file of one 1 or 2 per line, read by _uints.
 
     Blank lines are skipped, as in read_graph.  An empty file, a comment
     line ('#') or any other line raises ValueError naming the path.
     """
     try:
         with open(path) as fh:
-            text = fh.read()
-        if not text.strip():
-            raise ValueError("no labels")
-        labels = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
-        if labels.shape[1] != 1:
+            labels = _uints(fh)
+        if labels.shape[1] != 1 or not len(labels):
             raise ValueError("expected one label per line")
         labels = check_labels(labels[:, 0], len(labels))
     except ValueError as exc:

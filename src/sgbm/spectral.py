@@ -109,8 +109,10 @@ _PROFILE_EDGES = 3.0
 
 
 def _window_cap(n):
-    """Most basis vectors a window grows to before the whole spectrum answers."""
-    return min(n, max(_WINDOW_FIRST, n // 4))
+    """Most basis vectors a window grows to before the whole spectrum answers:
+    n / 4, but no more than 240, as a band solve (dsbev) costs m^3, 1.5 s at
+    m = 1000; no preset cell or sgbm cluster run has used over 120."""
+    return min(n, max(_WINDOW_FIRST, min(n // 4, 240)))
 
 
 def _tolerance_scale(graph):
@@ -350,10 +352,6 @@ class _Window:
         return [[(rank + step * j, position + step * j) for j in range(length)]
                 for rank, position, step, length in ends]
 
-    def vector(self, coordinates):
-        """The Ritz vector of A with these coordinates in the basis."""
-        return np.einsum("kn,k->n", self.basis[:len(coordinates)], coordinates)
-
 
 class Spectrum:
     """Every eigenpair of a graph's adjacency matrix A, each solved on first use.
@@ -369,8 +367,8 @@ class Spectrum:
     most _RESIDUAL_RTOL times the scale.  A window grows (by _WINDOW_STEP
     vectors on A, _SHIFT_STEP shifted) until every rank a request reads has
     converged, in one run of ranks outward from an anchor, and hands out
-    those ranks' values; each rank's value and coordinates are cached, and
-    its vector is built from the basis when eigenvector asks.
+    those ranks' values; each rank's value and Ritz vector are cached as it
+    converges, so no request reads a window's basis later.
 
     - The window on A answers count_above(x) where |x| lies outside the
       noise bulk (_BULK_MARGIN), reading the ranks through two past x from
@@ -428,7 +426,7 @@ class Spectrum:
         self.solve_s = 0.0  # wall time of the windows and the whole spectrum, once run
         self._eigenvalues = self._eigenvectors = None
         self._vectors = {}
-        self._ritz = {}  # rank: (value, coordinates, window) of a converged Ritz pair
+        self._ritz = {}  # rank: (value, vector, route) of a converged Ritz pair
         self._lapack = _openblas.lapack()
         # the window on A, and on (A - sigma I)^-1 once a shift is factored; both
         # are dropped by the whole spectrum's solve, and neither is made without LAPACK
@@ -440,12 +438,13 @@ class Spectrum:
         return _tolerance_scale(self.graph)
 
     def _whole(self, vectors):
-        """(eigenvalues, eigenvectors or None): every eigenvalue, descending, and
-        with vectors every eigenvector, column i paired with eigenvalue i.  One
-        LAPACK dsyevd, jobz V or N, in place on a fresh float64 copy of A; or,
-        where LAPACKE is not bound, numpy's eigh or eigvalsh, which call it.  It
-        drops both windows first, so that one n x n copy of A is alive at a time;
-        a failure raises and keeps nothing, so the next request tries again."""
+        """Every eigenvalue, descending, into _eigenvalues unless known, and with
+        vectors every eigenvector into _eigenvectors, column i paired with
+        eigenvalue i: one LAPACK dsyevd, jobz V or N, in place on a fresh float64
+        copy of A; or, where LAPACKE is not bound, numpy's eigh or eigvalsh, which
+        call it.  It drops both windows first, so that one n x n copy of A is
+        alive at a time; a failure raises and keeps nothing, so the next request
+        tries again."""
         start, n = time.perf_counter(), self.n
         self._window = self._shifted = None
         self._ritz = {}
@@ -466,7 +465,10 @@ class Spectrum:
                 raise EigendecompositionError(f"LAPACK dsyevd failed (info {info})")
             a = a.T  # column-major: row i of the copy pairs with w[i]
         self.solve_s += time.perf_counter() - start
-        return w[::-1], a[:, ::-1] if vectors else None
+        if self._eigenvalues is None:
+            self._eigenvalues = w[::-1]
+        if vectors:
+            self._eigenvectors = a[:, ::-1]
 
     def count_above(self, x):
         """How many eigenvalues are greater than x.
@@ -536,9 +538,7 @@ class Spectrum:
         other; None when dsytrf fails or A - sigma I is singular."""
         if self._shifted is None or self._shifted.sigma != sigma:
             start = time.perf_counter()
-            if self._shifted is not None:
-                # one factor at a time: the ranks it cached read only its basis
-                self._shifted.factor = self._shifted.pivots = None
+            self._shifted = None  # one factor at a time: the old window goes first
             self._shifted = _Window.shifted(self.graph, self._lapack, sigma)
             self.solve_s += time.perf_counter() - start
         return self._shifted
@@ -567,8 +567,8 @@ class Spectrum:
         the ones its column pairs with, so a repeated eigenvalue is split into
         ranks as eigendecompose splits it."""
         if self._eigenvalues is None:
-            self.eigenvectors
-        return self.eigenvalues
+            self._whole(True)
+        return self._eigenvalues
 
     def _hold(self, ranks):
         """Converge ranks in a window where one can: the window on A near an end,
@@ -606,8 +606,12 @@ class Spectrum:
                     inside = (window.sigma is None and pending
                               and min(map(abs, pending)) < self.bulk_edge)
                     if not pending or inside:
+                        route = "window on A" if window.sigma is None else "shifted window"
                         for rank, (value, coordinates) in converged.items():
-                            self._ritz.setdefault(rank, (value, coordinates, window))
+                            if rank not in self._ritz:
+                                vector = np.einsum("kn,k->n", window.basis[:len(coordinates)],
+                                                   coordinates)
+                                self._ritz[rank] = value, vector, route
                         return pending[0] if inside else True
                 if (window.length == window.done or window.done >= _window_cap(n)
                         or not window.grow(min(_window_cap(n), window.done + step))):
@@ -652,18 +656,14 @@ class Spectrum:
             # a failed solve without vectors leaves them to the full solve:
             # dstedc can converge where dsterf did not
             with contextlib.suppress(EigendecompositionError, MemoryError):
-                self._eigenvalues = self._whole(False)[0]
-            if self._eigenvalues is None:
-                self.eigenvectors
-        return self._eigenvalues
+                self._whole(False)
+        return self._listed()
 
     @property
     def eigenvectors(self):
         """(n, n) array: column i pairs with eigenvalues[i]."""
         if self._eigenvectors is None:
-            values, self._eigenvectors = self._whole(True)
-            if self._eigenvalues is None:
-                self._eigenvalues = values
+            self._whole(True)
         return self._eigenvectors
 
     def eigenvector(self, rank):
@@ -681,8 +681,7 @@ class Spectrum:
             for rank in missing:
                 values.append(float(self.values(rank, rank)[0]))
                 if rank in self._ritz:
-                    _, coordinates, window = self._ritz[rank]
-                    columns.append(window.vector(coordinates))
+                    columns.append(self._ritz[rank][1])
                 else:
                     columns.append(self.eigenvectors[:, rank - 1])
             block = _checked(self.graph, np.array(values), np.stack(columns, axis=1), self._scale)
@@ -693,7 +692,7 @@ class Spectrum:
         """What answers rank now: "window on A" or "shifted window" while one
         holds it, else "whole spectrum" once that is solved, else None."""
         if rank in self._ritz:
-            return "window on A" if self._ritz[rank][2].sigma is None else "shifted window"
+            return self._ritz[rank][2]
         return "whole spectrum" if self._eigenvalues is not None else None
 
 

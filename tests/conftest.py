@@ -14,8 +14,9 @@ import pytest
 
 from sgbm import _openblas, kernels, model, spectral
 
-# the argument that holds n, for each LAPACKE routine the tests count
-_N_ARGUMENT = {"dsyevd": 3, "dsytrf": 2}
+# the argument that holds n, for each LAPACKE routine the tests count (dsbev: the
+# order of a window's band)
+_N_ARGUMENT = {"dsyevd": 3, "dsytrf": 2, "dsbev": 3}
 
 
 def _patch_lapack(monkeypatch, **stand_ins):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -542,14 +543,43 @@ def test_read_graph_rejects_what_loop_reader_rejects(tmp_path, text):
     "20 1 0\n\u0661 2\n",             # non-ASCII digit (Arabic-Indic one)
     "2_0 1 0\n1 12\n",               # digit separator in the header
     "20 1 \u0661\n1 12\n",            # non-ASCII digit in the header
+    "4 -1 0\n",                      # negative d
+    "4 1 -5\n",                      # negative seed
+    "4 1 18446744073709551616\n",    # seed of 2**64
+    "-0 1 0\n",                      # minus zero in the header
+    "4 1 0\n-0 1\n",                 # minus zero on an edge line
 ])
 def test_read_graph_stricter_than_loop_reader(tmp_path, text):
-    """Integer spellings Python's int() takes but the edge format does not."""
+    """Integer spellings Python's int() takes but the file format does not:
+    every integer is ASCII digits with an optional '+', below 2**64."""
     path = tmp_path / "odd.txt"
     path.write_text(text, encoding="utf-8")
     loop_read_graph(path)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         model.read_graph(path)
+
+
+def test_graph_io_memory_is_the_adjacency_and_the_edge_array(tmp_path):
+    """At n = 2000 (generate_cluster_gbm's kernels) write_graph holds no more
+    than one row's lines at a time, and read_graph no more than the uint8
+    adjacency and the parsed uint64 edge array, n^2 + 16 E bytes, with 10%
+    to spare: no copy of the file's text and no n x n temporary."""
+    n = 2000
+    params = SgbmParams(n=n, d=1, f_in=kernels.Indicator(0.12),
+                        f_out=kernels.Indicator(0.05), seed=0)
+    graph = model.sample_graph(params)[0]
+    path = tmp_path / "edges.txt"
+    peaks = []
+    for io_call in (lambda: model.write_graph(path, graph, 1, 0), lambda: model.read_graph(path)):
+        tracemalloc.start()
+        try:
+            back = io_call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(back[0].adjacency, graph.adjacency)
+    assert peaks[0] <= 1e6
+    assert peaks[1] <= 1.1 * (n * n + 16 * graph.edge_count())
 
 
 def test_read_labels_rejects_bad_values(tmp_path):
@@ -564,6 +594,7 @@ def test_read_labels_rejects_bad_values(tmp_path):
     "\n \n",             # blank lines only
     "1\n3\n2\n",         # a label other than 1 or 2
     "1\n257\n",          # beyond int8
+    "1\n-1\n",           # negative
     "# truth\n1\n2\n",   # comment line
     "1\n2 # node 1\n",   # trailing comment
     "1 2\n",             # two labels on a line

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -813,10 +814,15 @@ def test_residual_failure_is_an_error_row_and_exit_4(tmp_path, monkeypatch, caps
 
 def garbled_ritz_vectors(monkeypatch):
     """Windows from now on hand out converged Ritz values with vectors that
-    are no eigenvector."""
-    rng = np.random.default_rng(1)
-    monkeypatch.setattr(spectral._Window, "vector",
-                        lambda window, coordinates: rng.standard_normal(window.n))
+    are no eigenvector: each solve's coordinates are garbled after it."""
+    rng, solve = np.random.default_rng(1), spectral._Window._solve
+
+    def garbled(window):
+        solved = solve(window)
+        if solved:
+            window.coordinates = rng.standard_normal(window.coordinates.shape)
+        return solved
+    monkeypatch.setattr(spectral._Window, "_solve", garbled)
 
 
 def test_window_residual_failure_is_an_error_row_and_exit_4(monkeypatch, capsys,
@@ -854,6 +860,32 @@ def test_window_at_its_cap_falls_back_to_the_reduction(monkeypatch, count_routin
     labels, got = spectral.cluster(spectrum, algorithm, 0.4, 0.1)
     assert starts == {"window": [1000], "shifted window": []}
     assert spectrum._eigenvectors is not None and spectrum._ritz == {}
+    assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
+        (want.selected_index, want.lambda_selected, want.gap_to_next)
+    assert np.array_equal(got.eigenvector, want.eigenvector)
+    assert np.array_equal(labels, want_labels)
+
+
+def test_a_window_that_never_converges_stops_at_the_band_bound(monkeypatch, count_routines):
+    """With every Ritz residual forced to inf, the window on A grows to its cap
+    and the whole spectrum answers, as eigendecompose's, bit for bit.  At
+    n = 2000 the cap is 240 vectors, not n / 4 = 500: each band solve (dsbev)
+    costs m^3."""
+    graph = sampled_graph(2000)
+    want_labels, want = spectral.cluster(spectral.eigendecompose(graph), "hosc", 0.4, 0.1)
+    solve = spectral._Window._solve
+
+    def never_converged(window):
+        solved = solve(window)
+        if solved:
+            window.residuals = np.full(len(window.values), np.inf)
+        return solved
+    monkeypatch.setattr(spectral._Window, "_solve", never_converged)
+    calls = count_routines(monkeypatch, "dsbev", "dsyevd")
+    spectrum = spectral.Spectrum(graph)
+    labels, got = spectral.cluster(spectrum, "hosc", 0.4, 0.1)
+    assert max(calls["dsbev"]) == spectral._window_cap(2000) == 240
+    assert calls["dsyevd"] == [2000] and spectrum._ritz == {}
     assert (got.selected_index, got.lambda_selected, got.gap_to_next) == \
         (want.selected_index, want.lambda_selected, want.gap_to_next)
     assert np.array_equal(got.eigenvector, want.eigenvector)
@@ -1064,17 +1096,18 @@ def test_end_rank_the_window_stops_short_of_reads_the_whole_spectrum(monkeypatch
 
 
 def test_a_new_shift_drops_the_old_factor():
-    """One factor is alive at a time.  A new shift drops the old window's
-    factor; the ranks that window cached keep its basis, and their vectors
-    are built from it, bit for bit as before."""
+    """One factor is alive at a time.  A new shift frees the old shifted
+    window whole, factor and basis; the ranks it held keep their cached Ritz
+    vectors, and eigenvector reads them bit for bit as before."""
     graph, x = waxman_cell(0.25)
     spectrum = spectral.Spectrum(graph)
     spectral.select_eigenpair(spectrum, x)
-    old = spectrum._shifted
-    rank = min(rank for rank, (*_, window) in spectrum._ritz.items() if window is old)
-    vector = spectrum.eigenvector(rank)
-    spectrum._shift_to(old.sigma + 1.0)
-    assert old.factor is None and spectrum._shifted.factor is not None
+    old, sigma = weakref.ref(spectrum._shifted), spectrum._shifted.sigma
+    rank = min(rank for rank, (*_, route) in spectrum._ritz.items() if route == "shifted window")
+    ritz, vector = spectrum._ritz[rank][1].copy(), spectrum.eigenvector(rank)
+    spectrum._shift_to(sigma + 1.0)
+    assert old() is None and spectrum._shifted.factor is not None
+    assert np.array_equal(spectrum._ritz[rank][1], ritz)
     spectrum._vectors.clear()
     assert np.array_equal(spectrum.eigenvector(rank), vector)
 
