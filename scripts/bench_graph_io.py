@@ -13,7 +13,9 @@ For each n, the graph of perfbench's generate_cluster_gbm workload
   the parsed uint64 edge array;
 - maxrss_mb: the ru_maxrss of one fresh process that runs sgbm generate,
   then sgbm cluster (hosc_li, with the labels) on the written files,
-  three times.
+  three times;
+- edges_sha256: the sha256 of the edges.txt that write_graph wrote, so
+  runs of two versions of sgbm show whether their bytes are the same.
 
 Prints one line per n as it goes, then one JSON object.  The sgbm it
 measures is the one this interpreter imports, in this process and in the
@@ -21,6 +23,7 @@ child.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -97,6 +100,7 @@ def main():
                 "write_peak_mb": peak_mb(lambda: model.write_graph(path, graph, 1, 0)),
                 "read_peak_mb": peak_mb(lambda: model.read_graph(path)),
                 "floor_mb": (n * n + 16 * graph.edge_count()) / 1e6,
+                "edges_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                 "maxrss_mb": maxrss_mb(n, directory),
             }
         report["sizes"][n] = row

@@ -85,7 +85,7 @@ class Graph:
         return out
 
     def edge_count(self):
-        return int(self.adjacency.sum()) // 2
+        return int(np.count_nonzero(self.adjacency)) // 2
 
 
 @dataclass
@@ -226,9 +226,10 @@ def degree_stats(graph, labels):
 # --- file formats --------------------------------------------------------
 #
 # Edge list: header "n d seed", then one "i j" line per edge, 0-indexed,
-# i < j, in row-major order.  Labels: one of {1, 2} per line.  Every integer
-# in both is read by _uints.  Positions: CSV with d coordinate columns,
-# written like every CSV by write_csv.
+# i < j, in row-major order (by i, then by j).  write_graph spells each id
+# from a 7-digit slot, enough for every n up to 10**7.  Labels: one of {1, 2}
+# per line.  Every integer in both is read by _uints.  Positions: CSV with d
+# coordinate columns, written like every CSV by write_csv.
 
 
 def _uints(lines):
@@ -242,15 +243,41 @@ def _uints(lines):
         return np.loadtxt(lines, dtype=np.uint64, ndmin=2, comments=None)
 
 
+def _id_words(ids):
+    """Two uint64 tables with one word per id in ids (at most 10**7 - 1): the
+    id's ASCII digits, then ' ' in the left table and '\n' in the right,
+    right-aligned behind zero bytes.  Seven digit bytes hold every id of an
+    n x n uint8 adjacency that fits in memory."""
+    chars = np.zeros((2, len(ids), 8), dtype=np.uint8)
+    chars[0, :, 7], chars[1, :, 7] = ord(" "), ord("\n")
+    size = np.maximum(ids, 1)  # 0 has one digit, as 1 has
+    for place in range(7):
+        digit = ids // 10**place % 10 + ord("0")
+        chars[:, :, 6 - place] = np.where(size >= 10**place, digit, 0)
+    left, right = chars.view(np.uint64)[..., 0]
+    return left, right
+
+
 def write_graph(path, graph, d, seed):
-    """The edge list of graph, with the header "n d seed": each row's
-    neighbours above the diagonal, one row's lines joined per write."""
-    with open(path, "w") as fh:
-        fh.write(f"{graph.n} {d} {seed}\n")
-        for a, row in enumerate(graph.adjacency):
-            above = (np.flatnonzero(row[a + 1:]) + a + 1).tolist()
-            if above:
-                fh.write(f"{a} " + f"\n{a} ".join(map(str, above)) + "\n")
+    """The edge list of graph, with the header "n d seed": one "i j" line per
+    edge, i < j, in row-major order.  Each id comes from the 7-digit slot of
+    its _id_words word, which holds every n up to 10**7.  A block of rows,
+    about 2**16 entries as in Graph.matvec, is written at a time: each edge's
+    two words side by side, as bytes, with the zero bytes dropped."""
+    n = graph.n
+    left, right = _id_words(np.arange(n))
+    rows = max(1, 2**16 // n)
+    with open(path, "wb") as fh:
+        fh.write(f"{n} {d} {seed}\n".encode())
+        # the last row has no entry above the diagonal
+        for start in range(0, n - 1, rows):
+            # rows start.. against columns start + 1.., as in sample_graph; i
+            # and j count from those two starts, so the pair is i < j at j >= i
+            block = graph.adjacency[start:start + rows, start + 1:] != 0
+            i, j = divmod(np.flatnonzero(block), n - start - 1)
+            above = j >= i
+            words = np.stack([left[start:][i[above]], right[start + 1:][j[above]]], axis=1)
+            fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def read_graph(path):
@@ -288,8 +315,7 @@ def read_graph(path):
 
 def write_labels(path, labels):
     with open(path, "w") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
+        fh.write("".join([f"{lab}\n" for lab in np.asarray(labels, dtype=np.int64).tolist()]))
 
 
 def read_labels(path):
@@ -311,7 +337,7 @@ def read_labels(path):
 
 def write_positions(path, positions):
     write_csv(path, [f"x{axis}" for axis in range(positions.shape[1])],
-              ((repr(float(c)) for c in row) for row in positions))
+              (map(repr, row) for row in positions.tolist()))
 
 
 def write_csv(path, header, rows):

@@ -166,6 +166,7 @@ def test_deterministic_kernels_give_block_matching():
     graph, labels, positions = model.sample_graph(params)
     assert positions.shape == (4, 1)
     assert graph.edge_count() == 2
+    assert type(graph.edge_count()) is int  # a Python int, as json.dumps needs
     deg = graph.adjacency.sum(axis=1)
     assert np.all(deg == 1)
     i, j = np.nonzero(np.triu(graph.adjacency))
@@ -462,8 +463,9 @@ def loop_read_graph(path):
 
 
 def _io_graphs():
-    """Sampled graphs in d = 1 (over 2**16 edges, so several write chunks)
-    and d = 2, a graph without edges, and n = 2 with and without its edge."""
+    """Sampled graphs in d = 1 (over 2**16 edges, more than one row block of
+    write_graph holds) and d = 2, a graph without edges, and n = 2 with and
+    without its edge."""
     graphs = []
     for n, d, r_in, r_out, seed in ((1000, 1, 0.2, 0.05, 3), (300, 2, 0.2, 0.1, 4)):
         params = SgbmParams(n=n, d=d, f_in=kernels.Indicator(r_in, d=d),
@@ -476,14 +478,46 @@ def _io_graphs():
     return graphs
 
 
+def _digit_edge_graphs():
+    """Two graphs at n = 1002, where write_graph's row blocks are 65 rows:
+    one with edges on the ids where the digit count changes (9/10, 99/100,
+    999/1000/1001), a row (500) whose only edge lies below the diagonal and
+    empty row blocks between edges, and one whose edges all lie in the last
+    row block (rows 975-1001)."""
+    n = 1002
+    graphs = []
+    for edges in ([(0, 1), (0, 1001), (9, 10), (9, 500), (10, 99), (99, 100), (100, 999),
+                   (998, 999), (999, 1000), (999, 1001), (1000, 1001)],
+                  [(975, 976), (980, 1001), (1000, 1001)]):
+        adjacency = np.zeros((n, n), dtype=np.uint8)
+        i, j = np.array(edges).T
+        adjacency[i, j] = adjacency[j, i] = 1
+        graphs.append((Graph(n=n, adjacency=adjacency), 1, 0))
+    assert not graphs[0][0].adjacency[500, 501:].any()
+    return graphs
+
+
 def test_write_graph_matches_loop_writer(tmp_path):
     graphs = _io_graphs()
     assert graphs[0][0].edge_count() > 2**16
-    for k, (graph, d, seed) in enumerate(graphs):
+    for k, (graph, d, seed) in enumerate(graphs + _digit_edge_graphs()):
         new, old = tmp_path / f"new{k}.txt", tmp_path / f"old{k}.txt"
         model.write_graph(new, graph, d, seed)
         loop_write_graph(old, graph, d, seed)
         assert new.read_bytes() == old.read_bytes()
+
+
+def test_id_words_spell_every_id_below_ten_million():
+    """The digit table at both sides of every power of ten up to 10**7 - 1,
+    built from those ids alone, with no n x n array."""
+    ids = np.array(sorted({k for p in range(8) for k in (10**p - 2, 10**p - 1, 10**p, 10**p + 1)
+                           if 0 <= k < 10**7}))
+    left, right = model._id_words(ids)
+    assert ids[0] == 0 and ids[-1] == 10**7 - 1
+    for k, lw, rw in zip(ids.tolist(), left, right):
+        assert lw.tobytes().lstrip(b"\0") == f"{k} ".encode()
+        assert rw.tobytes().lstrip(b"\0") == f"{k}\n".encode()
+        assert lw.tobytes().count(b"\0") == 7 - len(str(k))
 
 
 def test_read_graph_matches_loop_reader(tmp_path):
@@ -561,7 +595,7 @@ def test_read_graph_stricter_than_loop_reader(tmp_path, text):
 
 def test_graph_io_memory_is_the_adjacency_and_the_edge_array(tmp_path):
     """At n = 2000 (generate_cluster_gbm's kernels) write_graph holds no more
-    than one row's lines at a time, and read_graph no more than the uint8
+    than one row block's bytes at a time, and read_graph no more than the uint8
     adjacency and the parsed uint64 edge array, n^2 + 16 E bytes, with 10%
     to spare: no copy of the file's text and no n x n temporary."""
     n = 2000
